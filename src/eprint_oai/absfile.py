@@ -16,6 +16,7 @@ from .ids import EprintId, parse_datestamp, parse_internal_id, parse_archive_ref
 
 SEPARATOR = "\\\\"
 
+_HEADER_RE = re.compile(r"^([A-Za-z-]+(?: \(v\d+\))?):\s?(.*)$")
 _DATE_KEY_RE = re.compile(r"^Date(?: \(v(?P<ver>[2-9]\d*)\))?$")
 _KNOWN_KEYS = {
     "Paper",
@@ -97,11 +98,12 @@ def parse_abs(data: bytes | str) -> InternalMetadata:
         if line.startswith("  ") and current_key is not None:
             fields[current_key] += " " + line.strip()
             continue
-        m = re.match(r"^([A-Za-z-]+(?: \(v\d+\))?):\s?(.*)$", line)
+        m = _HEADER_RE.match(line)
         if m is None:
             raise AbsParseError(f"expected 'Key: value', got {line!r}", i + 1)
-        key, value = m.group(1), m.group(2).strip()
-        dm = _DATE_KEY_RE.match(key)
+        key, value = m.groups()
+        value = value.strip()
+        dm = _DATE_KEY_RE.match(key) if key.startswith("Date") else None
         if dm:
             ver = int(dm.group("ver") or 1)
             if ver in dates:

@@ -139,6 +139,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         else:
             print(f"{path}: ingested")
             ingested += 1
+    store.compact()
     print(f"{ingested} ingested, {failed} failed")
     return 1 if failed else 0
 
@@ -226,7 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-interval-other", dest="min_interval_other", type=float)
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("ingest", help="ingest abs files into the store")
+    p = sub.add_parser(
+        "ingest",
+        help="ingest abs files into the store, then compact its change log "
+        "once after the batch",
+    )
     common(p)
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_ingest)

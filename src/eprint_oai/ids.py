@@ -40,6 +40,8 @@ _OVERFLOW_RE = re.compile(
 )
 
 _ARCHIVE_REF_RE = re.compile(rf"^(?P<archive>{_ARCHIVE})(?:\.(?P<sc>[A-Z]{{2}}))?$")
+_ARCHIVE_NAME_RE = re.compile(_ARCHIVE)
+_SUBJECT_CLASS_RE = re.compile(r"[A-Z]{2}")
 
 
 @dataclass(frozen=True, order=True)
@@ -53,10 +55,10 @@ class EprintId:
     version: int | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
-        if not re.fullmatch(_ARCHIVE, self.archive):
+        if not _ARCHIVE_NAME_RE.fullmatch(self.archive):
             raise MalformedIdentifier(f"bad archive name: {self.archive!r}")
-        if self.subject_class is not None and not re.fullmatch(
-            r"[A-Z]{2}", self.subject_class
+        if self.subject_class is not None and not _SUBJECT_CLASS_RE.fullmatch(
+            self.subject_class
         ):
             raise MalformedIdentifier(
                 f"subject-class must be 2 uppercase letters: {self.subject_class!r}"
@@ -180,8 +182,11 @@ def format_datestamp(d: date) -> str:
     return d.isoformat()
 
 
+_DATESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
+
+
 def parse_datestamp(text: str) -> date:
-    if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", text):
+    if not _DATESTAMP_RE.fullmatch(text):
         raise ValueError(f"datestamp must be YYYY-MM-DD: {text!r}")
     y, m, d = map(int, text.split("-"))
     return date(y, m, d)

@@ -66,6 +66,10 @@ def test_ingest_command(tmp_path, capsys, monkeypatch):
     rc = cli.main(["ingest", "--data-dir", str(tmp_path / "store"), str(src)])
     assert rc == 0
     assert "1 ingested, 0 failed" in capsys.readouterr().out
+    # the batch ends with a compaction: the change log is folded into the table
+    store = tmp_path / "store"
+    assert (store / "changes.log").read_bytes() == b""
+    assert (store / "datestamps.tab").read_text() == "cs.DL/0101027\t2001-02-03\n"
     # re-ingest of identical content is reported as a failure
     rc = cli.main(["ingest", "--data-dir", str(tmp_path / "store"), str(src)])
     assert rc == 1

@@ -1,7 +1,15 @@
 from __future__ import annotations
 
+import builtins
+import io
+import os
 import random
+import sys
+import tempfile
+import threading
+from dataclasses import replace
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +17,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_meta, synth_corpus
 from eprint_oai.absfile import format_abs
 from eprint_oai.ids import EprintId, parse_internal_id
-from eprint_oai.store import DuplicateRecord, NotFound, Store
+from eprint_oai.store import (
+    CHANGE_LOG,
+    DATESTAMP_TABLE,
+    DELETED_TABLE,
+    DuplicateRecord,
+    NotFound,
+    Store,
+)
 
 
 def dt(day: date) -> datetime:
@@ -101,17 +116,16 @@ def test_scan_bad_range(store):
         store.scan(date(2000, 1, 2), date(2000, 1, 1))
 
 
-def test_rebuild_empty(store):
-    index = store.rebuild_index(dt(date(2000, 1, 1)))
-    assert index.entries == ()
+def test_scan_empty(taxonomy, tmp_path):
+    assert Store(taxonomy, tmp_path).scan() == []
 
 
-def test_rebuild_matches_incremental_after_mutations(taxonomy):
+def test_reload_matches_incremental_after_mutations(taxonomy, tmp_path):
     rng = random.Random(7)
-    store = Store(taxonomy)
+    store = Store(taxonomy, tmp_path)
+    store.scan()  # build the index first, so every write updates it in place
     synth_corpus(store, 150, rng)
-    now = dt(date(2001, 1, 1))
-    assert store.rebuild_index(now).entries == store.current_index(now).entries
+    assert Store(taxonomy, tmp_path).scan() == store.scan()
 
 
 def test_persistence_roundtrip(taxonomy, tmp_path):
@@ -126,8 +140,7 @@ def test_persistence_roundtrip(taxonomy, tmp_path):
     assert reloaded.get(meta.id).meta == meta
     assert reloaded.get(other.id).deleted
     assert reloaded.get(other.id).datestamp == date(1999, 2, 1)
-    now = dt(date(2000, 1, 1))
-    assert reloaded.current_index(now).entries == store.current_index(now).entries
+    assert reloaded.scan() == store.scan()
 
 
 @settings(max_examples=25, deadline=None)
@@ -166,3 +179,336 @@ def test_deleted_never_yields_metadata(taxonomy):
             assert rec.deleted and rec.meta is None
         else:
             assert rec.meta is not None
+
+
+# --- deletion reasons ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("reason", ["a\nb", "a\rb", "trailing\n"])
+def test_mark_deleted_rejects_line_break_in_reason(taxonomy, tmp_path, reason):
+    store = Store(taxonomy, tmp_path)
+    meta = make_meta(EprintId("hep-th", 9901, 1), date(1999, 1, 1))
+    store.ingest(format_abs(meta), dt(date(1999, 1, 2)))
+    files = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    with pytest.raises(ValueError):
+        store.mark_deleted(meta.id, reason, dt(date(1999, 2, 1)))
+    assert not store.get(meta.id).deleted
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == files
+    assert not Store(taxonomy, tmp_path).get(meta.id).deleted
+
+
+@pytest.mark.parametrize("reason", ["tab\there", "form\x0cfeed", "line\u2028sep", ""])
+def test_deletion_reason_roundtrips(taxonomy, tmp_path, reason):
+    store = Store(taxonomy, tmp_path)
+    meta = make_meta(EprintId("hep-th", 9901, 1), date(1999, 1, 1))
+    store.ingest(format_abs(meta), dt(date(1999, 1, 2)))
+    store.mark_deleted(meta.id, reason, dt(date(1999, 2, 1)))
+    assert Store(taxonomy, tmp_path).get(meta.id).deletion_reason == reason
+    store.compact()
+    assert Store(taxonomy, tmp_path).get(meta.id).deletion_reason == reason
+
+
+# --- change log ----------------------------------------------------------------
+
+
+def _log_lines(data_dir: Path) -> list[bytes]:
+    return (data_dir / CHANGE_LOG).read_bytes().splitlines(keepends=True)
+
+
+def test_each_write_appends_one_log_line(taxonomy, tmp_path):
+    """A write costs one log line, whatever the store's size: both tables
+    stay byte-identical until compaction."""
+    store = Store(taxonomy, tmp_path)
+    ids = synth_corpus(store, 200, random.Random(3))
+    store.compact()
+    tables = {n: (tmp_path / n).read_bytes() for n in (DATESTAMP_TABLE, DELETED_TABLE)}
+    assert _log_lines(tmp_path) == []
+    live = [e for e in ids if not store.get(e).deleted]
+    replaced = replace(store.get(live[0]).meta, journal_ref="J. Ex. 1 (2003) 1")
+    writes = [
+        lambda: store.ingest(
+            format_abs(make_meta(EprintId("hep-th", 301, 1), date(2003, 1, 2))),
+            dt(date(2003, 1, 2)),
+        ),
+        lambda: store.ingest(format_abs(replaced), dt(date(2003, 1, 3))),
+        lambda: store.mark_deleted(live[1], "withdrawn", dt(date(2003, 1, 4))),
+    ]
+    for n, write in enumerate(writes, start=1):
+        write()
+        assert {name: (tmp_path / name).read_bytes() for name in tables} == tables
+        lines = _log_lines(tmp_path)
+        assert len(lines) == n and lines[-1].endswith(b"\n")
+    expected = store.scan()
+    store.compact()
+    assert _log_lines(tmp_path) == []
+    assert Store(taxonomy, tmp_path).scan() == expected
+
+
+def test_readers_see_whole_snapshots_while_a_writer_runs(taxonomy, tmp_path):
+    """Scans running beside a writer each see a sorted index holding every
+    record an earlier scan saw; the final index equals a reload."""
+    store = Store(taxonomy, tmp_path)
+    synth_corpus(store, 100, random.Random(5))
+    store.scan()
+    stop = threading.Event()
+    failures: list[str] = []
+    written: list[int] = []
+
+    def read() -> None:
+        seen: set[str] = set()
+        while not stop.is_set():
+            entries = store.scan()
+            keys = [(e.datestamp, e.identifier) for e in entries]
+            idents = {e.identifier for e in entries}
+            if keys != sorted(keys) or len(idents) != len(keys) or not seen <= idents:
+                failures.append(f"inconsistent scan of {len(keys)} entries")
+                return
+            seen = idents
+
+    def write() -> None:
+        rng = random.Random(6)
+        for n in range(1, 201):
+            eid = EprintId("quant-ph", 301, n)
+            meta = make_meta(eid, date(2003, 1, 1))
+            store.ingest(format_abs(meta), dt(date(2003, 1, 1)))
+            live = [e.identifier for e in store.scan() if not e.deleted]
+            if n % 3 == 0:
+                replaced = replace(
+                    store.get(parse_internal_id(rng.choice(live))).meta,
+                    journal_ref=f"J. Ex. {n} (2003) 1",
+                )
+                store.ingest(format_abs(replaced), dt(date(2003, 1, 1 + n % 28)))
+            if n % 10 == 0:
+                store.mark_deleted(
+                    parse_internal_id(rng.choice(live)), "gone", dt(date(2003, 2, 1))
+                )
+            written.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        for thread in readers:
+            thread.start()
+        writer = threading.Thread(target=write)
+        writer.start()
+        writer.join(timeout=60)
+        stop.set()
+        for thread in readers:
+            thread.join(timeout=10)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive() and not any(t.is_alive() for t in readers)
+    assert len(written) == 200
+    assert failures == []
+    assert Store(taxonomy, tmp_path).scan() == store.scan()
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["new", "replace", "delete"]),
+        st.integers(0, 1000),  # which existing record
+        st.integers(-2, 5),  # days since the last write; negative = early clock
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_OPS, st.integers(0, 14))
+def test_reload_compact_and_replay_equal_incremental_scan(taxonomy, ops, build_at):
+    """For random on-disk ingest/replace/delete sequences, the in-place
+    index equals a reload, a reload after compaction, and a reload that
+    replays the old log over the compacted tables."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp)
+        store = Store(taxonomy, data_dir)
+        ids: list[EprintId] = []
+        day = date(1999, 1, 1)
+        for i, (op, pick, gap) in enumerate(ops):
+            if i == build_at:
+                store.scan()  # writes after this update the index in place
+            day += timedelta(days=gap)
+            if op == "new" or not ids:
+                eid = EprintId("hep-th", 9901, len(ids) + 1)
+                store.ingest(format_abs(make_meta(eid, date(1999, 1, 1))), dt(day))
+                ids.append(eid)
+            elif op == "replace":
+                eid = ids[pick % len(ids)]
+                meta = make_meta(
+                    eid,
+                    date(1999, 1, 1),
+                    crosslists=["math.DS"] if pick % 2 else [],
+                    journal_ref=f"J. Ex. {i} (1999) 1",
+                )
+                store.ingest(format_abs(meta), dt(day))
+            else:
+                store.mark_deleted(ids[pick % len(ids)], f"reason {i}", dt(day))
+        expected = store.scan()
+        assert Store(taxonomy, data_dir).scan() == expected
+        log = data_dir / CHANGE_LOG
+        old_log = log.read_bytes() if log.exists() else b""
+        store.compact()
+        assert Store(taxonomy, data_dir).scan() == expected
+        log.write_bytes(old_log)
+        assert Store(taxonomy, data_dir).scan() == expected
+
+
+# --- crash safety ----------------------------------------------------------------
+
+
+class Crash(Exception):
+    """The process dies at an injected point."""
+
+
+class _CrashingFile:
+    """A file that takes ``budget`` more bytes (or characters), then dies."""
+
+    def __init__(self, fh, budget: int):
+        self._fh = fh
+        self._budget = budget
+
+    def write(self, data):
+        if len(data) > self._budget:
+            self._fh.write(data[: self._budget])
+            self._fh.flush()
+            raise Crash
+        self._budget -= len(data)
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def crash_on_write(monkeypatch, name_part: str, budget: int = 0) -> None:
+    """Files opened for writing whose name contains ``name_part`` take
+    ``budget`` bytes, then the process dies."""
+    real_open = builtins.open
+
+    def faulty_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if any(c in mode for c in "wax") and name_part in os.fspath(file):
+            return _CrashingFile(fh, budget)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", faulty_open)
+    monkeypatch.setattr(io, "open", faulty_open)
+
+
+def crash_on_rename(monkeypatch) -> None:
+    def faulty_replace(src, dst, **kwargs):
+        raise Crash
+
+    monkeypatch.setattr(os, "replace", faulty_replace)
+
+
+@pytest.fixture()
+def crash_store(taxonomy, tmp_path):
+    """An on-disk store holding three records, the third deleted, with its
+    index built."""
+    store = Store(taxonomy, tmp_path)
+    for n in (1, 2, 3):
+        meta = make_meta(EprintId("hep-th", 9901, n), date(1999, 1, 1))
+        store.ingest(format_abs(meta), dt(date(1999, 1, 2)))
+    store.mark_deleted(EprintId("hep-th", 9901, 3), "withdrawn", dt(date(1999, 1, 3)))
+    store.scan()
+    return store
+
+
+def _revised(store: Store, n: int, note: str) -> str:
+    meta = store.get(EprintId("hep-th", 9901, n)).meta
+    return format_abs(replace(meta, journal_ref=note))
+
+
+def _state(store: Store) -> dict[str, tuple[date, str | None]]:
+    out = {}
+    for entry in store.scan():
+        rec = store.get(parse_internal_id(entry.identifier))
+        out[entry.identifier] = (entry.datestamp, rec.meta and format_abs(rec.meta))
+    return out
+
+
+def assert_recovered(taxonomy, data_dir, before) -> Store:
+    """Reload after a crash: no datestamp moved backward, and content that
+    changed did so under an advanced datestamp."""
+    reloaded = Store(taxonomy, data_dir)
+    after = _state(reloaded)
+    for ident, (day, text) in before.items():
+        assert ident in after, f"{ident} lost"
+        new_day, new_text = after[ident]
+        assert new_day >= day, f"{ident}: datestamp moved back to {new_day}"
+        if new_text != text:
+            assert new_day > day, f"{ident}: revised content under old datestamp"
+    return reloaded
+
+
+def test_crash_between_log_append_and_abs_write(
+    taxonomy, tmp_path, crash_store, monkeypatch
+):
+    before = _state(crash_store)
+    text = _revised(crash_store, 1, "J. Ex. 1 (1999) 1")
+    with monkeypatch.context() as m:
+        crash_on_write(m, ".abs")
+        with pytest.raises(Crash):
+            crash_store.ingest(text, dt(date(1999, 3, 1)))
+    reloaded = assert_recovered(taxonomy, tmp_path, before)
+    # announced again, with the old content, and the store takes new writes
+    assert _state(reloaded)["hep-th/9901001"] == (
+        date(1999, 3, 1), before["hep-th/9901001"][1]
+    )
+    reloaded.ingest(text, dt(date(1999, 3, 2)))
+    assert _state(Store(taxonomy, tmp_path)) == _state(reloaded)
+
+
+def test_crash_between_tmp_write_and_rename(
+    taxonomy, tmp_path, crash_store, monkeypatch
+):
+    before = _state(crash_store)
+    text = _revised(crash_store, 2, "J. Ex. 2 (1999) 2")
+    with monkeypatch.context() as m:
+        crash_on_rename(m)
+        with pytest.raises(Crash):
+            crash_store.ingest(text, dt(date(1999, 3, 1)))
+    reloaded = assert_recovered(taxonomy, tmp_path, before)
+    reloaded.ingest(text, dt(date(1999, 3, 2)))
+    assert_recovered(taxonomy, tmp_path, _state(reloaded))
+    assert _state(Store(taxonomy, tmp_path)) == _state(reloaded)
+
+
+def test_crash_tearing_the_log_line(taxonomy, tmp_path, crash_store, monkeypatch):
+    before = _state(crash_store)
+    text = _revised(crash_store, 1, "J. Ex. 3 (1999) 3")
+    with monkeypatch.context() as m:
+        crash_on_write(m, CHANGE_LOG, budget=7)
+        with pytest.raises(Crash):
+            crash_store.ingest(text, dt(date(1999, 3, 1)))
+    assert not (tmp_path / CHANGE_LOG).read_bytes().endswith(b"\n")
+    reloaded = assert_recovered(taxonomy, tmp_path, before)
+    assert _state(reloaded) == before
+    # the next write cuts the torn line off rather than extending it
+    reloaded.ingest(text, dt(date(1999, 3, 2)))
+    assert all(line.endswith(b"\n") for line in _log_lines(tmp_path))
+    again = assert_recovered(taxonomy, tmp_path, before)
+    assert _state(again)["hep-th/9901001"] == (date(1999, 3, 2), text)
+
+
+def test_failed_log_append_is_cut_by_the_next(
+    taxonomy, tmp_path, crash_store, monkeypatch
+):
+    """A process that survives a failed append does not extend the partial
+    line with its next write."""
+    text = _revised(crash_store, 1, "J. Ex. 4 (1999) 4")
+    with monkeypatch.context() as m:
+        crash_on_write(m, CHANGE_LOG, budget=7)
+        with pytest.raises(Crash):
+            crash_store.ingest(text, dt(date(1999, 3, 1)))
+    crash_store.mark_deleted(EprintId("hep-th", 9901, 2), "gone", dt(date(1999, 3, 3)))
+    assert all(line.endswith(b"\n") for line in _log_lines(tmp_path))
+    assert Store(taxonomy, tmp_path).scan() == crash_store.scan()
