@@ -33,6 +33,18 @@ REQUESTS = {
         ("metadataPrefix", "oai_dc"),
     ],
     "listidentifiers_page1.xml": [("verb", "ListIdentifiers")],
+    **{
+        f"getrecord_csdl_{prefix}.xml": [
+            ("verb", "GetRecord"),
+            ("identifier", "oai:arXiv:cs.DL/0101027"),
+            ("metadataPrefix", prefix),
+        ]
+        for prefix in ("oai_rfc1807", "arXiv", "arXivOld")
+    },
+    "listrecords_page1_arXiv.xml": [
+        ("verb", "ListRecords"),
+        ("metadataPrefix", "arXiv"),
+    ],
 }
 
 

@@ -70,32 +70,46 @@ def collect_pages(handler, verb, extra=()):
 
 
 def test_criterion_1_golden_fidelity(demo_handler):
-    """Canonical verb responses match the recorded fixtures structurally,
-    responseDate excluded. Budget: 5s."""
+    """Canonical verb responses match the recorded fixtures byte for byte
+    (the fixed clock makes responseDate equal too). Budget: 5s."""
     started = time.monotonic()
+    getrecord_cs_dl = {
+        f"getrecord_csdl_{prefix}.xml": [
+            ("verb", "GetRecord"),
+            ("identifier", "oai:arXiv:cs.DL/0101027"),
+            ("metadataPrefix", prefix),
+        ]
+        for prefix in ("oai_dc", "oai_rfc1807", "arXiv", "arXivOld")
+    }
     requests = {
         "identify.xml": [("verb", "Identify")],
         "listsets.xml": [("verb", "ListSets")],
         "listmetadataformats.xml": [("verb", "ListMetadataFormats")],
-        "getrecord_csdl_oai_dc.xml": [
-            ("verb", "GetRecord"),
-            ("identifier", "oai:arXiv:cs.DL/0101027"),
-            ("metadataPrefix", "oai_dc"),
-        ],
+        **getrecord_cs_dl,
         "listrecords_page1_oai_dc.xml": [
             ("verb", "ListRecords"),
             ("metadataPrefix", "oai_dc"),
         ],
+        "listrecords_page1_arXiv.xml": [
+            ("verb", "ListRecords"),
+            ("metadataPrefix", "arXiv"),
+        ],
         "listidentifiers_page1.xml": [("verb", "ListIdentifiers")],
     }
     failures = []
+    if sorted(requests) != sorted(p.name for p in GOLDEN.glob("*.xml")):
+        failures.append("fixture set differs from the requests checked")
     for name, params in requests.items():
         resp = demo_handler.handle(params)
         if resp.http_status != 200:
             failures.append(f"{name}: HTTP {resp.http_status}")
             continue
         golden = (GOLDEN / name).read_bytes()
-        if not structurally_equal(resp.body, golden):
+        if resp.body == golden:
+            continue
+        if structurally_equal(resp.body, golden):
+            failures.append(f"{name}: same structure, different bytes")
+        else:
             failures.append(f"{name}: structure differs from fixture")
     # the two documented continuation tokens must appear verbatim
     li = demo_handler.handle([("verb", "ListIdentifiers")]).body
