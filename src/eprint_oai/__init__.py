@@ -7,13 +7,11 @@ from .crosswalk import DEFAULT_FORMATS, FormatDescriptor, to_format
 from .flowcontrol import ClientLedger, FlowPolicy
 from .ids import (
     EprintId,
-    OaiIdentifier,
     TaxonomyConfig,
     load_taxonomy,
     parse_internal_id,
     parse_oai_identifier,
     sets_for,
-    to_oai_identifier,
 )
 from .protocol import ProtocolHandler, ResumptionToken, VerbResponse
 from .store import Store, StoredRecord
@@ -27,7 +25,6 @@ __all__ = [
     "FlowPolicy",
     "FormatDescriptor",
     "InternalMetadata",
-    "OaiIdentifier",
     "ProtocolHandler",
     "RepositoryConfig",
     "ResumptionToken",
@@ -42,5 +39,4 @@ __all__ = [
     "parse_oai_identifier",
     "sets_for",
     "to_format",
-    "to_oai_identifier",
 ]

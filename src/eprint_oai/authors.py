@@ -18,19 +18,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class AuthorName:
+class AuthorName(NamedTuple):
+    """One parsed name. A tuple, as a line with a dozen authors builds a
+    dozen of them on every render; ``parse_authors`` never leaves
+    ``keyname`` empty."""
+
     keyname: str
     forenames: str | None = None
     prefix: str | None = None
     suffix: str | None = None
     affiliation: str | None = None
-
-    def __post_init__(self):
-        if not self.keyname:
-            raise ValueError("keyname must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -72,57 +72,47 @@ def default_lexicon() -> NameLexicon:
     return _DEFAULT_LEXICON
 
 
+# the only text that matters to the top-level split: parentheses, commas
+# and "and" standing free between whitespace or the line's ends. A group
+# without nested parentheses is one token, as nothing inside it splits.
+# Every alternative starts with a literal, so the scan skips other text.
+_SEPARATOR_RE = re.compile(r"\((?:[^()]*\))?|\)|,|a(?<!\Sa)nd(?!\S)")
+_GROUP_RE = re.compile(r"\(([^()]*)\)")
+
+
 def _split_top_level(raw: str) -> list[str]:
     """Split on commas and "and" at parenthesis depth 0."""
     segments: list[str] = []
-    buf: list[str] = []
-    depth = 0
-    i = 0
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
-        if ch == "(":
+    start = depth = 0
+    for m in _SEPARATOR_RE.finditer(raw):
+        token = m.group()
+        if token == "(":
             depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if depth == 0:
-            if ch == ",":
-                segments.append("".join(buf))
-                buf = []
-                i += 1
-                continue
-            if raw.startswith("and", i) and (i == 0 or raw[i - 1].isspace()):
-                after = i + 3
-                if after >= n or raw[after].isspace():
-                    segments.append("".join(buf))
-                    buf = []
-                    i = after
-                    continue
-        buf.append(ch)
-        i += 1
-    segments.append("".join(buf))
-    return [s.strip() for s in segments if s.strip()]
+        elif token == ")":
+            if depth:
+                depth -= 1
+        elif not depth and token[0] != "(":
+            segments.append(raw[start : m.start()])
+            start = m.end()
+    segments.append(raw[start:])
+    return [s for s in map(str.strip, segments) if s]
 
 
-def _parse_name(text: str, lexicon: NameLexicon) -> AuthorName | None:
+def _parse_name(
+    text: str, lexicon: NameLexicon, affiliation: str | None
+) -> AuthorName:
     tokens = text.split()
-    if not tokens:
-        return None
     suffix = None
     if len(tokens) > 1 and tokens[-1].rstrip(".") in lexicon.suffixes:
-        suffix = tokens[-1].rstrip(".")
-        tokens = tokens[:-1]
-    keyname = tokens[-1]
-    rest = tokens[:-1]
+        suffix = tokens.pop().rstrip(".")
+    keyname = tokens.pop()
     # prefix run: lexicon words immediately before the keyname
     prefix_words: list[str] = []
-    while rest and rest[-1].lower() in lexicon.prefixes:
-        prefix_words.insert(0, rest.pop())
+    while tokens and tokens[-1].lower() in lexicon.prefixes:
+        prefix_words.insert(0, tokens.pop())
+    forenames = " ".join(tokens) or None
     prefix = " ".join(prefix_words) or None
-    forenames = " ".join(rest) or None
-    return AuthorName(
-        keyname=keyname, forenames=forenames, prefix=prefix, suffix=suffix
-    )
+    return AuthorName(keyname, forenames, prefix, suffix, affiliation)
 
 
 def parse_authors(raw: str, lexicon: NameLexicon | None = None) -> list[AuthorName]:
@@ -137,29 +127,20 @@ def parse_authors(raw: str, lexicon: NameLexicon | None = None) -> list[AuthorNa
         return []
 
     authors: list[AuthorName] = []
-    unaffiliated: list[int] = []  # indexes awaiting an affiliation group
+    pending: list[str] = []  # names awaiting an affiliation group
 
     for segment in _split_top_level(raw):
-        affiliations = re.findall(r"\(([^()]*)\)", segment)
-        name_part = re.sub(r"\([^()]*\)", " ", segment).strip()
-        if name_part:
-            name = _parse_name(name_part, lexicon)
-            if name is not None:
-                unaffiliated.append(len(authors))
-                authors.append(name)
-        if affiliations:
-            label = ", ".join(a.strip() for a in affiliations if a.strip())
-            if label:
-                for idx in unaffiliated:
-                    a = authors[idx]
-                    authors[idx] = AuthorName(
-                        keyname=a.keyname,
-                        forenames=a.forenames,
-                        prefix=a.prefix,
-                        suffix=a.suffix,
-                        affiliation=label,
-                    )
-            unaffiliated = []
+        groups: list[str] = []
+        if "(" in segment:
+            groups = _GROUP_RE.findall(segment)
+            segment = _GROUP_RE.sub(" ", segment).strip()
+        if segment:
+            pending.append(segment)
+        if groups:
+            label = ", ".join(g.strip() for g in groups if g.strip()) or None
+            authors += [_parse_name(p, lexicon, label) for p in pending]
+            pending = []
+    authors += [_parse_name(p, lexicon, None) for p in pending]
 
     if not authors:
         return [AuthorName(keyname=raw)]

@@ -191,7 +191,7 @@ def cmd_crosswalk(args: argparse.Namespace) -> int:
         print(f"not found: {args.id}", file=sys.stderr)
         return 1
     try:
-        fragment = to_format(
+        lines = to_format(
             record.meta,
             record.datestamp,
             args.prefix,
@@ -201,7 +201,7 @@ def cmd_crosswalk(args: argparse.Namespace) -> int:
     except UnsupportedFormat:
         print(f"unsupported format: {args.prefix}", file=sys.stderr)
         return 1
-    print(fragment)
+    print("\n".join(lines))
     return 0
 
 

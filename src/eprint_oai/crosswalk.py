@@ -7,8 +7,9 @@ Four formats are registered by default:
 - ``arXiv``       structured XML rendering of the native metadata
 - ``arXivOld``    verbatim XML encoding of the native fields
 
-Every format renders to an XML fragment exactly as it is embedded in a
-GetRecord ``<metadata>`` block. All records convert to all four formats.
+Each :class:`FormatDescriptor` carries its renderer, which emits the XML
+fragment as lines at the indentation a response gives them inside its
+``<metadata>`` element. All records convert to all four formats.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from importlib import resources
+from typing import Callable
 
 from .absfile import InternalMetadata
 from .authors import AuthorName, display_name, parse_authors
 from .ids import TaxonomyConfig, format_datestamp
 from .texmap import tex_to_utf8
-from .xmlwriter import element, open_tag
+from .xmlwriter import block_element, open_tag
 
 DEFAULT_ABS_URL_PREFIX = "http://arXiv.org/abs/"
 
@@ -36,6 +38,10 @@ class FormatDescriptor:
     prefix: str
     schema: str
     namespace: str
+    # render(meta, datestamp, descriptor, taxonomy, abs_url_prefix) -> lines
+    render: Callable[
+        [InternalMetadata, date, "FormatDescriptor", TaxonomyConfig, str], list[str]
+    ] = field(compare=False, repr=False)
 
     def __post_init__(self):
         # "_" is the resumptionToken field separator; only the oai_ family
@@ -49,22 +55,179 @@ class FormatDescriptor:
         return self.prefix.removeprefix("oai_")
 
 
+# --- XML rendering -----------------------------------------------------------
+
+# a fragment's lines sit inside a response's <metadata> element
+_MARGIN = "    "
+_IN1 = _MARGIN + " "
+_IN2 = _MARGIN + "  "
+_IN3 = _MARGIN + "   "
+
+
+def _line(name: str, text: str, indent: str = _IN1) -> str:
+    return block_element(name, text, indent, _MARGIN)
+
+
+def _authors(meta: InternalMetadata) -> list[AuthorName]:
+    return parse_authors(tex_to_utf8(meta.authors_raw))
+
+
+def _render_dc(
+    meta: InternalMetadata,
+    datestamp: date,
+    fmt: FormatDescriptor,
+    taxonomy: TaxonomyConfig,
+    abs_url_prefix: str,
+) -> list[str]:
+    lines = [
+        open_tag("oai_dc", fmt.namespace, fmt.schema, _MARGIN),
+        _line("title", tex_to_utf8(meta.title)),
+    ]
+    lines += [_line("creator", display_name(a)) for a in _authors(meta)]
+    subject = taxonomy.subject_name(meta.id.archive, meta.id.subject_class)
+    lines.append(_line("subject", subject))
+    lines.append(_line("description", tex_to_utf8(meta.abstract)))
+    if meta.comments:
+        lines.append(_line("description", "Comment: " + tex_to_utf8(meta.comments)))
+    lines += [
+        _line("date", format_datestamp(datestamp)),
+        _line("type", "e-print"),
+        _line("identifier", abs_url_prefix + meta.id.local()),
+        _MARGIN + "</oai_dc>",
+    ]
+    return lines
+
+
+def _render_rfc1807(
+    meta: InternalMetadata,
+    datestamp: date,
+    fmt: FormatDescriptor,
+    taxonomy: TaxonomyConfig,
+    abs_url_prefix: str,
+) -> list[str]:
+    lines = [
+        open_tag("oai_rfc1807", fmt.namespace, fmt.schema, _MARGIN),
+        _line("bib-version", "CS-TR-v2.1"),
+        _line("id", meta.id.local()),
+        _line("entry", format_datestamp(datestamp)),
+        _line("title", tex_to_utf8(meta.title)),
+    ]
+    lines += [_line("author", display_name(a)) for a in _authors(meta)]
+    lines.append(_line("date", format_datestamp(meta.submission_dates[0][1])))
+    lines.append(_line("abstract", tex_to_utf8(meta.abstract)))
+    language = detect_language(meta.comments)
+    if language:
+        lines.append(_line("language", language))
+    if meta.journal_ref:
+        lines.append(_line("other_access", tex_to_utf8(meta.journal_ref)))
+    if meta.report_no:
+        lines.append(_line("report", tex_to_utf8(meta.report_no)))
+    lines.append(_MARGIN + "</oai_rfc1807>")
+    return lines
+
+
+def _render_arxiv(
+    meta: InternalMetadata,
+    datestamp: date,
+    fmt: FormatDescriptor,
+    taxonomy: TaxonomyConfig,
+    abs_url_prefix: str,
+) -> list[str]:
+    """Structured test-bed format: parsed authors and per-version dates."""
+    local = meta.id.local()
+    lines = [
+        open_tag("arXiv", fmt.namespace, fmt.schema, _MARGIN),
+        _line("id", local),
+        _line("title", tex_to_utf8(meta.title)),
+        _IN1 + "<authors>",
+    ]
+    for a in _authors(meta):
+        lines.append(_IN2 + "<author>")
+        lines.append(_line("keyname", a.keyname, _IN3))
+        if a.forenames:
+            lines.append(_line("forenames", a.forenames, _IN3))
+        if a.prefix:
+            lines.append(_line("prefix", a.prefix, _IN3))
+        if a.suffix:
+            lines.append(_line("suffix", a.suffix, _IN3))
+        if a.affiliation:
+            lines.append(_line("affiliation", a.affiliation, _IN3))
+        lines.append(_IN2 + "</author>")
+    lines.append(_IN1 + "</authors>")
+    lines.append(_line("primary-category", local.split("/")[0]))
+    lines += [_line("cross-list", ref) for ref in meta.crosslists]
+    if meta.comments:
+        lines.append(_line("comments", tex_to_utf8(meta.comments)))
+    if meta.journal_ref:
+        lines.append(_line("journal-ref", tex_to_utf8(meta.journal_ref)))
+    if meta.report_no:
+        lines.append(_line("report-no", tex_to_utf8(meta.report_no)))
+    if meta.license:
+        lines.append(_line("license", meta.license))
+    lines.append(_line("abstract", tex_to_utf8(meta.abstract)))
+    lines += [
+        f'{_IN1}<version number="{ver}"><date>{format_datestamp(d)}</date></version>'
+        for ver, d in meta.submission_dates
+    ]
+    lines.append(_line("datestamp", format_datestamp(datestamp)))
+    lines.append(_MARGIN + "</arXiv>")
+    return lines
+
+
+def _render_arxiv_old(
+    meta: InternalMetadata,
+    datestamp: date,
+    fmt: FormatDescriptor,
+    taxonomy: TaxonomyConfig,
+    abs_url_prefix: str,
+) -> list[str]:
+    """Verbatim rendering: native field values untouched, TeX included."""
+    lines = [
+        open_tag("arXivOld", fmt.namespace, fmt.schema, _MARGIN),
+        _line("paper", meta.id.local()),
+    ]
+    for ver, d in meta.submission_dates:
+        key = "date" if ver == 1 else f"date-v{ver}"
+        lines.append(_line(key, format_datestamp(d)))
+    lines.append(_line("title", meta.title))
+    lines.append(_line("authors", meta.authors_raw))
+    if meta.comments:
+        lines.append(_line("comments", meta.comments))
+    if meta.report_no:
+        lines.append(_line("report-no", meta.report_no))
+    if meta.journal_ref:
+        lines.append(_line("journal-ref", meta.journal_ref))
+    if meta.crosslists:
+        lines.append(_line("subj-class", ", ".join(meta.crosslists)))
+    if meta.license:
+        lines.append(_line("license", meta.license))
+    lines.append(_line("abstract", meta.abstract))
+    lines.append(_MARGIN + "</arXivOld>")
+    return lines
+
+
 # registration order is the order ListMetadataFormats reports
 DEFAULT_FORMATS: tuple[FormatDescriptor, ...] = (
     FormatDescriptor(
-        "arXivOld", "http://arXiv.org/OAI/arXivOld.xsd", "http://arXiv.org/OAI/"
+        "arXivOld",
+        "http://arXiv.org/OAI/arXivOld.xsd",
+        "http://arXiv.org/OAI/",
+        _render_arxiv_old,
     ),
     FormatDescriptor(
-        "arXiv", "http://arXiv.org/OAI/arXiv.xsd", "http://arXiv.org/OAI/"
+        "arXiv", "http://arXiv.org/OAI/arXiv.xsd", "http://arXiv.org/OAI/", _render_arxiv
     ),
     FormatDescriptor(
         "oai_rfc1807",
         "http://www.openarchives.org/OAI/rfc1807.xsd",
         "http://info.internet.isi.edu:80/in-notes/rfc/files/rfc1807.txt",
+        _render_rfc1807,
     ),
     FormatDescriptor(
-        "oai_dc", "http://www.openarchives.org/OAI/dc.xsd",
+        "oai_dc",
+        "http://www.openarchives.org/OAI/dc.xsd",
         "http://purl.org/dc/elements/1.1/",
+        _render_dc,
     ),
 )
 
@@ -90,6 +253,7 @@ def format_for_token_tag(
 # --- language detection -----------------------------------------------------
 
 _LANGUAGE_TABLE: dict[str, str] | None = None
+_LANGUAGE_RE = re.compile(r"\b[Ii]n\s+([A-Z][a-z]+)")
 
 
 def load_languages(path=None) -> dict[str, str]:
@@ -119,196 +283,11 @@ def detect_language(
         if _LANGUAGE_TABLE is None:
             _LANGUAGE_TABLE = load_languages()
         table = _LANGUAGE_TABLE
-    for m in re.finditer(r"\b[Ii]n\s+([A-Z][a-z]+)", comments):
+    for m in _LANGUAGE_RE.finditer(comments):
         code = table.get(m.group(1).lower())
         if code is not None:
             return code
     return None
-
-
-# --- format records ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DublinCoreRecord:
-    title: str
-    creators: tuple[str, ...]
-    subjects: tuple[str, ...]
-    descriptions: tuple[str, ...]
-    date: date
-    identifier: str
-    type: str = "e-print"
-
-    def __post_init__(self):
-        if not (self.title and self.creators and self.identifier):
-            raise ValueError("dc record needs title, creators and identifier")
-
-
-@dataclass(frozen=True)
-class Rfc1807Record:
-    bib_version: str
-    id: str
-    entry: date
-    title: str
-    authors: tuple[str, ...]
-    abstract: str
-    date: date
-    language: str | None = None
-    other: tuple[tuple[str, str], ...] = field(default_factory=tuple)
-
-
-def _clean(text: str) -> str:
-    return tex_to_utf8(text)
-
-
-def _authors(meta: InternalMetadata) -> list[AuthorName]:
-    return parse_authors(_clean(meta.authors_raw))
-
-
-def dc_record(
-    meta: InternalMetadata,
-    datestamp: date,
-    taxonomy: TaxonomyConfig,
-    abs_url_prefix: str = DEFAULT_ABS_URL_PREFIX,
-) -> DublinCoreRecord:
-    descriptions = [_clean(meta.abstract)]
-    if meta.comments:
-        descriptions.append("Comment: " + _clean(meta.comments))
-    return DublinCoreRecord(
-        title=_clean(meta.title),
-        creators=tuple(display_name(a) for a in _authors(meta)),
-        subjects=(taxonomy.subject_name(meta.id.archive, meta.id.subject_class),),
-        descriptions=tuple(descriptions),
-        date=datestamp,
-        identifier=abs_url_prefix + meta.id.local(),
-    )
-
-
-def rfc1807_record(
-    meta: InternalMetadata, datestamp: date, taxonomy: TaxonomyConfig
-) -> Rfc1807Record:
-    other = []
-    if meta.journal_ref:
-        other.append(("other_access", _clean(meta.journal_ref)))
-    if meta.report_no:
-        other.append(("report", _clean(meta.report_no)))
-    return Rfc1807Record(
-        bib_version="CS-TR-v2.1",
-        id=meta.id.local(),
-        entry=datestamp,
-        title=_clean(meta.title),
-        authors=tuple(display_name(a) for a in _authors(meta)),
-        abstract=_clean(meta.abstract),
-        date=meta.submission_dates[0][1],
-        language=detect_language(meta.comments),
-        other=tuple(other),
-    )
-
-
-# --- XML rendering -----------------------------------------------------------
-
-
-def _render_dc(rec: DublinCoreRecord, fmt: FormatDescriptor) -> str:
-    lines = [open_tag("oai_dc", fmt.namespace, fmt.schema)]
-    lines.append(element("title", rec.title, " "))
-    for creator in rec.creators:
-        lines.append(element("creator", creator, " "))
-    for subject in rec.subjects:
-        lines.append(element("subject", subject, " "))
-    for desc in rec.descriptions:
-        lines.append(element("description", desc, " "))
-    lines.append(element("date", format_datestamp(rec.date), " "))
-    lines.append(element("type", rec.type, " "))
-    lines.append(element("identifier", rec.identifier, " "))
-    lines.append("</oai_dc>")
-    return "\n".join(lines)
-
-
-def _render_rfc1807(rec: Rfc1807Record, fmt: FormatDescriptor) -> str:
-    lines = [open_tag("oai_rfc1807", fmt.namespace, fmt.schema)]
-    lines.append(element("bib-version", rec.bib_version, " "))
-    lines.append(element("id", rec.id, " "))
-    lines.append(element("entry", format_datestamp(rec.entry), " "))
-    lines.append(element("title", rec.title, " "))
-    for author in rec.authors:
-        lines.append(element("author", author, " "))
-    lines.append(element("date", format_datestamp(rec.date), " "))
-    lines.append(element("abstract", rec.abstract, " "))
-    if rec.language:
-        lines.append(element("language", rec.language, " "))
-    for key, value in rec.other:
-        lines.append(element(key, value, " "))
-    lines.append("</oai_rfc1807>")
-    return "\n".join(lines)
-
-
-def _render_arxiv(
-    meta: InternalMetadata, datestamp: date, fmt: FormatDescriptor
-) -> str:
-    """Structured test-bed format: parsed authors and per-version dates."""
-    lines = [open_tag("arXiv", fmt.namespace, fmt.schema)]
-    lines.append(element("id", meta.id.local(), " "))
-    lines.append(element("title", _clean(meta.title), " "))
-    lines.append(" <authors>")
-    for a in _authors(meta):
-        lines.append("  <author>")
-        lines.append(element("keyname", a.keyname, "   "))
-        if a.forenames:
-            lines.append(element("forenames", a.forenames, "   "))
-        if a.prefix:
-            lines.append(element("prefix", a.prefix, "   "))
-        if a.suffix:
-            lines.append(element("suffix", a.suffix, "   "))
-        if a.affiliation:
-            lines.append(element("affiliation", a.affiliation, "   "))
-        lines.append("  </author>")
-    lines.append(" </authors>")
-    primary = meta.id.local().split("/")[0]
-    lines.append(element("primary-category", primary, " "))
-    for ref in meta.crosslists:
-        lines.append(element("cross-list", ref, " "))
-    if meta.comments:
-        lines.append(element("comments", _clean(meta.comments), " "))
-    if meta.journal_ref:
-        lines.append(element("journal-ref", _clean(meta.journal_ref), " "))
-    if meta.report_no:
-        lines.append(element("report-no", _clean(meta.report_no), " "))
-    if meta.license:
-        lines.append(element("license", meta.license, " "))
-    lines.append(element("abstract", _clean(meta.abstract), " "))
-    for ver, d in meta.submission_dates:
-        lines.append(
-            f' <version number="{ver}"><date>{format_datestamp(d)}</date></version>'
-        )
-    lines.append(element("datestamp", format_datestamp(datestamp), " "))
-    lines.append("</arXiv>")
-    return "\n".join(lines)
-
-
-def _render_arxiv_old(
-    meta: InternalMetadata, datestamp: date, fmt: FormatDescriptor
-) -> str:
-    """Verbatim rendering: native field values untouched, TeX included."""
-    lines = [open_tag("arXivOld", fmt.namespace, fmt.schema)]
-    lines.append(element("paper", meta.id.local(), " "))
-    for ver, d in meta.submission_dates:
-        key = "date" if ver == 1 else f"date-v{ver}"
-        lines.append(element(key, format_datestamp(d), " "))
-    lines.append(element("title", meta.title, " "))
-    lines.append(element("authors", meta.authors_raw, " "))
-    if meta.comments:
-        lines.append(element("comments", meta.comments, " "))
-    if meta.report_no:
-        lines.append(element("report-no", meta.report_no, " "))
-    if meta.journal_ref:
-        lines.append(element("journal-ref", meta.journal_ref, " "))
-    if meta.crosslists:
-        lines.append(element("subj-class", ", ".join(meta.crosslists), " "))
-    if meta.license:
-        lines.append(element("license", meta.license, " "))
-    lines.append(element("abstract", meta.abstract, " "))
-    lines.append("</arXivOld>")
-    return "\n".join(lines)
 
 
 def to_format(
@@ -318,20 +297,12 @@ def to_format(
     taxonomy: TaxonomyConfig,
     formats: tuple[FormatDescriptor, ...] = DEFAULT_FORMATS,
     abs_url_prefix: str = DEFAULT_ABS_URL_PREFIX,
-) -> str:
+) -> list[str]:
     """Render one record's metadata payload in the requested format.
 
-    Returns the XML fragment exactly as GetRecord embeds it inside
+    Returns the XML fragment's lines exactly as GetRecord embeds them inside
     ``<metadata>``. Raises :class:`UnsupportedFormat` for unregistered
     prefixes.
     """
     fmt = find_format(prefix, formats)
-    if prefix == "oai_dc":
-        return _render_dc(dc_record(meta, datestamp, taxonomy, abs_url_prefix), fmt)
-    if prefix == "oai_rfc1807":
-        return _render_rfc1807(rfc1807_record(meta, datestamp, taxonomy), fmt)
-    if prefix == "arXiv":
-        return _render_arxiv(meta, datestamp, fmt)
-    if prefix == "arXivOld":
-        return _render_arxiv_old(meta, datestamp, fmt)
-    raise UnsupportedFormat(prefix)
+    return fmt.render(meta, datestamp, fmt, taxonomy, abs_url_prefix)

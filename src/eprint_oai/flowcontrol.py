@@ -75,12 +75,3 @@ class ClientLedger:
     def __len__(self) -> int:
         return len(self._last)
 
-
-def admit(
-    client_key: str,
-    verb_class: str,
-    now: float,
-    policy: FlowPolicy,
-    ledger: ClientLedger,
-) -> Decision:
-    return ledger.admit(client_key, verb_class, now, policy)

@@ -18,7 +18,8 @@ import json
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
+from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -211,7 +212,7 @@ def run(
         records.extend(page)
         report.pages += 1
         report.fetched = len(records)
-        report.deleted = sum(1 for r in records if r.deleted)
+        report.deleted += sum(1 for r in page if r.deleted)
         if token is None:
             break
         params = [("verb", job.verb), ("resumptionToken", token)]
@@ -241,11 +242,28 @@ def _fetch_page(job, transport, params, sleep, report, partial):
                 exc.partial_records = partial  # type: ignore[attr-defined]
                 exc.report = report  # type: ignore[attr-defined]
                 raise exc
-            sleep(float(resp.headers.get("Retry-After", 1)))
+            sleep(_retry_after_seconds(resp.headers.get("Retry-After", "1")))
             continue
         if resp.status != 200:
             raise ProtocolError(f"unexpected HTTP status {resp.status}")
         return _parse_page(resp.body, job.verb)
+
+
+def _retry_after_seconds(value: str, now: datetime | None = None) -> float:
+    """Seconds to wait for a Retry-After value, which is either a number of
+    seconds or an HTTP-date; a date already past means no wait."""
+    try:
+        return float(value)
+    except ValueError:
+        pass
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"bad Retry-After header: {value!r}") from exc
+    if when.tzinfo is None:  # "-0000": UTC with no source zone
+        when = when.replace(tzinfo=timezone.utc)
+    now = now or datetime.now(timezone.utc)
+    return max(0.0, (when - now).total_seconds())
 
 
 # --- local persistence -------------------------------------------------------

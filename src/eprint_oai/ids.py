@@ -107,18 +107,6 @@ class EprintId:
         return text
 
 
-@dataclass(frozen=True)
-class OaiIdentifier:
-    """Protocol-level identifier: ``oai:<repository>:<local>``."""
-
-    repository: str
-    local: str
-    scheme: str = "oai"
-
-    def __str__(self) -> str:
-        return f"{self.scheme}:{self.repository}:{self.local}"
-
-
 def parse_internal_id(text: str) -> EprintId:
     """Parse ``arch-ive[.SC]/YYMMNNN[vN]`` into an :class:`EprintId`."""
     m = _ID_RE.match(text)
@@ -136,11 +124,6 @@ def parse_internal_id(text: str) -> EprintId:
     )
 
 
-def to_oai_identifier(eid: EprintId, repository: str = "arXiv") -> OaiIdentifier:
-    """Map an internal id to its OAI form; the version suffix is dropped."""
-    return OaiIdentifier(repository=repository, local=eid.without_version().local())
-
-
 class WrongScheme(MalformedIdentifier):
     pass
 
@@ -150,7 +133,8 @@ class WrongRepository(MalformedIdentifier):
 
 
 def parse_oai_identifier(text: str, repository: str = "arXiv") -> EprintId:
-    """Inverse of :func:`to_oai_identifier` for this repository."""
+    """Parse ``oai:<repository>:<local>`` for this repository; the OAI form
+    of an e-print is its :meth:`EprintId.local` rendering, without version."""
     parts = text.split(":", 2)
     if len(parts) != 3:
         raise MalformedIdentifier(f"not an oai identifier: {text!r}")
@@ -197,19 +181,17 @@ def parse_datestamp(text: str) -> date:
 
 @dataclass(frozen=True, order=True)
 class SetSpec:
-    """A harvesting set; top level is a subject group, deeper components are
-    reserved for the subject-class extension."""
+    """A harvesting set: one subject group."""
 
     group: str
-    components: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for part in (self.group, *self.components):
-            if not part or ":" in part or any(c.isspace() for c in part):
-                raise ValueError(f"bad setSpec component: {part!r}")
+        group = self.group
+        if not group or ":" in group or any(c.isspace() for c in group):
+            raise ValueError(f"bad setSpec: {group!r}")
 
     def __str__(self) -> str:
-        return ":".join((self.group, *self.components))
+        return self.group
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ whose contract is an HTTP 400 with an HTML body).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from typing import Callable, Sequence
@@ -24,20 +25,20 @@ from .ids import (
     format_datestamp,
     parse_datestamp,
     parse_oai_identifier,
-    to_oai_identifier,
 )
 from .store import IndexEntry, Store
 from .xmlwriter import element, escape, open_tag
 
-VERBS = (
-    "Identify",
-    "ListSets",
-    "ListMetadataFormats",
-    "GetRecord",
-    "ListIdentifiers",
-    "ListRecords",
-    "Document",
-)
+# each verb and the ProtocolHandler method that answers it
+VERBS: dict[str, str] = {
+    "Identify": "identify",
+    "ListSets": "list_sets",
+    "ListMetadataFormats": "list_metadata_formats",
+    "GetRecord": "get_record",
+    "ListIdentifiers": "list_identifiers",
+    "ListRecords": "list_records",
+    "Document": "document",
+}
 
 LIST_VERBS = frozenset({"ListIdentifiers", "ListRecords"})
 
@@ -54,6 +55,10 @@ _LEGAL_ARGS: dict[str, frozenset[str]] = {
     ),
     "Document": frozenset(),
 }
+
+
+# characters XML 1.0 does not allow; arguments are echoed in <requestURL>
+_NOT_XML_CHAR_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
 class MalformedRequest(ValueError):
@@ -122,6 +127,8 @@ def parse_request(params: Sequence[tuple[str, str]]) -> OaiRequest:
     """Validate raw query/form arguments against the verb grammar."""
     seen: dict[str, str] = {}
     for key, value in params:
+        if _NOT_XML_CHAR_RE.search(key) or _NOT_XML_CHAR_RE.search(value):
+            raise MalformedRequest(f"argument {key!r} has a character XML forbids")
         if key in seen:
             raise MalformedRequest(f"repeated argument: {key}")
         seen[key] = value
@@ -192,29 +199,17 @@ class ProtocolHandler:
         try:
             request = parse_request(params)
         except MalformedRequest as exc:
-            return self._error_400(str(exc), params)
+            return self.bad_request(str(exc), params)
         try:
             return self.dispatch(request)
         except MalformedRequest as exc:
-            return self._error_400(str(exc), params)
+            return self.bad_request(str(exc), params)
 
     def dispatch(self, request: OaiRequest) -> VerbResponse:
-        verb = request.verb
-        if verb == "Identify":
-            return self.identify(request)
-        if verb == "ListSets":
-            return self.list_sets(request)
-        if verb == "ListMetadataFormats":
-            return self.list_metadata_formats(request)
-        if verb == "GetRecord":
-            return self.get_record(request)
-        if verb == "ListIdentifiers":
-            return self.list_identifiers(request)
-        if verb == "ListRecords":
-            return self.list_records(request)
-        if verb == "Document":
-            return self.document(request)
-        raise MalformedRequest(f"unknown verb: {verb!r}")
+        method = VERBS.get(request.verb)
+        if method is None:
+            raise MalformedRequest(f"unknown verb: {request.verb!r}")
+        return getattr(self, method)(request)
 
     # --- verbs -----------------------------------------------------------
 
@@ -312,7 +307,7 @@ class ProtocolHandler:
         record = self.store.get(eid)
         if record is None:
             return []
-        oai_id = str(to_oai_identifier(eid, self.config.repository_identifier))
+        oai_id = f"oai:{self.config.repository_identifier}:{eid.local()}"
         header = [
             "   <header>",
             element("identifier", oai_id, "    "),
@@ -332,10 +327,14 @@ class ProtocolHandler:
             )
         except UnsupportedFormat:
             return ["  <record>", *header, "  </record>"]
-        metadata = ["   <metadata>"]
-        metadata += ["    " + line for line in fragment.splitlines()]
-        metadata.append("   </metadata>")
-        return ["  <record>", *header, *metadata, "  </record>"]
+        return [
+            "  <record>",
+            *header,
+            "   <metadata>",
+            *fragment,
+            "   </metadata>",
+            "  </record>",
+        ]
 
     # --- list verbs -------------------------------------------------------
 
@@ -477,9 +476,10 @@ class ProtocolHandler:
         body = "\n".join(lines) + "\n"
         return VerbResponse(200, "text/xml; charset=utf-8", body.encode("utf-8"))
 
-    def _error_400(
+    def bad_request(
         self, message: str, params: Sequence[tuple[str, str]]
     ) -> VerbResponse:
+        """The HTML 400 page for a request the grammar refuses."""
         qs = "&".join(f"{k}={v}" for k, v in params)
         body = (
             "<html><body><h1>400 Malformed request</h1>\n"

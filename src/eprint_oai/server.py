@@ -40,11 +40,16 @@ def make_app(
 
     def app(environ: dict, start_response) -> Iterable[bytes]:
         started = time.perf_counter()
-        params = _request_params(environ)
-        verb = next((v for k, v in params if k == "verb"), "")
-        response = _admit(environ, verb)
-        if response is None:
-            response = handler.handle(params)
+        verb = ""
+        try:
+            params = _request_params(environ)
+        except UnicodeDecodeError:
+            response = handler.bad_request("request body is not valid UTF-8", [])
+        else:
+            verb = next((v for k, v in params if k == "verb"), "")
+            response = _admit(environ, verb)
+            if response is None:
+                response = handler.handle(params)
         headers = [
             ("Content-Type", response.content_type),
             ("Content-Length", str(len(response.body))),

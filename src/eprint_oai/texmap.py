@@ -35,24 +35,38 @@ def _normalise_key(macro: str) -> tuple[str, str | None]:
 class TexTable:
     def __init__(self, mapping: dict[tuple[str, str | None], str]):
         self.mapping = mapping
+        # every spelling the table defines (\'e, \'{e}, \ss, \ss{}, \c{c},
+        # ...) with its replacement, so most macros cost one dict lookup
+        self._spellings: dict[str, str] = {}
+        for name, arg in mapping:
+            for form in (f"\\{name}{arg or ''}", f"\\{name}{{{arg or ''}}}"):
+                m = _MACRO_RE.fullmatch(form)
+                if m is not None:
+                    self._spellings[form] = self._generic(m)
+
+    def _generic(self, m: re.Match) -> str:
+        if m.group("acc") is not None:
+            key = (m.group("acc"), m.group("accarg") or m.group("accletter"))
+            return self.mapping.get(key, m.group(0))
+        word = m.group("word")
+        # \l{} is the empty-brace spelling of the no-argument macro \l
+        arg = m.group("wordarg") or None
+        if (word, arg) in self.mapping:
+            return self.mapping[(word, arg)]
+        if arg is None and (word, None) in self.mapping:
+            return self.mapping[(word, None)]
+        # \ssX etc: a no-argument macro followed directly by letters is
+        # left alone rather than guessed at
+        return m.group(0)
+
+    def _replace(self, m: re.Match) -> str:
+        known = self._spellings.get(m.group(0))
+        return known if known is not None else self._generic(m)
 
     def convert(self, text: str) -> str:
-        def repl(m: re.Match) -> str:
-            if m.group("acc") is not None:
-                key = (m.group("acc"), m.group("accarg") or m.group("accletter"))
-                return self.mapping.get(key, m.group(0))
-            word = m.group("word")
-            # \l{} is the empty-brace spelling of the no-argument macro \l
-            arg = m.group("wordarg") or None
-            if (word, arg) in self.mapping:
-                return self.mapping[(word, arg)]
-            if arg is None and (word, None) in self.mapping:
-                return self.mapping[(word, None)]
-            # \ssX etc: a no-argument macro followed directly by letters is
-            # left alone rather than guessed at
-            return m.group(0)
-
-        return _MACRO_RE.sub(repl, text)
+        if "\\" not in text:
+            return text
+        return _MACRO_RE.sub(self._replace, text)
 
 
 def load_table(path=None) -> TexTable:

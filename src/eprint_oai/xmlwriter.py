@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 XSI_NS = "http://www.w3.org/2000/10/XMLSchema-instance"
 
 
 def escape(text: str) -> str:
+    if not ("&" in text or "<" in text or ">" in text or '"' in text):
+        return text
     return (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
@@ -16,6 +20,20 @@ def escape(text: str) -> str:
 
 def element(name: str, text: str, indent: str = "") -> str:
     return f"{indent}<{name}>{escape(text)}</{name}>"
+
+
+# the line boundaries str.splitlines() recognises
+_LINE_BREAK_RE = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def block_element(name: str, text: str, indent: str, margin: str) -> str:
+    """:func:`element` as one line of a block indented by ``margin``: each
+    line break inside the text becomes a newline followed by ``margin``, so
+    continuation lines keep the block's indentation."""
+    text = escape(text)
+    if not text.isprintable():
+        text = _LINE_BREAK_RE.sub("\n" + margin, text)
+    return f"{indent}<{name}>{text}</{name}>"
 
 
 def open_tag(name: str, namespace: str, schema: str, indent: str = "") -> str:

@@ -4,7 +4,14 @@ import re
 
 from hypothesis import given, strategies as st
 
-from eprint_oai.authors import AuthorName, display_name, parse_authors
+from eprint_oai.authors import (
+    AuthorName,
+    _parse_name,
+    _split_top_level,
+    default_lexicon,
+    display_name,
+    parse_authors,
+)
 
 
 def test_worked_example_with_shared_affiliation():
@@ -89,3 +96,93 @@ def test_no_token_loss(names):
                 emitted += part.split()
     source = [t for t in re.findall(r"[A-Za-z]+", raw)]
     assert emitted == source
+
+
+# --- the character-loop splitter, kept as the reference for the token one ---
+
+
+def reference_split_top_level(raw: str) -> list[str]:
+    """Split on commas and "and" at parenthesis depth 0."""
+    segments: list[str] = []
+    buf: list[str] = []
+    depth = 0
+    i = 0
+    n = len(raw)
+    while i < n:
+        ch = raw[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        if depth == 0:
+            if ch == ",":
+                segments.append("".join(buf))
+                buf = []
+                i += 1
+                continue
+            if raw.startswith("and", i) and (i == 0 or raw[i - 1].isspace()):
+                after = i + 3
+                if after >= n or raw[after].isspace():
+                    segments.append("".join(buf))
+                    buf = []
+                    i = after
+                    continue
+        buf.append(ch)
+        i += 1
+    segments.append("".join(buf))
+    return [s.strip() for s in segments if s.strip()]
+
+
+def reference_parse_authors(raw: str) -> list[AuthorName]:
+    """parse_authors as it was before names were built once: every name is
+    rebuilt when its affiliation group arrives."""
+    lexicon = default_lexicon()
+    raw = raw.strip()
+    if not raw:
+        return []
+    authors: list[AuthorName] = []
+    unaffiliated: list[int] = []
+    for segment in reference_split_top_level(raw):
+        affiliations = re.findall(r"\(([^()]*)\)", segment)
+        name_part = re.sub(r"\([^()]*\)", " ", segment).strip()
+        if name_part:
+            unaffiliated.append(len(authors))
+            authors.append(_parse_name(name_part, lexicon, None))
+        if affiliations:
+            label = ", ".join(a.strip() for a in affiliations if a.strip())
+            if label:
+                for idx in unaffiliated:
+                    authors[idx] = authors[idx]._replace(affiliation=label)
+            unaffiliated = []
+    if not authors:
+        return [AuthorName(keyname=raw)]
+    return authors
+
+
+# parentheses, commas, "and" and its near misses, ordinary and unusual
+# whitespace (str.isspace and the regex \s must agree on all of it)
+author_lines = st.lists(
+    st.sampled_from(
+        [
+            "(", ")", ",", "and", "And", "an", "d", "nd", "andand", "a",
+            " ", "  ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2009", "\u2028", "\u3000",
+            "Bloggs", "Fred A", "de", "van der", "Jr.", "II", "Univ A", "é",
+        ]
+    ),
+    max_size=24,
+).map("".join)
+
+
+@given(author_lines)
+def test_split_matches_character_loop(raw):
+    assert _split_top_level(raw) == reference_split_top_level(raw)
+
+
+@given(author_lines)
+def test_parse_authors_matches_reference(raw):
+    assert parse_authors(raw) == reference_parse_authors(raw)
+
+
+@given(st.text(alphabet="(),and \tAB ", max_size=40))
+def test_split_matches_character_loop_on_any_text(raw):
+    assert _split_top_level(raw) == reference_split_top_level(raw)

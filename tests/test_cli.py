@@ -7,6 +7,7 @@ from wsgiref.simple_server import make_server
 
 import pytest
 
+from conftest import GOLDEN
 from eprint_oai import cli
 from eprint_oai.server import ThreadingWSGIServer, _QuietHandler, make_app
 
@@ -32,6 +33,10 @@ def test_crosswalk_command(capsys):
     assert rc == 0
     assert "<creator>Warner, Simeon</creator>" in out
     assert "<subject>Digital Libraries</subject>" in out
+    # the fragment exactly as GetRecord embeds it inside <metadata>
+    golden = (GOLDEN / "getrecord_csdl_oai_dc.xml").read_text(encoding="utf-8")
+    inner = golden.split("   <metadata>\n", 1)[1].split("\n   </metadata>", 1)[0]
+    assert out == inner + "\n"
 
 
 def test_crosswalk_unknown_record(capsys):

@@ -10,15 +10,23 @@ from conftest import make_meta, synth_corpus
 from eprint_oai.crosswalk import (
     DEFAULT_FORMATS,
     UnsupportedFormat,
-    dc_record,
     detect_language,
     find_format,
     format_for_token_tag,
-    rfc1807_record,
     to_format,
 )
 from eprint_oai.ids import EprintId, parse_internal_id
 from eprint_oai.store import Store
+
+
+def render(meta, datestamp, prefix, taxonomy) -> str:
+    return "\n".join(to_format(meta, datestamp, prefix, taxonomy))
+
+
+def fields(meta, datestamp, prefix, taxonomy) -> list[tuple[str, str]]:
+    """(element, text) for each child of the rendered format's root."""
+    root = ET.fromstring(render(meta, datestamp, prefix, taxonomy))
+    return [(child.tag.rsplit("}", 1)[1], child.text) for child in root]
 
 
 def test_format_registration_order():
@@ -66,23 +74,22 @@ def test_dc_record_values(taxonomy):
         comments="15 pages",
         abstract="I outline the involvement.",
     )
-    rec = dc_record(meta, date(2001, 1, 25), taxonomy)
-    assert rec.title == "Open Archives Initiative protocol development"
-    assert rec.creators == ("Warner, Simeon",)
-    assert rec.subjects == ("Digital Libraries",)
-    assert rec.descriptions == (
-        "I outline the involvement.",
-        "Comment: 15 pages",
-    )
-    assert rec.date == date(2001, 1, 25)
-    assert rec.type == "e-print"
-    assert rec.identifier == "http://arXiv.org/abs/cs.DL/0101027"
+    assert fields(meta, date(2001, 1, 25), "oai_dc", taxonomy) == [
+        ("title", "Open Archives Initiative protocol development"),
+        ("creator", "Warner, Simeon"),
+        ("subject", "Digital Libraries"),
+        ("description", "I outline the involvement."),
+        ("description", "Comment: 15 pages"),
+        ("date", "2001-01-25"),
+        ("type", "e-print"),
+        ("identifier", "http://arXiv.org/abs/cs.DL/0101027"),
+    ]
 
 
 def test_dc_subject_falls_back_to_archive_name(taxonomy):
     meta = make_meta(EprintId("hep-th", 9901, 1), date(1999, 1, 1))
-    rec = dc_record(meta, date(1999, 1, 5), taxonomy)
-    assert rec.subjects == ("High Energy Physics - Theory",)
+    out = fields(meta, date(1999, 1, 5), "oai_dc", taxonomy)
+    assert ("subject", "High Energy Physics - Theory") in out
 
 
 def test_rfc1807_record_values(taxonomy):
@@ -92,13 +99,37 @@ def test_rfc1807_record_values(taxonomy):
         comments="12 pages, in French",
         journal_ref="J. Ex. 3 (1995) 1",
     )
-    rec = rfc1807_record(meta, date(1995, 5, 10), taxonomy)
-    assert rec.bib_version == "CS-TR-v2.1"
-    assert rec.id == "math.AG/9505001"
-    assert rec.entry == date(1995, 5, 10)  # datestamp
-    assert rec.date == date(1995, 5, 8)  # first submission
-    assert rec.language == "fr"
-    assert ("other_access", "J. Ex. 3 (1995) 1") in rec.other
+    out = dict(fields(meta, date(1995, 5, 10), "oai_rfc1807", taxonomy))
+    assert out["bib-version"] == "CS-TR-v2.1"
+    assert out["id"] == "math.AG/9505001"
+    assert out["entry"] == "1995-05-10"  # datestamp
+    assert out["date"] == "1995-05-08"  # first submission
+    assert out["language"] == "fr"
+    assert out["other_access"] == "J. Ex. 3 (1995) 1"
+
+
+def test_empty_author_line_renders_in_every_format(taxonomy):
+    meta = make_meta(EprintId("cs", 101, 1, subject_class="DL"), date(2001, 1, 2),
+                     authors_raw="  ")
+    for fmt in DEFAULT_FORMATS:
+        ET.fromstring(render(meta, date(2001, 1, 3), fmt.prefix, taxonomy))
+    tags = [tag for tag, _ in fields(meta, date(2001, 1, 3), "oai_dc", taxonomy)]
+    assert "creator" not in tags
+
+
+def test_line_breaks_in_text_keep_the_fragment_indented(taxonomy):
+    # every line break str.splitlines() knows continues at the margin
+    meta = make_meta(
+        EprintId("cs", 101, 1, subject_class="DL"),
+        date(2001, 1, 2),
+        title="A\r\nB\x0bC\x0cD\x1cE\x85F\u2028G\u2029H\rI",
+    )
+    for fmt in DEFAULT_FORMATS:
+        lines = to_format(meta, date(2001, 1, 3), fmt.prefix, taxonomy)
+        text = "\n".join(lines)
+        assert all(line.startswith("    ") for line in text.splitlines())
+        title = ET.fromstring(text).find(f"{{{fmt.namespace}}}title").text
+        assert title == "\n    ".join("ABCDEFGHI")
 
 
 def test_tex_cleaned_in_dc_but_not_arxiv_old(taxonomy):
@@ -107,9 +138,9 @@ def test_tex_cleaned_in_dc_but_not_arxiv_old(taxonomy):
         date(1992, 2, 10),
         authors_raw=r"J. Koll\'ar",
     )
-    dc = to_format(meta, date(1992, 4, 30), "oai_dc", taxonomy)
+    dc = render(meta, date(1992, 4, 30), "oai_dc", taxonomy)
     assert "Kollár" in dc
-    old = to_format(meta, date(1992, 4, 30), "arXivOld", taxonomy)
+    old = render(meta, date(1992, 4, 30), "arXivOld", taxonomy)
     assert r"J. Koll\'ar" in old and "Kollár" not in old
 
 
@@ -119,7 +150,7 @@ def test_arxiv_format_structured_authors(taxonomy):
         date(1999, 1, 1),
         authors_raw="Fred A Bloggs, Mark Smith II (Univ A), T Sawyer (Univ B)",
     )
-    xml = to_format(meta, date(1999, 1, 5), "arXiv", taxonomy)
+    xml = render(meta, date(1999, 1, 5), "arXiv", taxonomy)
     root = ET.fromstring(xml)
     authors = root.findall(".//{http://arXiv.org/OAI/}author")
     assert len(authors) == 3
@@ -137,7 +168,7 @@ def test_xml_escaping(taxonomy):
         title="Types & effects for x < y",
     )
     for fmt in DEFAULT_FORMATS:
-        xml = to_format(meta, date(2001, 1, 3), fmt.prefix, taxonomy)
+        xml = render(meta, date(2001, 1, 3), fmt.prefix, taxonomy)
         ET.fromstring(xml)  # must be well formed
 
 
@@ -150,8 +181,7 @@ def test_all_records_convert_to_all_formats(taxonomy):
         if rec.deleted:
             continue
         for fmt in DEFAULT_FORMATS:
-            xml = to_format(rec.meta, rec.datestamp, fmt.prefix, taxonomy)
-            root = ET.fromstring(xml)
+            root = ET.fromstring(render(rec.meta, rec.datestamp, fmt.prefix, taxonomy))
             assert root.tag.endswith(fmt.prefix)
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from eprint_oai.flowcontrol import ClientLedger, FlowPolicy, admit
+from eprint_oai.flowcontrol import ClientLedger, FlowPolicy
 
 
 @pytest.fixture()
@@ -26,7 +26,7 @@ def test_policy_ordering_enforced():
 
 def test_first_request_always_admitted(policy):
     ledger = ClientLedger()
-    assert admit("a", "list", 0.0, policy, ledger).allowed
+    assert ledger.admit("a", "list", 0.0, policy).allowed
 
 
 def test_premature_retry_rejected_with_remaining_wait(policy):

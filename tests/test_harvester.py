@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import date, datetime
+from datetime import date, datetime, timezone
 
 import pytest
 
@@ -16,6 +16,7 @@ from eprint_oai.harvester import (
     TransportFailure,
     TransportResponse,
     WsgiTransport,
+    _retry_after_seconds,
     incremental,
     run,
 )
@@ -99,6 +100,70 @@ def test_503_obeyed_and_run_completes(demo_handler):
     assert report.retries_503 >= 1
     assert naps and all(n > 0 for n in naps)
     assert len(records) == 13
+
+
+def test_deleted_count_sums_every_page(taxonomy):
+    store = Store(taxonomy)
+    for n in range(1, 31):
+        eid = EprintId("cs", 101, n, subject_class="DL")
+        received = datetime(2001, 1, 1 + n // 3, 12, tzinfo=timezone.utc)
+        store.ingest(format_abs(make_meta(eid, received.date())), received)
+        if n % 4 == 0:
+            store.mark_deleted(eid, "withdrawn", received)
+    transport = WsgiTransport(make_app(ProtocolHandler(store, RepositoryConfig(page_size=5))))
+    records, report = run(HarvestJob("ListRecords", metadata_prefix="oai_dc"), transport)
+    assert report.pages > 3
+    assert report.deleted == sum(r.deleted for r in records) == 7
+
+
+@pytest.mark.parametrize(
+    "value,seconds",
+    [
+        ("3", 3.0),
+        ("0.25", 0.25),
+        ("Wed, 21 Oct 2015 07:28:05 GMT", 5.0),
+        ("Wed, 21 Oct 2015 07:28:05 -0000", 5.0),
+        ("Wed, 21 Oct 2015 09:28:05 +0200", 5.0),
+        ("Wed, 21 Oct 2015 07:27:00 GMT", 0.0),  # already past
+    ],
+)
+def test_retry_after_seconds_and_http_date(value, seconds):
+    now = datetime(2015, 10, 21, 7, 28, 0, tzinfo=timezone.utc)
+    assert _retry_after_seconds(value, now) == seconds
+
+
+EMPTY_LIST_IDENTIFIERS = (
+    b'<?xml version="1.0" encoding="UTF-8"?>\n'
+    b'<ListIdentifiers xmlns="http://www.openarchives.org/OAI/1.0/OAI_ListIdentifiers">'
+    b"</ListIdentifiers>\n"
+)
+
+
+def test_retry_after_http_date_obeyed():
+    class DateThen200:
+        calls = 0
+
+        def request(self, params):
+            self.calls += 1
+            if self.calls == 1:
+                return TransportResponse(
+                    503, {"Retry-After": "Thu, 01 Jan 1970 00:00:00 GMT"}, b"busy"
+                )
+            return TransportResponse(200, {}, EMPTY_LIST_IDENTIFIERS)
+
+    naps: list[float] = []
+    _, report = run(HarvestJob("ListIdentifiers"), DateThen200(), sleep=naps.append)
+    assert report.completed and report.retries_503 == 1
+    assert naps == [0.0]
+
+
+def test_bad_retry_after_is_protocol_error():
+    class Garbled:
+        def request(self, params):
+            return TransportResponse(503, {"Retry-After": "soon"}, b"busy")
+
+    with pytest.raises(ProtocolError):
+        run(HarvestJob("ListIdentifiers"), Garbled(), sleep=lambda s: None)
 
 
 def test_retry_budget_exhausted_attaches_partial():

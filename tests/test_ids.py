@@ -15,7 +15,6 @@ from eprint_oai.ids import (
     parse_internal_id,
     parse_oai_identifier,
     sets_for,
-    to_oai_identifier,
 )
 
 
@@ -88,7 +87,10 @@ def test_year_windowing():
     ],
 )
 def test_to_oai_identifier(internal, oai):
-    assert str(to_oai_identifier(parse_internal_id(internal))) == oai
+    # the OAI form is the local rendering, which drops the version suffix
+    eid = parse_internal_id(internal)
+    assert f"oai:arXiv:{eid.local()}" == oai
+    assert parse_oai_identifier(oai) == eid.without_version()
 
 
 def test_parse_oai_identifier_roundtrip_example():
@@ -129,10 +131,10 @@ def test_grammar_roundtrip(eid):
 @given(eprint_ids)
 def test_oai_identifier_version_invariant(eid):
     # ids differing only in version map to the same OAI identifier
-    oai = to_oai_identifier(eid)
-    assert oai == to_oai_identifier(eid.without_version())
-    assert "v" not in oai.local.split("/")[1]
-    assert parse_oai_identifier(str(oai)) == eid.without_version()
+    local = eid.local()
+    assert local == eid.without_version().local()
+    assert "v" not in local.split("/")[1]
+    assert parse_oai_identifier(f"oai:arXiv:{local}") == eid.without_version()
 
 
 def test_sets_for_same_group(taxonomy):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import io
+import xml.etree.ElementTree as ET
+from urllib.parse import quote
 
 from eprint_oai.flowcontrol import FlowPolicy
 from eprint_oai.harvester import WsgiTransport
@@ -150,3 +152,32 @@ def test_wsgi_transport_matches_direct_call(demo_handler):
     _, _, direct = get(app, "verb=ListSets", addr="127.0.0.1")
     assert resp.status == 200
     assert resp.body == direct
+
+
+def test_post_body_not_utf8_is_400(demo_handler):
+    app = make_app(demo_handler)
+    status, headers, body = post(app, b"verb=Identify&set=\xff\xfe")
+    assert status == 400
+    assert headers["Content-Type"].startswith("text/html")
+    assert b"not valid UTF-8" in body
+
+
+def test_control_characters_never_make_a_broken_200(demo_handler):
+    app = make_app(demo_handler)
+    for code in range(32):
+        c = quote(chr(code))
+        queries = [
+            f"verb=ListRecords&metadataPrefix=oai_dc{c}",
+            f"verb=ListIdentifiers&set=cs{c}",
+            f"verb=ListMetadataFormats&identifier=oai:arXiv:{c}",
+            f"verb=GetRecord&identifier=oai:arXiv:cs.DL/0101027&metadataPrefix={c}",
+            f"verb=Identify&{c}=1",
+        ]
+        for query in queries:
+            status, _, body = get(app, query)
+            if chr(code) in "\t\n\r":  # allowed in XML, echoed as they are
+                assert status in (200, 400), (code, query)
+            else:
+                assert status == 400, (code, query)
+            if status == 200:
+                ET.fromstring(body)

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from eprint_oai.texmap import default_table, load_table, tex_to_utf8
+from eprint_oai.texmap import (
+    _MACRO_RE,
+    TexTable,
+    default_table,
+    load_table,
+    tex_to_utf8,
+)
 
 FIXTURES = [
     (r"J. Koll\'ar", "J. Kollár"),
@@ -69,3 +77,47 @@ texty = st.text(
 def test_idempotent(text):
     once = tex_to_utf8(text)
     assert tex_to_utf8(once) == once
+
+
+# --- the generic callback, kept as the reference for the spelling lookup ---
+
+
+def reference_convert(table, text: str) -> str:
+    def repl(m: re.Match) -> str:
+        if m.group("acc") is not None:
+            key = (m.group("acc"), m.group("accarg") or m.group("accletter"))
+            return table.mapping.get(key, m.group(0))
+        word = m.group("word")
+        arg = m.group("wordarg") or None
+        if (word, arg) in table.mapping:
+            return table.mapping[(word, arg)]
+        if arg is None and (word, None) in table.mapping:
+            return table.mapping[(word, None)]
+        return m.group(0)
+
+    return _MACRO_RE.sub(repl, text)
+
+
+# macro heads, arguments, braces and the spacing the accent form allows
+tex_pieces = st.lists(
+    st.sampled_from(
+        [
+            "\\", "\\'", '\\"', "\\`", "\\^", "\\~", "\\=", "\\.", "\\H", "\\v",
+            "\\c", "\\u", "\\ss", "\\l", "\\L", "\\o", "\\AA", "\\ae", "\\i",
+            "\\frob", "\\alpha", "{", "}", "{}", "{e}", "{a}", "{ss}", "e", "a",
+            "o", "s", "X", "c", "C", "1", " ", "  ", "\t", "\n", "$", "é",
+        ]
+    ),
+    max_size=20,
+).map("".join)
+
+
+SMALL_TABLE = TexTable(
+    {("'", "e"): "é", ("ss", None): "ß", ("l", None): "ł", ("c", "c"): "ç", ("'", None): "´"}
+)
+
+
+@pytest.mark.parametrize("table", [default_table(), SMALL_TABLE], ids=["default", "small"])
+@given(text=tex_pieces)
+def test_spelling_lookup_matches_generic_callback(table, text):
+    assert table.convert(text) == reference_convert(table, text)
