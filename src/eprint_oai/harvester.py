@@ -19,7 +19,6 @@ import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
-from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -256,6 +255,8 @@ def _retry_after_seconds(value: str, now: datetime | None = None) -> float:
         return float(value)
     except ValueError:
         pass
+    from email.utils import parsedate_to_datetime  # slow import, rarely needed
+
     try:
         when = parsedate_to_datetime(value)
     except (TypeError, ValueError) as exc:

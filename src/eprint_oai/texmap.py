@@ -35,8 +35,10 @@ def _normalise_key(macro: str) -> tuple[str, str | None]:
 class TexTable:
     def __init__(self, mapping: dict[tuple[str, str | None], str]):
         self.mapping = mapping
-        # every spelling the table defines (\'e, \'{e}, \ss, \ss{}, \c{c},
-        # ...) with its replacement, so most macros cost one dict lookup
+        # what the generic callback makes of each spelling of a table entry
+        # (\'e, \'{e}, \ss, \ss{}, \c{c}, ...), so most macros cost one
+        # dict lookup; a spelling the regex reads differently (\cc) maps to
+        # itself, as the callback would leave it
         self._spellings: dict[str, str] = {}
         for name, arg in mapping:
             for form in (f"\\{name}{arg or ''}", f"\\{name}{{{arg or ''}}}"):

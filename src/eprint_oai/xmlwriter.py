@@ -22,8 +22,9 @@ def element(name: str, text: str, indent: str = "") -> str:
     return f"{indent}<{name}>{escape(text)}</{name}>"
 
 
-# the line boundaries str.splitlines() recognises
-_LINE_BREAK_RE = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# the line boundaries str.splitlines() recognises, each alternative a
+# literal so that the search skips other text quickly
+_LINE_BREAK_RE = re.compile("\r\n?|\n|\v|\f|\x1c|\x1d|\x1e|\x85|\u2028|\u2029")
 
 
 def block_element(name: str, text: str, indent: str, margin: str) -> str:
