@@ -39,15 +39,9 @@ class NameLexicon:
     suffixes: frozenset[str]  # as written
 
 
-def load_lexicon(path=None) -> NameLexicon:
+def load_lexicon() -> NameLexicon:
     """Load the prefix/suffix lexicon (tab-separated ``kind<TAB>token``)."""
-    if path is None:
-        text = (
-            resources.files("eprint_oai.data").joinpath("name_lexicon.tsv").read_text()
-        )
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    text = resources.files("eprint_oai.data").joinpath("name_lexicon.tsv").read_text()
     prefixes, suffixes = set(), set()
     for line in text.splitlines():
         if not line.strip() or line.lstrip().startswith("#"):
@@ -115,13 +109,13 @@ def _parse_name(
     return AuthorName(keyname, forenames, prefix, suffix, affiliation)
 
 
-def parse_authors(raw: str, lexicon: NameLexicon | None = None) -> list[AuthorName]:
+def parse_authors(raw: str) -> list[AuthorName]:
     """Parse an author line into structured names.
 
     Never raises on odd input; if nothing resembling a name can be
     extracted, the whole stripped line is returned as a single keyname.
     """
-    lexicon = lexicon or default_lexicon()
+    lexicon = default_lexicon()
     raw = raw.strip()
     if not raw:
         return []

@@ -1,6 +1,6 @@
-"""Conversion of native metadata to the disseminable formats.
+"""Conversion of native metadata to each disseminated metadata format.
 
-Four formats are registered by default:
+:data:`DEFAULT_FORMATS` is the one registry; it holds four:
 
 - ``oai_dc``      Dublin Core in XML
 - ``oai_rfc1807`` RFC1807 bibliographic records in XML
@@ -9,7 +9,7 @@ Four formats are registered by default:
 
 Each :class:`FormatDescriptor` carries its renderer, which emits the XML
 fragment as lines at the indentation a response gives them inside its
-``<metadata>`` element. All records convert to all four formats.
+``<metadata>`` element. Every record converts to every registered format.
 """
 
 from __future__ import annotations
@@ -42,17 +42,6 @@ class FormatDescriptor:
     render: Callable[
         [InternalMetadata, date, "FormatDescriptor", TaxonomyConfig, str], list[str]
     ] = field(compare=False, repr=False)
-
-    def __post_init__(self):
-        # "_" is the resumptionToken field separator; only the oai_ family
-        # prefix may contain it (the tag strips that part off)
-        if "_" in self.prefix and not self.prefix.startswith("oai_"):
-            raise ValueError(f"metadataPrefix may not contain '_': {self.prefix!r}")
-
-    @property
-    def token_tag(self) -> str:
-        """Short form used inside resumptionTokens (oai_dc -> dc)."""
-        return self.prefix.removeprefix("oai_")
 
 
 # --- XML rendering -----------------------------------------------------------
@@ -232,22 +221,12 @@ DEFAULT_FORMATS: tuple[FormatDescriptor, ...] = (
 )
 
 
-def find_format(
-    prefix: str, formats: tuple[FormatDescriptor, ...] = DEFAULT_FORMATS
-) -> FormatDescriptor:
-    for f in formats:
+def find_format(prefix: str) -> FormatDescriptor | None:
+    """The registered format with this metadataPrefix, or None."""
+    for f in DEFAULT_FORMATS:
         if f.prefix == prefix:
             return f
-    raise UnsupportedFormat(prefix)
-
-
-def format_for_token_tag(
-    tag: str, formats: tuple[FormatDescriptor, ...] = DEFAULT_FORMATS
-) -> FormatDescriptor:
-    for f in formats:
-        if f.token_tag == tag:
-            return f
-    raise UnsupportedFormat(tag)
+    return None
 
 
 # --- language detection -----------------------------------------------------
@@ -256,12 +235,8 @@ _LANGUAGE_TABLE: dict[str, str] | None = None
 _LANGUAGE_RE = re.compile(r"\b[Ii]n\s+([A-Z][a-z]+)")
 
 
-def load_languages(path=None) -> dict[str, str]:
-    if path is None:
-        text = resources.files("eprint_oai.data").joinpath("languages.tsv").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+def load_languages() -> dict[str, str]:
+    text = resources.files("eprint_oai.data").joinpath("languages.tsv").read_text()
     table = {}
     for line in text.splitlines():
         if not line.strip() or line.lstrip().startswith("#"):
@@ -271,20 +246,16 @@ def load_languages(path=None) -> dict[str, str]:
     return table
 
 
-def detect_language(
-    comments: str | None, table: dict[str, str] | None = None
-) -> str | None:
+def detect_language(comments: str | None) -> str | None:
     """Find an "in <Language>" declaration in a comments field and return
     the ISO-639 code, or None."""
     if not comments:
         return None
-    if table is None:
-        global _LANGUAGE_TABLE
-        if _LANGUAGE_TABLE is None:
-            _LANGUAGE_TABLE = load_languages()
-        table = _LANGUAGE_TABLE
+    global _LANGUAGE_TABLE
+    if _LANGUAGE_TABLE is None:
+        _LANGUAGE_TABLE = load_languages()
     for m in _LANGUAGE_RE.finditer(comments):
-        code = table.get(m.group(1).lower())
+        code = _LANGUAGE_TABLE.get(m.group(1).lower())
         if code is not None:
             return code
     return None
@@ -295,7 +266,6 @@ def to_format(
     datestamp: date,
     prefix: str,
     taxonomy: TaxonomyConfig,
-    formats: tuple[FormatDescriptor, ...] = DEFAULT_FORMATS,
     abs_url_prefix: str = DEFAULT_ABS_URL_PREFIX,
 ) -> list[str]:
     """Render one record's metadata payload in the requested format.
@@ -304,5 +274,7 @@ def to_format(
     ``<metadata>``. Raises :class:`UnsupportedFormat` for unregistered
     prefixes.
     """
-    fmt = find_format(prefix, formats)
+    fmt = find_format(prefix)
+    if fmt is None:
+        raise UnsupportedFormat(prefix)
     return fmt.render(meta, datestamp, fmt, taxonomy, abs_url_prefix)

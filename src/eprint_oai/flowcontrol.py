@@ -11,6 +11,7 @@ requests do not touch the ledger, so they cannot extend the wait.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 
@@ -46,9 +47,15 @@ ALLOW = Decision(allowed=True)
 @dataclass
 class ClientLedger:
     """Last-fulfilled-request time per client key. Admission is an atomic
-    check-and-update per key; clients never affect each other."""
+    check-and-update per key; clients never affect each other.
 
-    _last: dict[str, float] = field(default_factory=dict)
+    Entries are kept oldest first. With times that never go backward and
+    one policy, each admission first drops the entries at least the
+    policy's longest interval old, which can no longer refuse anything, so
+    the ledger holds only the clients admitted within that interval, at
+    O(1) amortised cost per admission."""
+
+    _last: OrderedDict[str, float] = field(default_factory=OrderedDict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def admit(
@@ -56,21 +63,20 @@ class ClientLedger:
     ) -> Decision:
         interval = policy.interval_for(verb_class)
         with self._lock:
-            last = self._last.get(client_key)
+            last_times = self._last
+            while last_times:
+                oldest = next(iter(last_times.values()))
+                if now - oldest < policy.min_interval_list:
+                    break
+                last_times.popitem(last=False)
+            last = last_times.get(client_key)
             if last is not None:
                 remaining = interval - (now - last)
                 if remaining > 0:
                     return Decision(allowed=False, retry_after=remaining)
-            self._last[client_key] = now
+                last_times.move_to_end(client_key)
+            last_times[client_key] = now
             return ALLOW
-
-    def prune(self, now: float, idle_horizon: float) -> int:
-        """Drop clients idle for longer than ``idle_horizon`` seconds."""
-        with self._lock:
-            stale = [k for k, t in self._last.items() if now - t > idle_horizon]
-            for k in stale:
-                del self._last[k]
-            return len(stale)
 
     def __len__(self) -> int:
         return len(self._last)

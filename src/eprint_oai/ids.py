@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from importlib import resources
 
 
@@ -26,20 +26,22 @@ class UnknownArchive(ValueError):
     """Raised when an archive name is not registered in the taxonomy."""
 
 
+# every pattern here is ASCII and applied with fullmatch: "\d" would admit
+# other scripts' digits (which int() accepts) and "$" a trailing newline.
 # archive: lowercase letters and hyphens, 2-16 chars, no leading/trailing hyphen
 _ARCHIVE = r"[a-z][a-z-]{0,14}[a-z]"
 _ID_RE = re.compile(
-    rf"^(?P<archive>{_ARCHIVE})"
+    rf"(?P<archive>{_ARCHIVE})"
     r"(?:\.(?P<sc>[A-Z]{2}))?"
-    r"/(?P<yymm>\d{4})(?P<num>\d{3})"
-    r"(?:v(?P<ver>[1-9]\d*))?$"
+    r"/(?P<yymm>[0-9]{4})(?P<num>[0-9]{3})"
+    r"(?:v(?P<ver>[1-9][0-9]*))?"
 )
 # same shape but with an over-long serial, to give a distinct diagnostic
 _OVERFLOW_RE = re.compile(
-    rf"^{_ARCHIVE}(?:\.[A-Z]{{2}})?/\d{{4}}\d{{4,}}(?:v[1-9]\d*)?$"
+    rf"{_ARCHIVE}(?:\.[A-Z]{{2}})?/[0-9]{{4}}[0-9]{{4,}}(?:v[1-9][0-9]*)?"
 )
 
-_ARCHIVE_REF_RE = re.compile(rf"^(?P<archive>{_ARCHIVE})(?:\.(?P<sc>[A-Z]{{2}}))?$")
+_ARCHIVE_REF_RE = re.compile(rf"(?P<archive>{_ARCHIVE})(?:\.(?P<sc>[A-Z]{{2}}))?")
 _ARCHIVE_NAME_RE = re.compile(_ARCHIVE)
 _SUBJECT_CLASS_RE = re.compile(r"[A-Z]{2}")
 
@@ -109,9 +111,9 @@ class EprintId:
 
 def parse_internal_id(text: str) -> EprintId:
     """Parse ``arch-ive[.SC]/YYMMNNN[vN]`` into an :class:`EprintId`."""
-    m = _ID_RE.match(text)
+    m = _ID_RE.fullmatch(text)
     if m is None:
-        if _OVERFLOW_RE.match(text):
+        if _OVERFLOW_RE.fullmatch(text):
             raise SerialOverflow(f"serial number exceeds 999 in {text!r}")
         raise MalformedIdentifier(f"not a valid e-print identifier: {text!r}")
     ver = m.group("ver")
@@ -151,7 +153,7 @@ def parse_oai_identifier(text: str, repository: str = "arXiv") -> EprintId:
 
 def parse_archive_ref(text: str) -> tuple[str, str | None]:
     """Parse a cross-list reference such as ``hep-ph`` or ``math.SG``."""
-    m = _ARCHIVE_REF_RE.match(text)
+    m = _ARCHIVE_REF_RE.fullmatch(text)
     if m is None:
         raise MalformedIdentifier(f"not an archive[.SC] reference: {text!r}")
     return m.group("archive"), m.group("sc")
@@ -159,14 +161,11 @@ def parse_archive_ref(text: str) -> tuple[str, str | None]:
 
 # --- datestamps ------------------------------------------------------------
 
-ONE_DAY = timedelta(days=1)
-
-
 def format_datestamp(d: date) -> str:
     return d.isoformat()
 
 
-_DATESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
+_DATESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def parse_datestamp(text: str) -> date:

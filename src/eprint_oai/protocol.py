@@ -5,20 +5,12 @@ whose contract is an HTTP 400 with an HTML body).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from typing import Callable, Sequence
 
 from .config import RepositoryConfig
-from .crosswalk import (
-    DEFAULT_FORMATS,
-    FormatDescriptor,
-    UnsupportedFormat,
-    find_format,
-    format_for_token_tag,
-    to_format,
-)
+from .crosswalk import DEFAULT_FORMATS, FormatDescriptor, find_format, to_format
 from .ids import (
     MalformedIdentifier,
     TaxonomyConfig,
@@ -27,38 +19,24 @@ from .ids import (
     parse_oai_identifier,
 )
 from .store import IndexEntry, Store
-from .xmlwriter import element, escape, open_tag
+from .xmlwriter import NOT_XML_CHAR_RE, element, escape, open_tag
 
-# each verb and the ProtocolHandler method that answers it
-VERBS: dict[str, str] = {
-    "Identify": "identify",
-    "ListSets": "list_sets",
-    "ListMetadataFormats": "list_metadata_formats",
-    "GetRecord": "get_record",
-    "ListIdentifiers": "list_identifiers",
-    "ListRecords": "list_records",
-    "Document": "document",
-}
-
-LIST_VERBS = frozenset({"ListIdentifiers", "ListRecords"})
-
-# legal argument keys per verb; resumptionToken on ListSets and
-# ListMetadataFormats is recognised but always refused (tokens unsupported)
-_LEGAL_ARGS: dict[str, frozenset[str]] = {
-    "Identify": frozenset(),
-    "ListSets": frozenset(),
-    "ListMetadataFormats": frozenset({"identifier"}),
-    "GetRecord": frozenset({"identifier", "metadataPrefix"}),
-    "ListIdentifiers": frozenset({"from", "until", "set", "resumptionToken"}),
-    "ListRecords": frozenset(
-        {"from", "until", "set", "metadataPrefix", "resumptionToken"}
+# each verb: the ProtocolHandler method that answers it, its required
+# arguments and its optional ones
+_GRAMMAR: dict[str, tuple[str, tuple[str, ...], frozenset[str]]] = {
+    "Identify": ("identify", (), frozenset()),
+    "ListSets": ("list_sets", (), frozenset()),
+    "ListMetadataFormats": ("list_metadata_formats", (), frozenset({"identifier"})),
+    "GetRecord": ("get_record", ("identifier", "metadataPrefix"), frozenset()),
+    "ListIdentifiers": ("list_identifiers", (), frozenset({"from", "until", "set"})),
+    "ListRecords": (
+        "list_records", ("metadataPrefix",), frozenset({"from", "until", "set"})
     ),
-    "Document": frozenset(),
+    "Document": ("document", (), frozenset()),
 }
 
-
-# characters XML 1.0 does not allow; arguments are echoed in <requestURL>
-_NOT_XML_CHAR_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+# the verbs that also take a resumptionToken, exclusive of all else
+LIST_VERBS = frozenset({"ListIdentifiers", "ListRecords"})
 
 
 class MalformedRequest(ValueError):
@@ -69,7 +47,7 @@ class MalformedRequest(ValueError):
 class OaiRequest:
     verb: str
     arguments: dict[str, str]
-    query_string: str
+    params: Sequence[tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -78,7 +56,8 @@ class ResumptionToken:
 
     Serialized as the four fields joined by "_" in order (from, until, set,
     format tag), empty fields rendered empty: ``1992-05-01___`` resumes a
-    ListIdentifiers scan, ``1992-05-01___dc`` a ListRecords one.
+    ListIdentifiers scan or a header-only ListRecords one,
+    ``1992-05-01___dc`` an ``oai_dc`` ListRecords one.
     """
 
     next_from: date
@@ -115,6 +94,21 @@ class ResumptionToken:
             raise MalformedRequest(f"bad resumptionToken: {text!r}") from exc
 
 
+def _token_tag(fmt: FormatDescriptor | None) -> str | None:
+    """A format's name inside a resumptionToken, its prefix without
+    ``oai_`` (oai_dc -> dc); None, the empty field, for header-only."""
+    return fmt.prefix.removeprefix("oai_") if fmt else None
+
+
+def _format_for_tag(tag: str | None) -> FormatDescriptor | None:
+    if tag is None:
+        return None
+    for fmt in DEFAULT_FORMATS:
+        if _token_tag(fmt) == tag:
+            return fmt
+    raise MalformedRequest(f"unknown format tag in resumptionToken: {tag!r}")
+
+
 @dataclass(frozen=True)
 class VerbResponse:
     http_status: int
@@ -127,7 +121,7 @@ def parse_request(params: Sequence[tuple[str, str]]) -> OaiRequest:
     """Validate raw query/form arguments against the verb grammar."""
     seen: dict[str, str] = {}
     for key, value in params:
-        if _NOT_XML_CHAR_RE.search(key) or _NOT_XML_CHAR_RE.search(value):
+        if NOT_XML_CHAR_RE.search(key) or NOT_XML_CHAR_RE.search(value):
             raise MalformedRequest(f"argument {key!r} has a character XML forbids")
         if key in seen:
             raise MalformedRequest(f"repeated argument: {key}")
@@ -135,29 +129,26 @@ def parse_request(params: Sequence[tuple[str, str]]) -> OaiRequest:
     if "verb" not in seen:
         raise MalformedRequest("missing verb argument")
     verb = seen.pop("verb")
-    if verb not in VERBS:
+    if verb not in _GRAMMAR:
         raise MalformedRequest(f"unknown verb: {verb!r}")
-    legal = _LEGAL_ARGS[verb]
-    allowed = legal | ({"resumptionToken"} if verb.startswith("List") else set())
-    illegal = set(seen) - allowed
+    _, required, optional = _GRAMMAR[verb]
+    legal = optional.union(required)
+    if verb in LIST_VERBS:
+        legal |= {"resumptionToken"}
+    illegal = set(seen) - legal
     if illegal:
         raise MalformedRequest(f"illegal arguments for {verb}: {sorted(illegal)}")
     if "resumptionToken" in seen:
-        if verb in ("ListSets", "ListMetadataFormats"):
-            raise MalformedRequest(f"{verb} does not support resumptionTokens")
         others = set(seen) - {"resumptionToken"}
         if others:
             raise MalformedRequest(
                 f"resumptionToken is exclusive of other arguments: {sorted(others)}"
             )
-    if verb == "GetRecord":
-        for required in ("identifier", "metadataPrefix"):
-            if required not in seen:
-                raise MalformedRequest(f"GetRecord requires {required}")
-    query_string = "&".join(
-        f"{k}={v}" for k, v in params
-    )
-    return OaiRequest(verb=verb, arguments=seen, query_string=query_string)
+    else:
+        for name in required:
+            if name not in seen:
+                raise MalformedRequest(f"{verb} requires {name}")
+    return OaiRequest(verb=verb, arguments=seen, params=tuple(params))
 
 
 def _paginate(
@@ -186,7 +177,6 @@ class ProtocolHandler:
 
     store: Store
     config: RepositoryConfig = field(default_factory=RepositoryConfig)
-    formats: tuple[FormatDescriptor, ...] = DEFAULT_FORMATS
     clock: Callable[[], datetime] = _utc_now
 
     @property
@@ -206,10 +196,7 @@ class ProtocolHandler:
             return self.bad_request(str(exc), params)
 
     def dispatch(self, request: OaiRequest) -> VerbResponse:
-        method = VERBS.get(request.verb)
-        if method is None:
-            raise MalformedRequest(f"unknown verb: {request.verb!r}")
-        return getattr(self, method)(request)
+        return getattr(self, _GRAMMAR[request.verb][0])(request)
 
     # --- verbs -----------------------------------------------------------
 
@@ -272,18 +259,18 @@ class ProtocolHandler:
         return self._render("ListSets", lines, request)
 
     def list_metadata_formats(self, request: OaiRequest) -> VerbResponse:
-        formats: Sequence[FormatDescriptor] = self.formats
+        listed: Sequence[FormatDescriptor] = DEFAULT_FORMATS
         ident = request.arguments.get("identifier")
         if ident is not None:
             try:
                 eid = parse_oai_identifier(ident, self.config.repository_identifier)
             except MalformedIdentifier:
-                formats = ()
+                listed = ()
             else:
                 if self.store.get(eid) is None:
-                    formats = ()
+                    listed = ()
         lines = []
-        for f in formats:
+        for f in listed:
             lines.append("  <metadataFormat>")
             lines.append(element("metadataPrefix", f.prefix, "   "))
             lines.append(element("schema", f.schema, "   "))
@@ -292,14 +279,14 @@ class ProtocolHandler:
         return self._render("ListMetadataFormats", lines, request)
 
     def get_record(self, request: OaiRequest) -> VerbResponse:
-        ident = request.arguments["identifier"]
-        prefix = request.arguments["metadataPrefix"]
-        lines = self._record_lines(ident, prefix)
+        fmt = find_format(request.arguments["metadataPrefix"])
+        lines = self._record_lines(request.arguments["identifier"], fmt)
         return self._render("GetRecord", lines, request)
 
-    def _record_lines(self, ident: str, prefix: str) -> list[str]:
+    def _record_lines(self, ident: str, fmt: FormatDescriptor | None) -> list[str]:
         """The four-outcome record rendering shared by GetRecord and
-        ListRecords: absent, deleted, header-only, or header+metadata."""
+        ListRecords: absent, deleted, header-only (``fmt`` None: no format
+        has the requested prefix), or header+metadata."""
         try:
             eid = parse_oai_identifier(ident, self.config.repository_identifier)
         except MalformedIdentifier:
@@ -316,17 +303,15 @@ class ProtocolHandler:
         ]
         if record.deleted:
             return ['  <record status="deleted">', *header, "  </record>"]
-        try:
-            fragment = to_format(
-                record.meta,
-                record.datestamp,
-                prefix,
-                self.taxonomy,
-                self.formats,
-                self.config.abs_url_prefix,
-            )
-        except UnsupportedFormat:
+        if fmt is None:
             return ["  <record>", *header, "  </record>"]
+        fragment = to_format(
+            record.meta,
+            record.datestamp,
+            fmt.prefix,
+            self.taxonomy,
+            self.config.abs_url_prefix,
+        )
         return [
             "  <record>",
             *header,
@@ -339,45 +324,24 @@ class ProtocolHandler:
     # --- list verbs -------------------------------------------------------
 
     def _list_window(
-        self, request: OaiRequest, needs_prefix: bool
-    ) -> tuple[list[IndexEntry], ResumptionToken | None, str | None]:
-        """Resolve arguments or token into a scan window, paginate, and
-        build the continuation token for the next page."""
+        self, request: OaiRequest
+    ) -> tuple[list[IndexEntry], ResumptionToken | None, FormatDescriptor | None]:
+        """Resolve arguments or token into a scan window and a format (None
+        for header-only), paginate, and build the continuation token for
+        the next page."""
         args = request.arguments
-        format_tag: str | None = None
-        prefix: str | None = None
         if "resumptionToken" in args:
             token = ResumptionToken.decode(args["resumptionToken"])
             from_, until, set_spec = token.next_from, token.until, token.set_spec
-            format_tag = token.format_tag
-            if needs_prefix:
-                if format_tag is None:
-                    raise MalformedRequest("resumptionToken lacks a format tag")
-                try:
-                    prefix = format_for_token_tag(format_tag, self.formats).prefix
-                except UnsupportedFormat as exc:
-                    raise MalformedRequest(
-                        f"unknown format tag in resumptionToken: {format_tag!r}"
-                    ) from exc
+            fmt = _format_for_tag(token.format_tag)
         else:
             try:
-                from_ = (
-                    parse_datestamp(args["from"]) if "from" in args else None
-                )
+                from_ = parse_datestamp(args["from"]) if "from" in args else None
                 until = parse_datestamp(args["until"]) if "until" in args else None
             except ValueError as exc:
                 raise MalformedRequest(str(exc)) from exc
             set_spec = args.get("set")
-            if needs_prefix:
-                prefix = args.get("metadataPrefix")
-                if prefix is None:
-                    raise MalformedRequest("ListRecords requires metadataPrefix")
-                try:
-                    format_tag = find_format(prefix, self.formats).token_tag
-                except UnsupportedFormat:
-                    # unknown prefix is a legal request; every record then
-                    # renders header-only (outcome 3)
-                    format_tag = None
+            fmt = find_format(args.get("metadataPrefix", ""))
         if set_spec is not None and set_spec not in {
             t for t, _ in self.taxonomy.groups
         }:
@@ -388,16 +352,11 @@ class ProtocolHandler:
         page, next_from = _paginate(entries, self.config.page_size)
         next_token = None
         if next_from is not None:
-            next_token = ResumptionToken(
-                next_from=next_from,
-                until=until,
-                set_spec=set_spec,
-                format_tag=format_tag,
-            )
-        return page, next_token, prefix
+            next_token = ResumptionToken(next_from, until, set_spec, _token_tag(fmt))
+        return page, next_token, fmt
 
     def list_identifiers(self, request: OaiRequest) -> VerbResponse:
-        page, token, _ = self._list_window(request, needs_prefix=False)
+        page, token, _ = self._list_window(request)
         repo = self.config.repository_identifier
         lines = [
             element("identifier", f"oai:{repo}:{e.identifier}", "  ") for e in page
@@ -407,14 +366,11 @@ class ProtocolHandler:
         return self._render("ListIdentifiers", lines, request)
 
     def list_records(self, request: OaiRequest) -> VerbResponse:
-        page, token, prefix = self._list_window(request, needs_prefix=True)
+        page, token, fmt = self._list_window(request)
         repo = self.config.repository_identifier
         lines: list[str] = []
         for entry in page:
-            requested = prefix if prefix is not None else request.arguments.get(
-                "metadataPrefix", ""
-            )
-            lines += self._record_lines(f"oai:{repo}:{entry.identifier}", requested)
+            lines += self._record_lines(f"oai:{repo}:{entry.identifier}", fmt)
         if token is not None:
             lines.append(element("resumptionToken", token.encode(), "  "))
         return self._render("ListRecords", lines, request)
@@ -455,10 +411,10 @@ class ProtocolHandler:
             now = now.replace(tzinfo=timezone.utc)
         return now.isoformat(timespec="seconds")
 
-    def _request_url(self, query_string: str) -> str:
+    def _request_url(self, params: Sequence[tuple[str, str]]) -> str:
         url = self.config.base_url
-        if query_string:
-            url += "?" + query_string
+        if params:
+            url += "?" + "&".join(f"{k}={v}" for k, v in params)
         return url
 
     def _render(
@@ -469,7 +425,7 @@ class ProtocolHandler:
             '<?xml version="1.0" encoding="UTF-8"?>',
             open_tag(verb, ns, f"{ns}.xsd", " "),
             element("responseDate", self._response_date(), "  "),
-            element("requestURL", self._request_url(request.query_string), "  "),
+            element("requestURL", self._request_url(request.params), "  "),
             *payload_lines,
             f" </{verb}>",
         ]
@@ -480,11 +436,10 @@ class ProtocolHandler:
         self, message: str, params: Sequence[tuple[str, str]]
     ) -> VerbResponse:
         """The HTML 400 page for a request the grammar refuses."""
-        qs = "&".join(f"{k}={v}" for k, v in params)
         body = (
             "<html><body><h1>400 Malformed request</h1>\n"
             f"<p>{escape(message)}</p>\n"
-            f"<p>Request: <code>{escape(self._request_url(qs))}</code></p>\n"
+            f"<p>Request: <code>{escape(self._request_url(params))}</code></p>\n"
             "</body></html>\n"
         )
         return VerbResponse(400, "text/html; charset=utf-8", body.encode("utf-8"))

@@ -283,10 +283,26 @@ def test_criterion_4_incremental_harvest_simulation(taxonomy):
     )
 
 
+class VirtualClock:
+    """One clock for the server's ``monotonic`` and the harvester's
+    ``sleep``: sleeping moves it forward at once, and nothing else does."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
 def test_criterion_5_flow_control_compliance(taxonomy):
     """A polite harvester finishes a 10,000-record corpus against a
     throttling server with no permanent failure; an impatient client is
-    refused every premature retry. Budget: 60s."""
+    refused every premature retry. Both run on a virtual clock, so each
+    Retry-After (rounded up to whole seconds) costs no real time. Budget:
+    60s of wall-clock time."""
     started = time.monotonic()
     rng = random.Random(99)
     store = Store(taxonomy)
@@ -295,11 +311,12 @@ def test_criterion_5_flow_control_compliance(taxonomy):
         store, RepositoryConfig(page_size=500), clock=lambda: FIXED_CLOCK
     )
     policy = FlowPolicy(min_interval_list=0.05, min_interval_other=0.01)
-    app = make_app(handler, policy=policy)
+    clock = VirtualClock()
+    app = make_app(handler, policy=policy, monotonic=clock.monotonic)
     failures = []
 
     polite = WsgiTransport(app, remote_addr="10.0.0.1")
-    records, report = run(HarvestJob("ListIdentifiers"), polite)
+    records, report = run(HarvestJob("ListIdentifiers"), polite, sleep=clock.sleep)
     if not report.completed:
         failures.append("polite harvester did not complete")
     if len(records) != len(store.scan()):

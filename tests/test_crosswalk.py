@@ -11,8 +11,6 @@ from eprint_oai.crosswalk import (
     DEFAULT_FORMATS,
     UnsupportedFormat,
     detect_language,
-    find_format,
-    format_for_token_tag,
     to_format,
 )
 from eprint_oai.ids import EprintId, parse_internal_id
@@ -36,17 +34,6 @@ def test_format_registration_order():
         "oai_rfc1807",
         "oai_dc",
     ]
-
-
-def test_token_tags():
-    assert find_format("oai_dc").token_tag == "dc"
-    assert find_format("oai_rfc1807").token_tag == "rfc1807"
-    assert find_format("arXiv").token_tag == "arXiv"
-    assert format_for_token_tag("dc").prefix == "oai_dc"
-    with pytest.raises(UnsupportedFormat):
-        find_format("marc21")
-    with pytest.raises(UnsupportedFormat):
-        format_for_token_tag("nope")
 
 
 @pytest.mark.parametrize(

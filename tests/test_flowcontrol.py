@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import random
+import sys
+import threading
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from eprint_oai.flowcontrol import ClientLedger, FlowPolicy
+from eprint_oai.flowcontrol import ClientLedger, Decision, FlowPolicy
 
 
 @pytest.fixture()
@@ -66,16 +71,6 @@ def test_bad_verb_class(policy):
         policy.interval_for("weird")
 
 
-def test_prune(policy):
-    ledger = ClientLedger()
-    ledger.admit("a", "list", 0.0, policy)
-    ledger.admit("b", "list", 90.0, policy)
-    assert ledger.prune(now=100.0, idle_horizon=60.0) == 1
-    assert len(ledger) == 1
-    # pruned client is fresh again
-    assert ledger.admit("a", "list", 100.0, policy).allowed
-
-
 @given(
     st.lists(st.floats(0.001, 5.0), min_size=1, max_size=60),
     st.sampled_from(["list", "other"]),
@@ -109,3 +104,82 @@ def test_retry_after_is_exact_remaining_wait(gaps):
             expected = policy.min_interval_list - (now - last_allowed)
             assert d.retry_after == pytest.approx(expected)
             assert d.retry_after > 0
+
+
+@given(
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 10.0),
+    st.lists(
+        st.tuples(
+            st.sampled_from("abcdef"),
+            st.sampled_from(["list", "other"]),
+            st.floats(0.0, 8.0),
+        ),
+        max_size=80,
+    ),
+)
+def test_ledger_drops_stale_clients_without_changing_decisions(other, extra, schedule):
+    """Against a ledger that never forgets, every decision is the same, and
+    the ledger holds exactly the clients admitted within the longest
+    interval, and the client just asking."""
+    policy = FlowPolicy(min_interval_list=other + extra, min_interval_other=other)
+    ledger = ClientLedger()
+    last: dict[str, float] = {}  # the unpruned reference
+    now = 0.0
+    for client, verb_class, gap in schedule:
+        now += gap
+        remaining = None
+        if client in last:
+            remaining = policy.interval_for(verb_class) - (now - last[client])
+        if remaining is not None and remaining > 0:
+            expected = Decision(allowed=False, retry_after=remaining)
+        else:
+            expected = Decision(allowed=True)
+            last[client] = now
+        assert ledger.admit(client, verb_class, now, policy) == expected
+        active = {c for c, t in last.items() if now - t < policy.min_interval_list}
+        assert len(ledger) == len(active | {client})
+
+
+def test_shared_ledger_admits_each_client_once_per_interval():
+    """Eight threads admit the same clients at once, round after round;
+    each round starts a full longest interval after the last, so it also
+    drops every entry of the round before. Each client must be admitted
+    exactly once per round."""
+    policy = FlowPolicy(min_interval_list=10.0, min_interval_other=1.0)
+    ledger = ClientLedger()
+    clients = [f"10.0.0.{i}" for i in range(20)]
+    rounds, workers = 40, 8
+    barrier = threading.Barrier(workers, timeout=30)
+    admitted: list[Counter] = [Counter() for _ in range(rounds)]
+    counter_lock = threading.Lock()
+
+    def work(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            for r in range(rounds):
+                barrier.wait()
+                order = rng.sample(clients, len(clients))
+                now = r * 10.0
+                allowed = [
+                    c for c in order if ledger.admit(c, "list", now, policy).allowed
+                ]
+                with counter_lock:
+                    admitted[r].update(allowed)
+        except BaseException:
+            barrier.abort()  # release the other workers at once
+            raise
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(counts == Counter(clients) for counts in admitted)
+    assert len(ledger) == len(clients)

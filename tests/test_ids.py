@@ -63,6 +63,10 @@ def test_serial_overflow_distinct_error():
         "x/9901001",  # 1-char archive
         "hep-th9901001",  # missing slash
         "",
+        "hep-th/9901001\n",  # trailing newline
+        "hep-th/99011000\n",  # over-long serial and trailing newline
+        "hep-th/\u0669\u0669\u0660\u0661001",  # Arabic-Indic digits
+        "hep-th/9901001v1\u0662",  # Arabic-Indic version digit
     ],
 )
 def test_malformed_ids_rejected(bad):
@@ -191,3 +195,5 @@ def test_datestamp_rejects_sloppy_forms():
         parse_datestamp("1992-4-1")
     with pytest.raises(ValueError):
         parse_datestamp("19920401")
+    with pytest.raises(ValueError):
+        parse_datestamp("\u0661\u0669\u0669\u0662-04-01")  # Arabic-Indic digits

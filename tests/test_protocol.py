@@ -7,9 +7,11 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXED_CLOCK, synth_corpus
+from conftest import FIXED_CLOCK, make_meta, synth_corpus
+from eprint_oai.absfile import AbsParseError, format_abs
 from eprint_oai.config import RepositoryConfig
-from eprint_oai.ids import load_taxonomy, parse_datestamp
+from eprint_oai.crosswalk import DEFAULT_FORMATS
+from eprint_oai.ids import EprintId, load_taxonomy, parse_datestamp
 from eprint_oai.protocol import (
     MalformedRequest,
     ProtocolHandler,
@@ -81,6 +83,13 @@ def test_getrecord_requires_both_arguments():
         parse_request([("verb", "GetRecord"), ("identifier", "x")])
     with pytest.raises(MalformedRequest, match="identifier"):
         parse_request([("verb", "GetRecord"), ("metadataPrefix", "oai_dc")])
+
+
+def test_list_records_requires_metadata_prefix():
+    with pytest.raises(MalformedRequest, match="ListRecords requires metadataPrefix"):
+        parse_request([("verb", "ListRecords"), ("from", "2000-01-01")])
+    req = parse_request([("verb", "ListRecords"), ("resumptionToken", "2000-01-01___")])
+    assert req.arguments == {"resumptionToken": "2000-01-01___"}
 
 
 # --- resumption tokens ------------------------------------------------------
@@ -298,6 +307,93 @@ def test_list_records_unsupported_prefix_is_legal(demo_handler):
     for record in records:
         if record.get("status") != "deleted":
             assert record.find(f"{ns}metadata") is None
+
+
+def harvest(handler, verb, **args):
+    """Follow every token from a first request; the pages' roots."""
+    roots = [body_root(call(handler, verb=verb, **args))]
+    while (token := roots[-1].findtext(f"{NS % verb}resumptionToken")) is not None:
+        roots.append(body_root(call(handler, verb=verb, resumptionToken=token)))
+    return roots
+
+
+def test_token_tags_resume_every_format(demo_handler):
+    """Each format's token names it by its prefix without ``oai_``, and
+    resuming that token renders every later page in the same format."""
+    ns = NS % "ListRecords"
+    full = [f"oai:arXiv:{e.identifier}" for e in demo_handler.store.scan()]
+    tags = {"oai_dc": "dc", "oai_rfc1807": "rfc1807", "arXiv": "arXiv",
+            "arXivOld": "arXivOld"}
+    assert set(tags) == {f.prefix for f in DEFAULT_FORMATS}
+    for prefix, tag in tags.items():
+        roots = harvest(demo_handler, "ListRecords", metadataPrefix=prefix)
+        assert len(roots) > 1
+        assert roots[0].findtext(f"{ns}resumptionToken") == f"1992-05-01___{tag}"
+        records = [r for root in roots for r in root.findall(f"{ns}record")]
+        assert [r.findtext(f"{ns}header/{ns}identifier") for r in records] == full
+        for record in records:
+            if record.get("status") != "deleted":
+                (payload,) = record.find(f"{ns}metadata")
+                assert payload.tag.endswith("}" + prefix)
+    resp = call(demo_handler, verb="ListRecords", resumptionToken="1992-05-01___nope")
+    assert resp.http_status == 400
+
+
+def test_unsupported_prefix_harvest_resumes_header_only(demo_handler):
+    ns = NS % "ListRecords"
+    roots = harvest(demo_handler, "ListRecords", metadataPrefix="oai_marc")
+    assert len(roots) > 1
+    assert roots[0].findtext(f"{ns}resumptionToken") == "1992-05-01___"
+    records = [r for root in roots for r in root.findall(f"{ns}record")]
+    assert [r.findtext(f"{ns}header/{ns}identifier") for r in records] == [
+        f"oai:arXiv:{e.identifier}" for e in demo_handler.store.scan()
+    ]
+    assert all(r.find(f"{ns}header") is not None for r in records)
+    assert all(r.find(f"{ns}metadata") is None for r in records)
+
+
+@pytest.mark.parametrize(
+    "identifier",
+    ["oai:arXiv:cs.DL/0101027\n", "oai:arXiv:cs.DL/\u0660\u0661\u0660\u0661027"],
+)
+def test_getrecord_identifier_grammar_is_ascii_and_whole(demo_handler, identifier):
+    root = body_root(call(demo_handler, verb="GetRecord", identifier=identifier,
+                          metadataPrefix="oai_dc"))
+    assert root.find(f"{NS % 'GetRecord'}record") is None
+
+
+def test_non_ascii_digits_in_datestamps_are_400(demo_handler):
+    arabic = "\u0661\u0669\u0669\u0662-\u0660\u0665-\u0660\u0661"  # 1992-05-01
+    for args in ({"from": arabic}, {"until": arabic},
+                 {"resumptionToken": arabic + "___"}):
+        resp = call(demo_handler, verb="ListIdentifiers", **args)
+        assert resp.http_status == 400, args
+
+
+def test_characters_xml_forbids_in_abs_fields_never_break_a_body(taxonomy):
+    """Every C0 control and U+FFFE in each free-text abs field, in every
+    format: each body parses, and in arXivOld, which echoes every field, a
+    character that is not a line break shows as U+FFFD. A header field
+    cannot hold a line break at all."""
+    eid = EprintId("cs", 101, 27, subject_class="DL")
+    for char in [chr(code) for code in range(32)] + ["\ufffe"]:
+        line_break = len(f"a{char}b".splitlines()) > 1
+        for name in ("title", "authors_raw", "comments", "abstract"):
+            text = f"Odd{char}text (Inst{char}X) and B{char} Author"
+            meta = make_meta(eid, date(2001, 1, 3), **{name: text})
+            store = Store(taxonomy)
+            try:
+                store.ingest(format_abs(meta), FIXED_CLOCK)
+            except AbsParseError:
+                assert line_break and name != "abstract", (hex(ord(char)), name)
+                continue
+            handler = ProtocolHandler(store, clock=lambda: FIXED_CLOCK)
+            for fmt in DEFAULT_FORMATS:
+                resp = call(handler, verb="GetRecord", metadataPrefix=fmt.prefix,
+                            identifier="oai:arXiv:cs.DL/0101027")
+                body_root(resp)
+                if fmt.prefix == "arXivOld" and char != "\t" and not line_break:
+                    assert "\ufffd".encode() in resp.body, (hex(ord(char)), name)
 
 
 def test_document_is_400_html(demo_handler):
