@@ -1,8 +1,9 @@
 """Incremental harvesting client.
 
 Follows resumptionTokens verbatim until a token-free page arrives, sleeps
-the advertised Retry-After on 503 replies, and persists results to an
-append-only journal plus a compacted latest-state file. Incremental runs
+the advertised Retry-After on 503 replies, waits 1, 2, 4 ... s (capped)
+after transport failures, and persists results to an append-only journal
+plus a compacted latest-state file. Incremental runs
 overlap the previous harvest by one day, so updates made later on the day
 of the last harvest are re-fetched rather than missed; double-harvested
 records simply overwrite identically.
@@ -15,14 +16,22 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
+from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
+from .durable import AppendLog, replace_durably
 from .ids import format_datestamp, parse_datestamp
+
+# longest wait, in seconds, between attempts after transport failures; the
+# waits double from 1 s up to it
+BACKOFF_CAP_S = 60.0
 
 
 class TransportFailure(RuntimeError):
@@ -221,7 +230,7 @@ def run(
 
 
 def _fetch_page(job, transport, params, sleep, report, partial):
-    attempts = 0
+    attempts = failures = 0
     while True:
         try:
             resp = transport.request(params)
@@ -231,7 +240,8 @@ def _fetch_page(job, transport, params, sleep, report, partial):
                 exc.partial_records = partial  # type: ignore[attr-defined]
                 exc.report = report  # type: ignore[attr-defined]
                 raise
-            sleep(1.0)
+            sleep(min(2.0**failures, BACKOFF_CAP_S))
+            failures += 1
             continue
         if resp.status == 503:
             report.retries_503 += 1
@@ -274,9 +284,18 @@ class HarvestStore:
     """Append-only journal plus a compacted latest-state file.
 
     ``journal.jsonl`` gets one JSON line per harvested record, in arrival
-    order. ``latest.json`` maps identifier to its newest entry and is
-    rewritten on compaction. Upserts are idempotent: re-fetching an
-    identical record changes nothing observable.
+    order; each :meth:`upsert` appends its lines and fsyncs them. Loading
+    ignores a torn last line (one with no trailing newline), which the next
+    upsert cuts off; a malformed line anywhere else raises. ``latest.json``
+    maps identifier to its newest entry, written as ``json.dumps(...,
+    indent=1, sort_keys=True)`` would write it, and is rewritten on
+    compaction: tmp + fsync, rename, directory fsync, and only then is the
+    journal truncated. Upserts are idempotent: re-fetching an identical
+    record changes nothing observable.
+
+    Each entry is held as the text of its member of ``latest.json``, not as
+    a dict, so that compaction re-encodes nothing: it writes the kept texts
+    in identifier order. :meth:`latest` decodes them on demand.
     """
 
     def __init__(self, directory: str | Path):
@@ -284,46 +303,119 @@ class HarvestStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.journal_path = self.directory / "journal.jsonl"
         self.latest_path = self.directory / "latest.json"
-        self._latest: dict[str, dict] = {}
+        self._journal = AppendLog(self.journal_path)
+        # identifier -> '"<identifier>": {...}', its member of latest.json
+        self._members: dict[str, str] = {}
         if self.latest_path.exists():
-            self._latest = json.loads(self.latest_path.read_text(encoding="utf-8"))
-        if self.journal_path.exists():
-            for line in self.journal_path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    entry = json.loads(line)
-                    self._latest[entry["identifier"]] = entry
-
-    @staticmethod
-    def _encode(record: HarvestedRecord) -> dict:
-        return {
-            "identifier": record.identifier,
-            "datestamp": (
-                format_datestamp(record.datestamp) if record.datestamp else None
-            ),
-            "deleted": record.deleted,
-            "metadata": record.metadata,
-        }
+            self._members = _members_of(self.latest_path.read_text(encoding="utf-8"))
+        for line in self._journal.read().split("\n"):
+            if line.strip():
+                entry = json.loads(line)
+                ident = entry["identifier"]
+                # the member as json.dumps writes it inside latest.json
+                self._members[ident] = json.dumps(
+                    {ident: entry}, indent=1, sort_keys=True
+                )[3:-2]
 
     def upsert(self, records: list[HarvestedRecord]) -> None:
-        with self.journal_path.open("a", encoding="utf-8") as fh:
+        members: dict[str, str] = {}
+
+        def lines():
             for record in records:
-                entry = self._encode(record)
-                self._latest[record.identifier] = entry
-                fh.write(json.dumps(entry) + "\n")
+                line, members[record.identifier] = _entry_texts(record)
+                yield line.encode("utf-8")
+
+        self._journal.append(lines())
+        self._members.update(members)  # only once the journal holds them
 
     def compact(self) -> None:
-        tmp = self.latest_path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(self._latest, indent=1, sort_keys=True), encoding="utf-8"
-        )
-        tmp.replace(self.latest_path)
-        self.journal_path.write_text("", encoding="utf-8")
+        replace_durably(self.latest_path, _object_parts(self._members))
+        self._journal.clear()
 
     def latest(self) -> dict[str, dict]:
-        return dict(self._latest)
+        return json.loads("{" + ",".join(self._members.values()) + "}")
 
     def __len__(self) -> int:
-        return len(self._latest)
+        return len(self._members)
+
+
+def _entry_texts(record: HarvestedRecord) -> tuple[str, str]:
+    """The record's journal line, exactly ``json.dumps(entry) + "\\n"``, and
+    its member of ``latest.json``, built from one encoding of each value."""
+    ident = encode_basestring_ascii(record.identifier)
+    stamp = (
+        encode_basestring_ascii(format_datestamp(record.datestamp))
+        if record.datestamp
+        else "null"
+    )
+    deleted = "true" if record.deleted else "false"
+    metadata = (
+        "null" if record.metadata is None else encode_basestring_ascii(record.metadata)
+    )
+    line = (
+        f'{{"identifier": {ident}, "datestamp": {stamp}, '
+        f'"deleted": {deleted}, "metadata": {metadata}}}\n'
+    )
+    member = (
+        f'{ident}: {{\n  "datestamp": {stamp},\n  "deleted": {deleted},\n'
+        f'  "identifier": {ident},\n  "metadata": {metadata}\n }}'
+    )
+    return line, member
+
+
+def _object_parts(members: dict[str, str]) -> Iterator[str]:
+    """The text of the JSON object holding ``members``, piece by piece, in
+    the layout of ``json.dumps(..., indent=1, sort_keys=True)``."""
+    if not members:
+        yield "{}"
+        return
+    separator = "{\n "
+    for name in sorted(members):
+        yield separator
+        yield members[name]
+        separator = ",\n "
+    yield "\n}"
+
+
+_scan_value = json.JSONDecoder().raw_decode
+_skip_space = re.compile(r"[ \t\n\r]*").match
+
+
+def _members_of(text: str) -> dict[str, str]:
+    """Split the JSON object ``text`` into its members' texts, keyed by name.
+
+    Each value is decoded once, to find where it ends and to reject a
+    malformed file, and then dropped; the texts are kept as the file holds
+    them.
+    """
+    members: dict[str, str] = {}
+    pos = _skip_space(text).end()
+    if text[pos : pos + 1] != "{":
+        raise json.JSONDecodeError("expecting an object", text, pos)
+    pos = _skip_space(text, pos + 1).end()
+    if text[pos : pos + 1] == "}":
+        pos += 1
+    else:
+        while True:
+            start = pos
+            if text[pos : pos + 1] != '"':
+                raise json.JSONDecodeError("expecting a name", text, pos)
+            name, pos = scanstring(text, pos + 1)
+            pos = _skip_space(text, pos).end()
+            if text[pos : pos + 1] != ":":
+                raise json.JSONDecodeError("expecting ':'", text, pos)
+            _, pos = _scan_value(text, _skip_space(text, pos + 1).end())
+            members[name] = text[start:pos]
+            pos = _skip_space(text, pos).end()
+            if text[pos : pos + 1] == "}":
+                pos += 1
+                break
+            if text[pos : pos + 1] != ",":
+                raise json.JSONDecodeError("expecting ',' or '}'", text, pos)
+            pos = _skip_space(text, pos + 1).end()
+    if _skip_space(text, pos).end() != len(text):
+        raise json.JSONDecodeError("extra data", text, pos)
+    return members
 
 
 class HarvestState:
@@ -350,11 +442,8 @@ class HarvestState:
             return
         self._state[key] = format_datestamp(day)
         if self.path is not None:
-            tmp = self.path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(self._state, indent=1, sort_keys=True), encoding="utf-8"
-            )
-            tmp.replace(self.path)
+            text = json.dumps(self._state, indent=1, sort_keys=True)
+            replace_durably(self.path, [text])
 
 
 def incremental(

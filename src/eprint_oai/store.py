@@ -16,8 +16,8 @@ behaviour is deterministic.
 Each write appends one line to ``changes.log`` and fsyncs it. Loading reads
 the two tables, then replays the log over them, ignoring a torn last line
 (one with no trailing newline). :meth:`Store.compact` folds the log into the
-tables (tmp + fsync + rename) and then truncates it; ``eprint-oai ingest``
-compacts once after its batch.
+tables (tmp + fsync, rename, directory fsync) and then truncates it;
+``eprint-oai ingest`` compacts once after its batch.
 
 An ingest writes the log line first, then the abs file (tmp + fsync +
 rename), then updates memory. A crash between the steps can therefore only
@@ -43,6 +43,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .absfile import AbsParseError, InternalMetadata, format_abs, parse_abs
+from .durable import AppendLog, replace_durably, write_durably
 from .ids import (
     EprintId,
     SetSpec,
@@ -95,13 +96,6 @@ def _sort_key(e: IndexEntry):
 _datestamp = attrgetter("datestamp")
 
 
-def _write_durably(path: Path, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
 class Store:
     """Many concurrent readers, single writer. Scans see a consistent
     index snapshot: either fully pre- or fully post-update."""
@@ -115,10 +109,8 @@ class Store:
         # index entries in (datestamp, identifier) order; None until the
         # first scan builds it
         self._snapshot: list[IndexEntry] | None = None
-        # length of the log's valid prefix when it ends in a torn line, which
-        # the next append cuts off
-        self._log_end: int | None = None
         if self.data_dir is not None:
+            self._log = AppendLog(self.data_dir / CHANGE_LOG)
             self._load()
 
     # --- loading / persistence ---------------------------------------
@@ -128,15 +120,10 @@ class Store:
         if not self.data_dir.is_dir():
             raise FileNotFoundError(f"store directory not found: {self.data_dir}")
         stamps: dict[str, date] = {}
-        for name in (DATESTAMP_TABLE, DELETED_TABLE, CHANGE_LOG):
-            path = self.data_dir / name
-            if not path.exists():
-                continue
-            data = path.read_bytes()
-            if name == CHANGE_LOG and data and not data.endswith(b"\n"):
-                self._log_end = data.rfind(b"\n") + 1
-                data = data[: self._log_end]
-            for line in data.decode("utf-8").split("\n"):
+        tables = (self.data_dir / DATESTAMP_TABLE, self.data_dir / DELETED_TABLE)
+        texts = [path.read_bytes().decode("utf-8") for path in tables if path.exists()]
+        for text in texts + [self._log.read()]:
+            for line in text.split("\n"):
                 if line.strip():
                     self._replay(line, stamps)
         for path in sorted(self.data_dir.glob("*/*/*.abs"), key=lambda p: p.parts):
@@ -159,19 +146,7 @@ class Store:
 
     def _append(self, line: str) -> None:
         """Append one line to the change log and fsync it."""
-        assert self.data_dir is not None
-        with open(self.data_dir / CHANGE_LOG, "ab") as fh:
-            if self._log_end is not None:
-                fh.truncate(self._log_end)
-            start = fh.seek(0, os.SEEK_END)
-            try:
-                fh.write(line.encode("utf-8") + b"\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            except BaseException:
-                self._log_end = start  # a partial line must not prefix the next
-                raise
-            self._log_end = None
+        self._log.append([line.encode("utf-8") + b"\n"])
 
     def _abs_path(self, meta: InternalMetadata) -> Path:
         assert self.data_dir is not None
@@ -210,16 +185,8 @@ class Store:
                 (DATESTAMP_TABLE, "\n".join(stamp_lines) + "\n"),
                 (DELETED_TABLE, ("\n".join(del_lines) + "\n") if del_lines else ""),
             ):
-                tmp = self.data_dir / (name + ".tmp")
-                _write_durably(tmp, text.encode("utf-8"))
-                os.replace(tmp, self.data_dir / name)
-            fd = os.open(self.data_dir, os.O_RDONLY)
-            try:
-                os.fsync(fd)  # the renames must land before the log goes
-            finally:
-                os.close(fd)
-            (self.data_dir / CHANGE_LOG).write_bytes(b"")
-            self._log_end = None
+                replace_durably(self.data_dir / name, [text])
+            self._log.clear()
 
     # --- mutation ------------------------------------------------------
 
@@ -250,7 +217,7 @@ class Store:
                 path = self._abs_path(meta)
                 path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_name(path.name + ".tmp")
-                _write_durably(tmp, text.encode("utf-8"))
+                write_durably(tmp, [text])
                 os.replace(tmp, path)
             old = self._index_key(key)
             self._records[key] = (meta, day)

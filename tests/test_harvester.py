@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import json
+import os
+import stat
+import tempfile
 from datetime import date, datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_meta
 from eprint_oai.absfile import format_abs
 from eprint_oai.config import RepositoryConfig
 from eprint_oai.flowcontrol import FlowPolicy
 from eprint_oai.harvester import (
+    HarvestedRecord,
     HarvestJob,
     HarvestState,
     HarvestStore,
@@ -20,10 +27,11 @@ from eprint_oai.harvester import (
     incremental,
     run,
 )
-from eprint_oai.ids import EprintId
+from eprint_oai.ids import EprintId, format_datestamp
 from eprint_oai.protocol import ProtocolHandler
 from eprint_oai.server import make_app
 from eprint_oai.store import Store
+from test_store import Crash, crash_on_write
 
 
 @pytest.fixture()
@@ -263,3 +271,248 @@ def test_incremental_failure_leaves_state_untouched(taxonomy):
             date(2001, 2, 1), Fails(), sleep=lambda s: None,
         )
     assert state.last_completed(key) == date(2001, 1, 1)
+
+
+def test_transport_failures_back_off_exponentially():
+    class FailsThenServes:
+        calls = 0
+
+        def request(self, params):
+            self.calls += 1
+            if self.calls <= 3:
+                raise TransportFailure("connection reset")
+            return TransportResponse(200, {}, EMPTY_LIST_IDENTIFIERS)
+
+    naps: list[float] = []
+    _, report = run(HarvestJob("ListIdentifiers"), FailsThenServes(), sleep=naps.append)
+    assert report.completed
+    assert naps == [1, 2, 4]
+
+
+def test_transport_backoff_is_capped():
+    class Down:
+        def request(self, params):
+            raise TransportFailure("down")
+
+    naps: list[float] = []
+    with pytest.raises(TransportFailure):
+        run(HarvestJob("ListIdentifiers", max_retries=8), Down(), sleep=naps.append)
+    assert naps == [1, 2, 4, 8, 16, 32, 60, 60]
+
+
+# --- local persistence -------------------------------------------------------
+
+
+class ReferenceHarvestStore:
+    """The dict-based store that ``HarvestStore`` replaced, kept as the
+    reference its files and entries must equal."""
+
+    def __init__(self, directory):
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self.journal_path = self.directory / "journal.jsonl"
+        self.latest_path = self.directory / "latest.json"
+        self._latest: dict[str, dict] = {}
+        if self.latest_path.exists():
+            self._latest = json.loads(self.latest_path.read_text(encoding="utf-8"))
+        if self.journal_path.exists():
+            for line in self.journal_path.read_text(encoding="utf-8").splitlines():
+                if line.strip():
+                    entry = json.loads(line)
+                    self._latest[entry["identifier"]] = entry
+
+    @staticmethod
+    def _encode(record: HarvestedRecord) -> dict:
+        return {
+            "identifier": record.identifier,
+            "datestamp": (
+                format_datestamp(record.datestamp) if record.datestamp else None
+            ),
+            "deleted": record.deleted,
+            "metadata": record.metadata,
+        }
+
+    def upsert(self, records):
+        with self.journal_path.open("a", encoding="utf-8") as fh:
+            for record in records:
+                entry = self._encode(record)
+                self._latest[record.identifier] = entry
+                fh.write(json.dumps(entry) + "\n")
+
+    def compact(self):
+        tmp = self.latest_path.with_suffix(".tmp")
+        tmp.write_text(
+            json.dumps(self._latest, indent=1, sort_keys=True), encoding="utf-8"
+        )
+        tmp.replace(self.latest_path)
+        self.journal_path.write_text("", encoding="utf-8")
+
+    def latest(self):
+        return dict(self._latest)
+
+    def __len__(self):
+        return len(self._latest)
+
+
+# quotes, backslashes, control characters, non-ASCII, astral characters and
+# lone surrogates, which JSON escapes in every way it can
+_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "/", "\n", "\x00", "\x7f", "é", "\u2028", "\U0001d49c"]),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=12,
+)
+_RECORD = st.builds(
+    HarvestedRecord,
+    identifier=st.one_of(st.sampled_from(["oai:arXiv:a", "oai:arXiv:b", ""]), _TEXT),
+    datestamp=st.one_of(st.none(), st.dates(date(1991, 1, 1), date(2030, 12, 31))),
+    deleted=st.booleans(),
+    metadata=st.one_of(st.none(), _TEXT),
+)
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("upsert"), st.lists(_RECORD, max_size=6)),
+        st.tuples(st.sampled_from(["compact", "reload"]), st.none()),
+    ),
+    max_size=12,
+)
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {
+        name: (directory / name).read_bytes()
+        for name in ("journal.jsonl", "latest.json")
+        if (directory / name).exists()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_STORE_OPS)
+def test_harvest_store_matches_reference(ops):
+    """Over random upsert, compact and reload sequences, the text-keeping
+    store writes the same bytes and returns the same entries, in the same
+    order, as the dict-based reference."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ours_dir, ref_dir = Path(tmp) / "ours", Path(tmp) / "ref"
+        ours, ref = HarvestStore(ours_dir), ReferenceHarvestStore(ref_dir)
+        for op, records in ops:
+            if op == "upsert":
+                ours.upsert(records)
+                ref.upsert(records)
+            elif op == "compact":
+                ours.compact()
+                ref.compact()
+            else:
+                ours, ref = HarvestStore(ours_dir), ReferenceHarvestStore(ref_dir)
+            assert _files(ours_dir) == _files(ref_dir)
+            assert len(ours) == len(ref)
+            latest = ours.latest()
+            assert latest == ref.latest()
+            assert list(latest) == list(ref.latest())
+
+
+def _harvested(n: int) -> list[HarvestedRecord]:
+    return [
+        HarvestedRecord(f"oai:arXiv:hep-th/99010{i:02d}", date(1999, 1, i + 1),
+                        metadata=f"<dc>r\u00e9sum\u00e9 {i}</dc>")
+        for i in range(n)
+    ]
+
+
+def _crash_mid_upsert(store: HarvestStore, records, monkeypatch) -> None:
+    """The process dies in an upsert after the first record's line and part
+    of the second."""
+    first = len(json.dumps(ReferenceHarvestStore._encode(records[0]))) + 1
+    with monkeypatch.context() as m:
+        crash_on_write(m, "journal.jsonl", budget=first + 20)
+        with pytest.raises(Crash):
+            store.upsert(records)
+
+
+def _journal_lines_whole(directory: Path) -> bool:
+    lines = (directory / "journal.jsonl").read_bytes().split(b"\n")
+    return lines[-1] == b"" and all(json.loads(line) for line in lines[:-1])
+
+
+def test_torn_journal_line_is_ignored_and_cut(tmp_path, monkeypatch):
+    """A harvester killed mid-upsert leaves a partial last line; the next
+    load ignores it and the next upsert cuts it off."""
+    records = _harvested(6)
+    HarvestStore(tmp_path).upsert(records[:3])
+    _crash_mid_upsert(HarvestStore(tmp_path), records[3:5], monkeypatch)
+    assert not (tmp_path / "journal.jsonl").read_bytes().endswith(b"\n")
+    reloaded = HarvestStore(tmp_path)
+    assert list(reloaded.latest()) == [r.identifier for r in records[:4]]
+    reloaded.upsert(records[5:])
+    assert _journal_lines_whole(tmp_path)
+    assert HarvestStore(tmp_path).latest() == reloaded.latest()
+    assert len(reloaded) == 5
+
+
+def test_malformed_journal_line_before_the_last_raises(tmp_path):
+    store = HarvestStore(tmp_path)
+    store.upsert(_harvested(1))
+    journal = tmp_path / "journal.jsonl"
+    journal.write_bytes(b"{not json\n" + journal.read_bytes())
+    with pytest.raises(json.JSONDecodeError):
+        HarvestStore(tmp_path)
+
+
+def test_failed_upsert_is_cut_by_the_next(tmp_path, monkeypatch):
+    """A process that survives a failed upsert changes no entry, and does
+    not extend the partial line with its next upsert."""
+    records = _harvested(6)
+    store = HarvestStore(tmp_path)
+    store.upsert(records[:3])
+    before = store.latest()
+    _crash_mid_upsert(store, records[3:5], monkeypatch)
+    assert store.latest() == before
+    store.upsert(records[5:])
+    assert _journal_lines_whole(tmp_path)
+    assert HarvestStore(tmp_path).latest() == store.latest()
+    assert len(store) == 4
+
+
+def _record_durability(monkeypatch, watched: Path) -> list[tuple[str, int]]:
+    """Log each fsync of a file or directory and each rename, with the size
+    ``watched`` had at that moment."""
+    events: list[tuple[str, int]] = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def size() -> int:
+        return watched.stat().st_size if watched.exists() else -1
+
+    def fsync(fd):
+        kind = "fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file"
+        events.append((kind, size()))
+        real_fsync(fd)
+
+    def replace(src, dst, **kwargs):
+        events.append(("rename", size()))
+        real_replace(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events
+
+
+def test_compact_is_durable_before_the_journal_goes(tmp_path, monkeypatch):
+    store = HarvestStore(tmp_path)
+    store.upsert(_harvested(3))
+    journal = tmp_path / "journal.jsonl"
+    size = journal.stat().st_size
+    events = _record_durability(monkeypatch, journal)
+    store.compact()
+    assert events == [("fsync file", size), ("rename", size), ("fsync dir", size)]
+    assert journal.read_bytes() == b""
+    assert HarvestStore(tmp_path).latest() == store.latest()
+
+
+def test_harvest_state_advance_is_durable(tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    state = HarvestState(path)
+    events = _record_durability(monkeypatch, path)
+    state.advance("k", date(2001, 1, 20))
+    assert [kind for kind, _ in events] == ["fsync file", "rename", "fsync dir"]
+    assert HarvestState(path).last_completed("k") == date(2001, 1, 20)
