@@ -8,6 +8,13 @@ overlap the previous harvest by one day, so updates made later on the day
 of the last harvest are re-fetched rather than missed; double-harvested
 records simply overwrite identically.
 
+Each page is read in one expat pass, with no tree built. A record's
+metadata is kept as the provider sent it: the bytes of the element inside
+``<metadata>``, from its start tag to the end of its end tag, decoded with
+the page's declared encoding. Only namespace bindings that element uses
+but inherits from the page are added to its start tag, so that it parses
+on its own.
+
 The transport is injected: a real HTTP client or an in-process loopback
 onto a WSGI app, so end-to-end runs need no network.
 """
@@ -18,7 +25,7 @@ import io
 import json
 import re
 import time
-import xml.etree.ElementTree as ET
+import xml.parsers.expat as expat
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from json.decoder import scanstring
@@ -28,10 +35,15 @@ from typing import Callable, Iterator, Protocol
 
 from .durable import AppendLog, replace_durably
 from .ids import format_datestamp, parse_datestamp
+from .xmlwriter import escape
 
 # longest wait, in seconds, between attempts after transport failures; the
 # waits double from 1 s up to it
 BACKOFF_CAP_S = 60.0
+# longest Retry-After, in seconds, the harvester obeys: one day, the period
+# of an incremental harvest. A longer wait, a negative one or one that is not
+# finite is a ProtocolError rather than a sleep.
+RETRY_AFTER_MAX_S = 86400.0
 
 
 class TransportFailure(RuntimeError):
@@ -135,7 +147,7 @@ class HarvestedRecord:
     identifier: str  # full oai identifier
     datestamp: date | None = None
     deleted: bool = False
-    metadata: str | None = None  # raw XML fragment when present
+    metadata: str | None = None  # the provider's XML fragment when present
 
 
 @dataclass
@@ -148,55 +160,201 @@ class HarvestReport:
     completed: bool = False
 
 
-def _localname(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+# the end of the tag that starts where the match starts; attribute values may
+# hold ">", so quoted runs are skipped whole
+_TAG_END = re.compile(rb"""(?:[^>"']|"[^"]*"|'[^']*')*>""")
 
 
 def _parse_page(body: bytes, verb: str) -> tuple[list[HarvestedRecord], str | None]:
-    try:
-        root = ET.fromstring(body)
-    except ET.ParseError as exc:
-        raise ProtocolError(f"response body does not parse as XML: {exc}") from exc
-    if _localname(root.tag) != verb:
-        raise ProtocolError(
-            f"expected {verb} response, got {_localname(root.tag)!r}"
-        )
+    """The records and resumptionToken of one page, in one expat pass.
+
+    Identifiers, datestamps, deletion flags and the token come from text
+    events. A record's metadata is the page's own bytes from the start tag
+    of ``<metadata>``'s first child to the end of that child's end tag,
+    decoded with the page's declared encoding; inside that child the
+    handlers only count depth. A namespace binding the child uses but an
+    ancestor declares is added to its start tag (:func:`_declare_inherited`).
+    """
+    parser = expat.ParserCreate(namespace_separator="}")
     records: list[HarvestedRecord] = []
     token: str | None = None
-    for child in root:
-        name = _localname(child.tag)
-        if name == "identifier":
-            records.append(HarvestedRecord(identifier=(child.text or "").strip()))
-        elif name == "record":
-            records.append(_parse_record(child))
-        elif name == "resumptionToken":
-            token = (child.text or "").strip() or None
+    encoding = "utf-8"
+    path: list[str] = []  # local names of the open elements outside fragments
+    declared: list[tuple[str, str]] = []  # bindings the next element declares
+    # bindings declared by the open elements at depths 0-2, the ancestors
+    # a fragment has
+    in_scope: list[list[tuple[str, str]]] = [[], [], []]
+    text: list[str] | None = None  # character data being collected
+    ident, stamp, deleted, metadata = "", None, False, None
+    start = depth = 0  # where the open fragment starts, its depth
+    inherited: dict[str, str] = {}
+
+    def xml_decl(version, declared_encoding, standalone):
+        nonlocal encoding
+        if declared_encoding:
+            encoding = declared_encoding
+
+    def namespace(prefix, uri):
+        declared.append((prefix or "", uri or ""))
+
+    def collect():
+        nonlocal text
+        text = []
+        parser.CharacterDataHandler = text.append
+
+    def element_start(name, attrs):
+        nonlocal declared, ident, stamp, deleted, metadata
+        local = name.rpartition("}")[2]
+        level = len(path)
+        if level < 3:
+            in_scope[level] = declared
+        declared = []
+        if level == 0:
+            if local != verb:
+                raise ProtocolError(f"expected {verb} response, got {local!r}")
+        elif level == 1:
+            if local == "record":
+                ident, stamp, metadata = "", None, None
+                deleted = attrs.get("status") == "deleted"
+            elif local == "identifier" or local == "resumptionToken":
+                collect()
+        elif level == 2:
+            if local == "metadata" and path[1] == "record":
+                parser.StartElementHandler = fragment_start
+        elif level == 3 and path[2] == "header" and path[1] == "record":
+            if local == "identifier" or local == "datestamp":
+                collect()
+        path.append(local)
+
+    def element_end(name):
+        nonlocal text, token, ident, stamp
+        local = path.pop()
+        value = None
+        if text is not None:
+            value = "".join(text).strip()
+            text = None
+            parser.CharacterDataHandler = None
+        level = len(path)
+        if level == 1:
+            if local == "record":
+                record_end()
+            elif local == "identifier":
+                records.append(HarvestedRecord(identifier=value or ""))
+            elif local == "resumptionToken":
+                token = value or None
+        elif level == 2:
+            if local == "metadata":  # whether or not it held an element
+                parser.StartElementHandler = element_start
+        elif level == 3 and value is not None:
+            if local == "identifier":
+                ident = value
+            elif local == "datestamp":
+                stamp = value
+
+    def record_end():
+        if not ident:
+            raise ProtocolError("record without header identifier")
+        day = None
+        if stamp is not None:
+            try:
+                day = parse_datestamp(stamp)
+            except ValueError as exc:
+                raise ProtocolError(
+                    f"{ident}: bad header datestamp {stamp!r}: {exc}"
+                ) from exc
+        records.append(HarvestedRecord(ident, day, deleted, metadata))
+
+    def fragment_start(name, attrs):
+        nonlocal start, depth, declared, inherited
+        start = parser.CurrentByteIndex
+        own = {prefix for prefix, _ in declared}
+        declared = []
+        bindings = dict(in_scope[0])
+        bindings.update(in_scope[1])
+        bindings.update(in_scope[2])
+        inherited = {p: u for p, u in bindings.items() if u and p not in own}
+        depth = 1
+        parser.StartElementHandler = inner_start
+        parser.EndElementHandler = inner_end
+
+    def inner_start(name, attrs):
+        nonlocal depth
+        depth += 1
+
+    def inner_end(name):
+        nonlocal depth
+        depth -= 1
+        if not depth:
+            fragment_end()
+
+    def fragment_end():
+        nonlocal metadata, declared
+        # expat reports the end of an element at the "<" of its end tag, or,
+        # for an empty-element tag, just after that tag
+        end = parser.CurrentByteIndex
+        if not (
+            body[end - 2 : end] == b"/>" and _TAG_END.match(body, start).end() == end
+        ):
+            end = body.index(b">", end) + 1
+        fragment = body[start:end].decode(encoding)
+        metadata = _declare_inherited(fragment, inherited) if inherited else fragment
+        declared = []  # made inside the fragment
+        parser.StartElementHandler = element_start
+        parser.EndElementHandler = element_end
+
+    # the slicing above finds "<", "/" and ">" as single bytes, as they are
+    # in UTF-8 and every other encoding expat reads except UTF-16
+    if body[:2] in (b"\xfe\xff", b"\xff\xfe") or b"\x00" in body[:4]:
+        raise ProtocolError("UTF-16 and UTF-32 pages are not supported")
+    parser.XmlDeclHandler = xml_decl
+    parser.StartNamespaceDeclHandler = namespace
+    parser.StartElementHandler = element_start
+    parser.EndElementHandler = element_end
+    try:
+        parser.Parse(body, True)
+    except expat.ExpatError as exc:
+        raise ProtocolError(f"response body does not parse as XML: {exc}") from exc
     return records, token
 
 
-def _parse_record(node: ET.Element) -> HarvestedRecord:
-    ident, stamp, metadata = "", None, None
-    for child in node:
-        name = _localname(child.tag)
-        if name == "header":
-            for h in child:
-                hname = _localname(h.tag)
-                if hname == "identifier":
-                    ident = (h.text or "").strip()
-                elif hname == "datestamp":
-                    stamp = parse_datestamp((h.text or "").strip())
-        elif name == "metadata":
-            inner = list(child)
-            if inner:
-                metadata = ET.tostring(inner[0], encoding="unicode").strip()
-    if not ident:
-        raise ProtocolError("record without header identifier")
-    return HarvestedRecord(
-        identifier=ident,
-        datestamp=stamp,
-        deleted=node.get("status") == "deleted",
-        metadata=metadata,
+def _declare_inherited(fragment: str, inherited: dict[str, str]) -> str:
+    """``fragment`` with the bindings of ``inherited`` (prefix to URI, ""
+    for the default namespace) that it uses without declaring them itself
+    added to its root's start tag, so that it means on its own what it meant
+    in the page."""
+    root = ""  # the qualified name of the fragment's root
+    used: set[str] = set()
+    scopes: list[set[str]] = []  # the prefixes each open element declares
+
+    def undeclared(prefix: str) -> bool:
+        return prefix in inherited and not any(prefix in s for s in scopes)
+
+    def start(name, attrs):
+        nonlocal root
+        root = root or name
+        scopes.append({a[6:] for a in attrs if a == "xmlns" or a[:6] == "xmlns:"})
+        prefix = name.rpartition(":")[0]
+        if undeclared(prefix):
+            used.add(prefix)
+        for attr in attrs:
+            prefix, colon, _ = attr.partition(":")
+            if colon and prefix != "xmlns" and undeclared(prefix):
+                used.add(prefix)
+
+    parser = expat.ParserCreate()
+    parser.StartElementHandler = start
+    parser.EndElementHandler = lambda name: scopes.pop()
+    try:
+        parser.Parse(fragment, True)
+    except expat.ExpatError as exc:
+        raise ProtocolError(f"metadata does not parse on its own: {exc}") from exc
+    if not used:
+        return fragment
+    bindings = "".join(
+        f' xmlns{":" if prefix else ""}{prefix}="{escape(inherited[prefix])}"'
+        for prefix in sorted(used)
     )
+    return f"<{root}{bindings}{fragment[1 + len(root):]}"
 
 
 def run(
@@ -260,11 +418,20 @@ def _fetch_page(job, transport, params, sleep, report, partial):
 
 def _retry_after_seconds(value: str, now: datetime | None = None) -> float:
     """Seconds to wait for a Retry-After value, which is either a number of
-    seconds or an HTTP-date; a date already past means no wait."""
+    seconds or an HTTP-date; a date already past means no wait. A negative
+    or non-finite number, or a wait longer than ``RETRY_AFTER_MAX_S``, is a
+    :class:`ProtocolError`."""
     try:
-        return float(value)
+        seconds = float(value)
     except ValueError:
-        pass
+        seconds = _seconds_until(value, now or datetime.now(timezone.utc))
+    # also false for NaN
+    if not 0.0 <= seconds <= RETRY_AFTER_MAX_S:
+        raise ProtocolError(f"Retry-After out of range: {value!r}")
+    return seconds
+
+
+def _seconds_until(value: str, now: datetime) -> float:
     from email.utils import parsedate_to_datetime  # slow import, rarely needed
 
     try:
@@ -273,7 +440,6 @@ def _retry_after_seconds(value: str, now: datetime | None = None) -> float:
         raise ProtocolError(f"bad Retry-After header: {value!r}") from exc
     if when.tzinfo is None:  # "-0000": UTC with no source zone
         when = when.replace(tzinfo=timezone.utc)
-    now = now or datetime.now(timezone.utc)
     return max(0.0, (when - now).total_seconds())
 
 

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from wsgiref.simple_server import make_server
 
 import pytest
 
-from conftest import GOLDEN
+from conftest import GOLDEN, ROOT
 from eprint_oai import cli
 from eprint_oai.server import ThreadingWSGIServer, _QuietHandler, make_app
 
@@ -95,18 +98,29 @@ def test_clock_env_override(monkeypatch):
     assert cli.now().year >= 2024
 
 
-@pytest.fixture()
-def live_server(demo_handler):
-    app = make_app(demo_handler)  # no throttling: this exercises transport
+@contextmanager
+def serving(app):
+    """``app`` on a loopback port for the duration; yields its URL."""
     httpd = make_server(
         "127.0.0.1", 0, app,
         server_class=ThreadingWSGIServer, handler_class=_QuietHandler,
     )
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{httpd.server_port}/"
-    httpd.shutdown()
-    thread.join(timeout=5)
+    try:
+        yield f"http://127.0.0.1:{httpd.server_port}/"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.fixture()
+def live_server(demo_handler):
+    # no throttling: this exercises transport
+    with serving(make_app(demo_handler)) as url:
+        yield url
 
 
 def test_harvest_command_over_http(tmp_path, capsys, live_server):
@@ -141,3 +155,37 @@ def test_harvest_unreachable_target(tmp_path, capsys):
     )
     assert rc == 1
     assert "harvest failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stamp", ["2001-13-45", "2001-1-4"])
+def test_harvest_malformed_datestamp_fails_cleanly(tmp_path, capsys, stamp):
+    body = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<ListRecords xmlns="http://www.openarchives.org/OAI/1.0/OAI_ListRecords">'
+        "<record><header><identifier>oai:arXiv:cs.DL/0101027</identifier>"
+        f"<datestamp>{stamp}</datestamp></header></record></ListRecords>\n"
+    ).encode("utf-8")
+
+    def app(environ, start_response):
+        start_response("200 OK", [("Content-Type", "text/xml; charset=utf-8")])
+        return [body]
+
+    with serving(app) as url:
+        rc = cli.main(
+            ["harvest", "--data-dir", str(tmp_path / "h"), url, "--prefix", "oai_dc"]
+        )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "harvest failed" in err and stamp in err
+    assert "Traceback" not in err
+
+
+def test_harvest_demo_script_runs(demo_store):
+    """``scripts/harvest_demo.py``, as the README documents it, harvests the
+    whole demo corpus."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "harvest_demo.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert f"fetched={len(demo_store.scan())} " in done.stdout

@@ -4,6 +4,8 @@ import json
 import os
 import stat
 import tempfile
+import time
+import xml.etree.ElementTree as ET
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -23,11 +25,12 @@ from eprint_oai.harvester import (
     TransportFailure,
     TransportResponse,
     WsgiTransport,
+    _parse_page,
     _retry_after_seconds,
     incremental,
     run,
 )
-from eprint_oai.ids import EprintId, format_datestamp
+from eprint_oai.ids import EprintId, format_datestamp, parse_datestamp
 from eprint_oai.protocol import ProtocolHandler
 from eprint_oai.server import make_app
 from eprint_oai.store import Store
@@ -147,6 +150,30 @@ EMPTY_LIST_IDENTIFIERS = (
 )
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["-1", "-0.5", "nan", "inf", "-inf", "1e400", "1e300", "86401",
+     "Fri, 31 Dec 9999 23:59:59 GMT"],
+)
+def test_retry_after_that_cannot_be_slept_is_protocol_error(value):
+    now = datetime(2015, 10, 21, 7, 28, 0, tzinfo=timezone.utc)
+    with pytest.raises(ProtocolError, match="Retry-After"):
+        _retry_after_seconds(value, now)
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "1e400", "1e300"])
+def test_run_with_real_sleep_reports_bad_retry_after(value):
+    """The real ``time.sleep`` refuses these values with ValueError or
+    OverflowError; the harvest must fail with a ProtocolError first."""
+
+    class Busy:
+        def request(self, params):
+            return TransportResponse(503, {"Retry-After": value}, b"busy")
+
+    with pytest.raises(ProtocolError):
+        run(HarvestJob("ListIdentifiers", max_retries=1), Busy(), sleep=time.sleep)
+
+
 def test_retry_after_http_date_obeyed():
     class DateThen200:
         calls = 0
@@ -192,6 +219,260 @@ def test_garbage_body_is_protocol_error():
 
     with pytest.raises(ProtocolError):
         run(HarvestJob("ListIdentifiers"), Garbage())
+
+
+# --- the page parser ----------------------------------------------------------
+
+
+def _localname(tag: str) -> str:
+    return tag.rsplit("}", 1)[-1]
+
+
+def reference_parse_page(body: bytes, verb: str):
+    """The ElementTree parser that ``_parse_page`` replaced, kept as the
+    reference its records and tokens must equal; it stores each record's
+    metadata re-serialised by ``ET.tostring``."""
+    try:
+        root = ET.fromstring(body)
+    except ET.ParseError as exc:
+        raise ProtocolError(f"response body does not parse as XML: {exc}") from exc
+    if _localname(root.tag) != verb:
+        raise ProtocolError(f"expected {verb} response, got {_localname(root.tag)!r}")
+    records: list[HarvestedRecord] = []
+    token = None
+    for child in root:
+        name = _localname(child.tag)
+        if name == "identifier":
+            records.append(HarvestedRecord(identifier=(child.text or "").strip()))
+        elif name == "record":
+            records.append(_reference_record(child))
+        elif name == "resumptionToken":
+            token = (child.text or "").strip() or None
+    return records, token
+
+
+def _reference_record(node) -> HarvestedRecord:
+    ident, stamp, metadata = "", None, None
+    for child in node:
+        name = _localname(child.tag)
+        if name == "header":
+            for h in child:
+                hname = _localname(h.tag)
+                if hname == "identifier":
+                    ident = (h.text or "").strip()
+                elif hname == "datestamp":
+                    stamp = parse_datestamp((h.text or "").strip())
+        elif name == "metadata":
+            inner = list(child)
+            if inner:
+                metadata = ET.tostring(inner[0], encoding="unicode").strip()
+    if not ident:
+        raise ProtocolError("record without header identifier")
+    return HarvestedRecord(ident, stamp, node.get("status") == "deleted", metadata)
+
+
+def _canonical(fragment: str) -> str:
+    return ET.canonicalize(fragment, rewrite_prefixes=True)
+
+
+def assert_same_as_reference(body: bytes, verb: str) -> list[HarvestedRecord]:
+    """``_parse_page`` and the reference agree on every header field and
+    the token, and every fragment parses on its own and means what the
+    reference's does."""
+    records, token = _parse_page(body, verb)
+    expected, expected_token = reference_parse_page(body, verb)
+    assert token == expected_token
+    assert [(r.identifier, r.datestamp, r.deleted) for r in records] == [
+        (r.identifier, r.datestamp, r.deleted) for r in expected
+    ]
+    for record, reference in zip(records, expected):
+        assert (record.metadata is None) == (reference.metadata is None)
+        if record.metadata is not None:
+            ET.fromstring(record.metadata)
+            assert _canonical(record.metadata) == _canonical(reference.metadata)
+    return records
+
+
+def _pages(transport, job: HarvestJob) -> list[bytes]:
+    pages, params = [], job.initial_params()
+    while True:
+        body = transport.request(params).body
+        pages.append(body)
+        _, token = reference_parse_page(body, job.verb)
+        if token is None:
+            return pages
+        params = [("verb", job.verb), ("resumptionToken", token)]
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        HarvestJob("ListRecords", metadata_prefix="oai_dc"),
+        HarvestJob("ListRecords", metadata_prefix="oai_rfc1807"),
+        HarvestJob("ListRecords", metadata_prefix="arXiv"),
+        HarvestJob("ListRecords", metadata_prefix="arXivOld"),
+        HarvestJob("ListRecords", metadata_prefix="oai_dc", set_spec="math"),
+        HarvestJob("ListIdentifiers"),
+    ],
+    ids=lambda job: f"{job.metadata_prefix or job.verb}-{job.set_spec or 'all'}",
+)
+def test_parse_page_matches_reference_on_demo_harvests(transport, job):
+    pages = _pages(transport, job)
+    assert len(pages) >= (1 if job.set_spec else 2)  # math fits on one page
+    fragments = 0
+    for body in pages:
+        for record in assert_same_as_reference(body, job.verb):
+            if record.metadata is not None:
+                fragments += 1
+                # the provider's bytes, from the start tag to the end tag
+                assert record.metadata.encode("utf-8") in body
+    assert fragments or job.verb == "ListIdentifiers"
+
+
+def test_stored_metadata_is_the_providers_bytes(transport):
+    records, _ = run(HarvestJob("ListRecords", metadata_prefix="arXiv"), transport)
+    normal = {r.identifier: r for r in records}["oai:arXiv:cs.DL/0101027"]
+    assert normal.metadata.startswith(
+        '<arXiv xmlns="http://arXiv.org/OAI/"\n'
+        '      xmlns:xsi="http://www.w3.org/2000/10/XMLSchema-instance"\n'
+    )
+    assert normal.metadata.endswith("</arXiv>")
+    assert "ns0:" not in normal.metadata
+
+
+def _page(records: str, root_attrs: str = "", declaration: str = "UTF-8") -> str:
+    return (
+        f'<?xml version="1.0" encoding="{declaration}"?>\n'
+        f'<ListRecords xmlns="http://www.openarchives.org/OAI/1.0/OAI_ListRecords"'
+        f"{root_attrs}>\n<responseDate>2001-01-22T10:01:27+00:00</responseDate>\n"
+        f"{records}</ListRecords>\n"
+    )
+
+
+def _record(metadata: str, ident: str = "oai:arXiv:cs.DL/0101027",
+            stamp: str = "2001-01-25", status: str = "") -> str:
+    return (
+        f"<record{status}><header><identifier>{ident}</identifier>"
+        f"<datestamp>{stamp}</datestamp></header>\n"
+        f"<metadata>{metadata}</metadata></record>\n"
+    )
+
+
+def test_fragment_gets_the_bindings_it_inherits():
+    """A prefix and a default namespace declared on ancestors are declared
+    again on the fragment's root, and only those the fragment uses."""
+    body = _page(
+        _record('\n <dc:title xml:lang="en">T</dc:title>\n ')
+        + _record(
+            '<entry dc:lang="en"><dc:title>T</dc:title><x:y xmlns:x="urn:x"/></entry>',
+            ident="oai:arXiv:cs.DL/0101028",
+        ).replace("<metadata>", '<metadata xmlns="urn:meta">')
+        + _record('<own xmlns="urn:own"><dc:title>T</dc:title></own>',
+                  ident="oai:arXiv:cs.DL/0101029")
+        + _record('<note xmlns="urn:n" dc:lang="en">T</note>',
+                  ident="oai:arXiv:cs.DL/0101030"),
+        ' xmlns:dc="http://purl.org/dc/elements/1.1/" xmlns:unused="urn:unused"',
+    ).encode("utf-8")
+    records = assert_same_as_reference(body, "ListRecords")
+    assert [r.metadata for r in records] == [
+        '<dc:title xmlns:dc="http://purl.org/dc/elements/1.1/" xml:lang="en">'
+        "T</dc:title>",
+        '<entry xmlns="urn:meta" xmlns:dc="http://purl.org/dc/elements/1.1/"'
+        ' dc:lang="en"><dc:title>T</dc:title><x:y xmlns:x="urn:x"/></entry>',
+        '<own xmlns:dc="http://purl.org/dc/elements/1.1/" xmlns="urn:own">'
+        "<dc:title>T</dc:title></own>",
+        '<note xmlns:dc="http://purl.org/dc/elements/1.1/" xmlns="urn:n"'
+        ' dc:lang="en">T</note>',
+    ]
+
+
+def test_page_in_iso_8859_1():
+    body = _page(
+        _record('<dc xmlns="urn:dc"><title>Caf\u00e9 \u00e0 Orsay</title></dc>',
+                ident="oai:arXiv:cs.DL/0101027\u00e9"),
+        declaration="ISO-8859-1",
+    ).encode("iso-8859-1")
+    [record] = assert_same_as_reference(body, "ListRecords")
+    assert record.identifier == "oai:arXiv:cs.DL/0101027\u00e9"
+    assert record.metadata == (
+        '<dc xmlns="urn:dc"><title>Caf\u00e9 \u00e0 Orsay</title></dc>'
+    )
+
+
+def test_utf16_page_is_protocol_error():
+    """Fragments are found by single-byte "<" and ">", so a page in UTF-16
+    is refused rather than sliced wrongly."""
+    text = _page(_record('<dc xmlns="urn:dc"/>'), declaration="UTF-16")
+    for body in (text.encode("utf-16"), text.encode("utf-16-be")):
+        reference_parse_page(body, "ListRecords")
+        with pytest.raises(ProtocolError, match="UTF-16"):
+            _parse_page(body, "ListRecords")
+
+
+@pytest.mark.parametrize(
+    "fragment",
+    [
+        '<empty xmlns="urn:e" note="a > b" other=\'/>\'/>',
+        '<empty xmlns="urn:e" note="a > b" />',
+        '<r xmlns="urn:r"><c note="/>"/></r>',
+        '<r xmlns="urn:r">x/></r>',
+        '<r xmlns="urn:r"></r >',
+        '<d xmlns="urn:d"><!-- a <note> --><t><![CDATA[a <b> & c]]></t></d>',
+    ],
+)
+def test_fragment_bytes_end_where_the_element_ends(fragment):
+    """Empty-element roots (also with ">" inside an attribute value), roots
+    whose content ends in "/>", CDATA and comments are kept byte for byte."""
+    body = _page(_record(fragment + "\n") + _record(fragment, ident="oai:x:2"))
+    records = assert_same_as_reference(body.encode("utf-8"), "ListRecords")
+    assert [r.metadata for r in records] == [fragment, fragment]
+
+
+def test_empty_metadata_is_none():
+    body = _page(_record("") + _record("", ident="oai:x:2").replace(
+        "<metadata></metadata>", "<metadata/>"))
+    records = assert_same_as_reference(body.encode("utf-8"), "ListRecords")
+    assert [r.metadata for r in records] == [None, None]
+
+
+def test_deleted_record_and_token():
+    body = _page(
+        _record("", status=' status="deleted"')
+        + "<resumptionToken> 1992-05-01___ </resumptionToken>\n"
+    ).encode("utf-8")
+    [record] = assert_same_as_reference(body, "ListRecords")
+    assert record.deleted and record.metadata is None
+    assert _parse_page(body, "ListRecords")[1] == "1992-05-01___"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _page(_record("<a/>")).encode("utf-8").replace(
+            b"ListRecords", b"ListIdentifiers"),  # the wrong root element
+        _page(_record("<a/>")).encode("utf-8")[:-40],  # truncated
+        b"this is not xml",
+        b"",
+        _page(_record("<p:a/>")).encode("utf-8"),  # unbound prefix
+        _page(_record("<a/>", ident="")).encode("utf-8"),
+    ],
+    ids=["wrong-root", "truncated", "not-xml", "empty", "unbound-prefix",
+         "no-identifier"],
+)
+def test_unusable_page_is_protocol_error(body):
+    with pytest.raises(ProtocolError):
+        reference_parse_page(body, "ListRecords")
+    with pytest.raises(ProtocolError):
+        _parse_page(body, "ListRecords")
+
+
+@pytest.mark.parametrize("stamp", ["2001-13-45", "2001-1-4", "", "2001-02-30"])
+def test_malformed_header_datestamp_is_protocol_error(stamp):
+    body = _page(_record("<a/>", stamp=stamp)).encode("utf-8")
+    with pytest.raises(ValueError):
+        reference_parse_page(body, "ListRecords")
+    with pytest.raises(ProtocolError, match="datestamp"):
+        _parse_page(body, "ListRecords")
 
 
 def test_harvest_store_roundtrip(tmp_path, transport):
