@@ -70,10 +70,6 @@ class InternalMetadata:
         for ref in self.crosslists:
             parse_archive_ref(ref)
 
-    @property
-    def latest_version(self) -> int:
-        return self.submission_dates[-1][0]
-
 
 def parse_abs(data: bytes | str) -> InternalMetadata:
     """Parse abs-file bytes into :class:`InternalMetadata`."""

@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 from . import harvester
@@ -150,8 +150,8 @@ def cmd_harvest(args: argparse.Namespace) -> int:
     job = harvester.HarvestJob(
         verb=verb,
         metadata_prefix=args.prefix,
-        from_=parse_datestamp(args.from_) if args.from_ else None,
-        until=parse_datestamp(args.until) if args.until else None,
+        from_=args.from_,
+        until=args.until,
         set_spec=args.set,
     )
     transport = harvester.HttpTransport(args.target)
@@ -205,6 +205,14 @@ def cmd_crosswalk(args: argparse.Namespace) -> int:
     return 0
 
 
+def _datestamp_arg(text: str) -> date:
+    """A ``YYYY-MM-DD`` flag value; anything else is a usage error."""
+    try:
+        return parse_datestamp(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eprint-oai",
@@ -240,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("target", help="provider base URL")
     p.add_argument("--prefix", help="metadataPrefix (ListRecords when given)")
-    p.add_argument("--from", dest="from_")
-    p.add_argument("--until")
+    p.add_argument("--from", dest="from_", type=_datestamp_arg)
+    p.add_argument("--until", type=_datestamp_arg)
     p.add_argument("--set")
     p.add_argument("--incremental", action="store_true")
     p.add_argument("--state-file", dest="state_file", default="harvest_state.json")

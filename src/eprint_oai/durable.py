@@ -24,11 +24,16 @@ def write_durably(path: Path, parts: Iterable[str]) -> None:
         os.fsync(fh.fileno())
 
 
-def replace_durably(path: Path, parts: Iterable[str]) -> None:
+def replace_durably(
+    path: Path, parts: Iterable[str], tmp: Path | None = None
+) -> None:
     """Replace ``path`` with the text of ``parts``: tmp + fsync, rename, then
     fsync the directory, so that the new content is on disk once this
-    returns and a crash before then leaves the old file whole."""
-    tmp = path.with_name(path.name + ".tmp")
+    returns and a crash before then leaves the old file whole. The tmp file
+    is ``<name>.tmp`` unless ``tmp`` names another; writers that may run in
+    several processes at once each need their own."""
+    if tmp is None:
+        tmp = path.with_name(path.name + ".tmp")
     write_durably(tmp, parts)
     os.replace(tmp, path)
     fd = os.open(path.parent, os.O_RDONLY)

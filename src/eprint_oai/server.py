@@ -1,9 +1,11 @@
 """WSGI application binding the protocol handler and flow control.
 
 Accepts GET and POST (form-encoded) with identical argument semantics.
-Throttled requests are answered with 503 and a Retry-After header in
-seconds. The same app object serves both a real HTTP socket and the
-in-process loopback transport used by the harvester tests.
+Throttled requests, and requests the store cannot answer because a
+record's abs file has vanished or no longer parses, are answered with 503
+and a Retry-After header in seconds. The same app object serves both a
+real HTTP socket and the in-process loopback transport used by the
+harvester tests.
 """
 
 from __future__ import annotations
@@ -18,8 +20,13 @@ from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 from .flowcontrol import ClientLedger, FlowPolicy
 from .protocol import LIST_VERBS, ProtocolHandler, VerbResponse
+from .store import StoreError
 
 log = logging.getLogger("eprint_oai.server")
+
+# a store failure (an abs file gone or corrupt since load) needs an operator,
+# so a harvester is told to come back in a minute rather than at once
+STORE_RETRY_AFTER_S = 60
 
 _STATUS_LINE = {200: "200 OK", 400: "400 Bad Request", 503: "503 Service Unavailable"}
 
@@ -49,7 +56,16 @@ def make_app(
             verb = next((v for k, v in params if k == "verb"), "")
             response = _admit(environ, verb)
             if response is None:
-                response = handler.handle(params)
+                try:
+                    response = handler.handle(params)
+                except StoreError as exc:
+                    log.error("store failure, answering 503: %s", exc)
+                    response = VerbResponse(
+                        503,
+                        "text/plain; charset=utf-8",
+                        b"The record store is unavailable; retry later.\n",
+                        retry_after=STORE_RETRY_AFTER_S,
+                    )
         headers = [
             ("Content-Type", response.content_type),
             ("Content-Length", str(len(response.body))),

@@ -11,7 +11,7 @@ from wsgiref.simple_server import make_server
 import pytest
 
 from conftest import GOLDEN, ROOT
-from eprint_oai import cli
+from eprint_oai import cli, harvester
 from eprint_oai.server import ThreadingWSGIServer, _QuietHandler, make_app
 
 DEMO = Path(__file__).resolve().parent.parent / "corpus" / "demo"
@@ -148,13 +148,29 @@ def test_harvest_incremental_state(tmp_path, capsys, live_server, monkeypatch):
     assert cli.main(args) == 0
 
 
-def test_harvest_unreachable_target(tmp_path, capsys):
+def test_harvest_unreachable_target(tmp_path, capsys, monkeypatch):
+    # every retry still happens, without the real 1+2+4+8+16 s of backoff
+    monkeypatch.setattr(harvester, "BACKOFF_CAP_S", 0)
     rc = cli.main(
         ["harvest", "--data-dir", str(tmp_path / "h"),
          "http://127.0.0.1:1/", "--prefix", "oai_dc"]
     )
     assert rc == 1
     assert "harvest failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--from", "--until"])
+@pytest.mark.parametrize("stamp", ["2001-13-45", "2001-1-4"])
+def test_harvest_bad_window_flag_is_usage_error(tmp_path, capsys, flag, stamp):
+    with pytest.raises(SystemExit) as info:
+        cli.main(
+            ["harvest", "--data-dir", str(tmp_path / "h"),
+             "http://127.0.0.1:1/", "--prefix", "oai_dc", flag, stamp]
+        )
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err
+    assert not (tmp_path / "h").exists()
 
 
 @pytest.mark.parametrize("stamp", ["2001-13-45", "2001-1-4"])

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import io
+import logging
+import shutil
 import xml.etree.ElementTree as ET
 from urllib.parse import quote
 
+from conftest import DEMO_CORPUS, FIXED_CLOCK
+from eprint_oai.config import RepositoryConfig
 from eprint_oai.flowcontrol import FlowPolicy
 from eprint_oai.harvester import WsgiTransport
+from eprint_oai.protocol import ProtocolHandler
 from eprint_oai.server import make_app
+from eprint_oai.store import INDEX_TABLE, Store
 
 
 def get(app, query, addr="1.2.3.4"):
@@ -181,3 +187,34 @@ def test_control_characters_never_make_a_broken_200(demo_handler):
                 assert status == 400, (code, query)
             if status == 200:
                 ET.fromstring(body)
+
+
+def test_store_failure_is_503_with_retry_after(taxonomy, tmp_path, caplog):
+    """A record whose abs file vanished or was corrupted after load is a
+    503 with Retry-After, for GetRecord and for a ListRecords page holding
+    it; the log names the file."""
+    data_dir = tmp_path / "demo"
+    shutil.copytree(DEMO_CORPUS, data_dir, ignore=shutil.ignore_patterns(INDEX_TABLE + "*"))
+    Store(taxonomy, data_dir)  # writes the table, so the next load parses nothing
+    handler = ProtocolHandler(
+        Store(taxonomy, data_dir), RepositoryConfig(page_size=7), clock=lambda: FIXED_CLOCK
+    )
+    app = make_app(handler)
+    gone = data_dir / "cs" / "0101" / "cs.DL.0101027.abs"
+    gone.unlink()
+    corrupt = data_dir / "hep-th" / "9901" / "hep-th.9901001.abs"
+    corrupt.write_text("not an abs file\n", encoding="utf-8")
+    for query, path in (
+        ("verb=GetRecord&identifier=oai:arXiv:cs.DL/0101027&metadataPrefix=oai_dc", gone),
+        ("verb=GetRecord&identifier=oai:arXiv:hep-th/9901001&metadataPrefix=arXiv", corrupt),
+        ("verb=ListRecords&metadataPrefix=oai_dc&from=1999-01-01", corrupt),
+    ):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="eprint_oai.server"):
+            status, headers, _ = get(app, query)
+        assert status == 503, query
+        assert int(headers["Retry-After"]) > 0
+        assert str(path) in caplog.text
+    # records whose files are whole still answer
+    status, _, body = get(app, "verb=ListRecords&metadataPrefix=oai_dc&until=1998-12-31")
+    assert status == 200 and b"math.DS/9204240" in body

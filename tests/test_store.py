@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import builtins
 import io
+import logging
 import os
 import random
+import shutil
+import subprocess
 import sys
 import tempfile
 import threading
+import time
 from dataclasses import replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -14,13 +18,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_meta, synth_corpus
-from eprint_oai.absfile import format_abs
+import eprint_oai.store as store_module
+from conftest import DEMO_CORPUS, ROOT, make_meta, synth_corpus
+from eprint_oai.absfile import format_abs, parse_abs
 from eprint_oai.ids import EprintId, parse_internal_id
 from eprint_oai.store import (
     CHANGE_LOG,
     DATESTAMP_TABLE,
     DELETED_TABLE,
+    INDEX_TABLE,
+    INDEX_VERSION,
     DuplicateRecord,
     NotFound,
     Store,
@@ -123,7 +130,6 @@ def test_scan_empty(taxonomy, tmp_path):
 def test_reload_matches_incremental_after_mutations(taxonomy, tmp_path):
     rng = random.Random(7)
     store = Store(taxonomy, tmp_path)
-    store.scan()  # build the index first, so every write updates it in place
     synth_corpus(store, 150, rng)
     assert Store(taxonomy, tmp_path).scan() == store.scan()
 
@@ -249,7 +255,6 @@ def test_readers_see_whole_snapshots_while_a_writer_runs(taxonomy, tmp_path):
     record an earlier scan saw; the final index equals a reload."""
     store = Store(taxonomy, tmp_path)
     synth_corpus(store, 100, random.Random(5))
-    store.scan()
     stop = threading.Event()
     failures: list[str] = []
     written: list[int] = []
@@ -316,8 +321,8 @@ _OPS = st.lists(
 
 
 @settings(max_examples=30, deadline=None)
-@given(_OPS, st.integers(0, 14))
-def test_reload_compact_and_replay_equal_incremental_scan(taxonomy, ops, build_at):
+@given(_OPS)
+def test_reload_compact_and_replay_equal_incremental_scan(taxonomy, ops):
     """For random on-disk ingest/replace/delete sequences, the in-place
     index equals a reload, a reload after compaction, and a reload that
     replays the old log over the compacted tables."""
@@ -327,8 +332,6 @@ def test_reload_compact_and_replay_equal_incremental_scan(taxonomy, ops, build_a
         ids: list[EprintId] = []
         day = date(1999, 1, 1)
         for i, (op, pick, gap) in enumerate(ops):
-            if i == build_at:
-                store.scan()  # writes after this update the index in place
             day += timedelta(days=gap)
             if op == "new" or not ids:
                 eid = EprintId("hep-th", 9901, len(ids) + 1)
@@ -411,14 +414,12 @@ def crash_on_rename(monkeypatch) -> None:
 
 @pytest.fixture()
 def crash_store(taxonomy, tmp_path):
-    """An on-disk store holding three records, the third deleted, with its
-    index built."""
+    """An on-disk store holding three records, the third deleted."""
     store = Store(taxonomy, tmp_path)
     for n in (1, 2, 3):
         meta = make_meta(EprintId("hep-th", 9901, n), date(1999, 1, 1))
         store.ingest(format_abs(meta), dt(date(1999, 1, 2)))
     store.mark_deleted(EprintId("hep-th", 9901, 3), "withdrawn", dt(date(1999, 1, 3)))
-    store.scan()
     return store
 
 
@@ -512,3 +513,293 @@ def test_failed_log_append_is_cut_by_the_next(
     crash_store.mark_deleted(EprintId("hep-th", 9901, 2), "gone", dt(date(1999, 3, 3)))
     assert all(line.endswith(b"\n") for line in _log_lines(tmp_path))
     assert Store(taxonomy, tmp_path).scan() == crash_store.scan()
+
+
+# --- abs-index table -------------------------------------------------------------
+
+DEMO_FILES = 13  # abs files in the demo corpus
+
+
+@pytest.fixture()
+def parsed(monkeypatch):
+    """The ids the store's ``parse_abs`` returns, one per call."""
+    calls: list[str] = []
+    real = store_module.parse_abs
+
+    def counting(data):
+        meta = real(data)
+        calls.append(meta.id.local())
+        return meta
+
+    monkeypatch.setattr(store_module, "parse_abs", counting)
+    return calls
+
+
+@pytest.fixture()
+def demo_copy(tmp_path):
+    """The demo corpus without its table, written a little before any
+    table a test's load writes: some filesystems stamp file times by the
+    clock tick, and a file changed in the table's own tick is not trusted."""
+    dest = tmp_path / "demo"
+    shutil.copytree(DEMO_CORPUS, dest, ignore=shutil.ignore_patterns(INDEX_TABLE + "*"))
+    time.sleep(0.02)
+    return dest
+
+
+def _contents(store: Store):
+    """What readers see: the index, and the record ``get`` gives each entry."""
+    entries = store.scan()
+    return entries, [store.get(parse_internal_id(e.identifier)) for e in entries]
+
+
+def _full_parse(taxonomy, data_dir: Path) -> Store:
+    """A load with no table, which parses every abs file."""
+    (data_dir / INDEX_TABLE).unlink(missing_ok=True)
+    return Store(taxonomy, data_dir)
+
+
+def test_second_load_of_demo_corpus_parses_nothing(
+    taxonomy, demo_copy, parsed, monkeypatch
+):
+    Store(taxonomy, DEMO_CORPUS)  # writes the table if it is missing or stale
+    opened: list[str] = []
+    real_open = io.open
+
+    def recording_open(file, *args, **kwargs):
+        if os.fspath(file).endswith(".abs"):
+            opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    parsed.clear()
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", recording_open)
+        m.setattr(io, "open", recording_open)
+        store = Store(taxonomy, DEMO_CORPUS)
+    assert parsed == [] and opened == []
+    # each live record is parsed on first use, once
+    contents = _contents(store)
+    live = [e.identifier for e in contents[0] if not e.deleted]
+    assert sorted(parsed) == sorted(live)
+    assert _contents(store) == contents
+    assert sorted(parsed) == sorted(live)
+    assert contents == _contents(Store(taxonomy, demo_copy))
+
+
+def _change_in_place(data_dir: Path) -> None:
+    path = data_dir / "cs" / "0101" / "cs.DL.0101027.abs"
+    inode = path.stat().st_ino
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("Title: ", "Title: Revised: ", 1), encoding="utf-8")
+    assert path.stat().st_ino == inode
+
+
+def _add(data_dir: Path) -> None:
+    meta = make_meta(EprintId("hep-th", 9901, 2), date(1999, 1, 7))
+    path = data_dir / "hep-th" / "9901" / "hep-th.9901002.abs"
+    path.write_text(format_abs(meta), encoding="utf-8")
+
+
+def _remove(data_dir: Path) -> None:
+    (data_dir / "hep-th" / "9901" / "hep-th.9901001.abs").unlink()
+
+
+@pytest.mark.parametrize(
+    "edit, reparsed",
+    [(_change_in_place, ["cs.DL/0101027"]), (_add, ["hep-th/9901002"]), (_remove, [])],
+)
+def test_reload_picks_up_external_edits(taxonomy, demo_copy, parsed, edit, reparsed):
+    Store(taxonomy, demo_copy)
+    edit(demo_copy)
+    parsed.clear()
+    store = Store(taxonomy, demo_copy)
+    assert parsed == reparsed
+    table = (demo_copy / INDEX_TABLE).read_text(encoding="utf-8")
+    contents = _contents(store)
+    assert contents == _contents(_full_parse(taxonomy, demo_copy))
+    # the rewritten table is the one a full parse writes
+    assert (demo_copy / INDEX_TABLE).read_text(encoding="utf-8") == table
+
+
+def test_change_in_the_tables_own_tick_is_parsed_again(taxonomy, demo_copy, parsed):
+    """A file whose ctime is not older than the table may have changed
+    after the table took its stat, within one tick of a coarse clock."""
+    Store(taxonomy, demo_copy)
+    os.utime(demo_copy / INDEX_TABLE, ns=(0, 0))
+    parsed.clear()
+    Store(taxonomy, demo_copy)
+    assert len(parsed) == DEMO_FILES
+    parsed.clear()
+    Store(taxonomy, demo_copy)  # the table that load wrote holds
+    assert parsed == []
+
+
+def _torn(text: str) -> str:
+    return text[: len(text) // 2]
+
+
+def _unknown_version(text: str) -> str:
+    return text.replace(INDEX_VERSION, INDEX_VERSION + "0", 1)
+
+
+def _malformed_row(text: str) -> str:
+    version, row, rest = text.split("\n", 2)
+    fields = row.split("\t")
+    fields[1] = "inode"
+    return "\n".join([version, "\t".join(fields), rest])
+
+
+@pytest.mark.parametrize("damage", [_torn, _unknown_version, _malformed_row])
+def test_damaged_table_reloads_as_full_parse(taxonomy, demo_copy, parsed, damage):
+    expected = _contents(Store(taxonomy, demo_copy))
+    table = demo_copy / INDEX_TABLE
+    table.write_text(damage(table.read_text(encoding="utf-8")), encoding="utf-8")
+    parsed.clear()
+    store = Store(taxonomy, demo_copy)
+    assert len(parsed) == DEMO_FILES
+    assert _contents(store) == expected
+    # and the table it wrote in place of the damaged one holds again
+    parsed.clear()
+    assert _contents(Store(taxonomy, demo_copy)) == expected
+    assert len(parsed) == len([e for e in expected[0] if not e.deleted])
+
+
+def test_crash_writing_the_table(taxonomy, demo_copy, parsed, monkeypatch):
+    Store(taxonomy, demo_copy)
+    table = demo_copy / INDEX_TABLE
+    before = table.read_bytes()
+    edited = demo_copy / "math" / "9201" / "math.LO.9201250.abs"
+    edited.write_text(
+        edited.read_text(encoding="utf-8") + "One more line.\n", encoding="utf-8"
+    )
+    with monkeypatch.context() as m:
+        crash_on_write(m, INDEX_TABLE, budget=40)
+        with pytest.raises(Crash):
+            Store(taxonomy, demo_copy)
+    assert table.read_bytes() == before  # the old table is whole
+    assert len(list(demo_copy.glob(INDEX_TABLE + ".*.tmp"))) == 1
+    parsed.clear()
+    store = Store(taxonomy, demo_copy)
+    assert parsed == ["math.LO/9201250"]
+    assert _contents(store) == _contents(_full_parse(taxonomy, demo_copy))
+
+
+def test_taxonomy_change_changes_sets_without_reparse(taxonomy, demo_copy, parsed):
+    Store(taxonomy, demo_copy)
+    moved = replace(taxonomy, archive_group={**taxonomy.archive_group, "cs": "math"})
+    parsed.clear()
+    store = Store(moved, demo_copy)
+    assert parsed == []
+    assert "cs.DL/0101027" in {e.identifier for e in store.scan(set_="math")}
+    assert store.scan(set_="cs") == []
+    assert store.scan() == _full_parse(moved, demo_copy).scan()
+
+
+def test_unwritable_table_warns_once_and_serves(taxonomy, demo_copy, caplog, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    with monkeypatch.context() as m:
+        m.setattr(store_module, "replace_durably", refuse)
+        with caplog.at_level(logging.WARNING, logger="eprint_oai.store"):
+            store = Store(taxonomy, demo_copy)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert INDEX_TABLE in caplog.records[0].getMessage()
+    assert list(demo_copy.glob(INDEX_TABLE + "*")) == []
+    assert _contents(store) == _contents(_full_parse(taxonomy, demo_copy))
+
+
+def test_concurrent_loads_leave_a_whole_table(taxonomy, demo_copy, parsed):
+    """Two processes that keep rewriting the table of one directory never
+    leave it torn: each writes through a tmp file of its own."""
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from eprint_oai import Store, load_taxonomy\n"
+        "from eprint_oai.store import INDEX_TABLE\n"
+        "data_dir, taxonomy = Path(sys.argv[1]), load_taxonomy()\n"
+        "for _ in range(30):\n"
+        "    (data_dir / INDEX_TABLE).unlink(missing_ok=True)\n"
+        "    Store(taxonomy, data_dir)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code, str(demo_copy)],
+            env=env, stderr=subprocess.PIPE,
+        )
+        for _ in range(2)
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err.decode()
+    assert list(demo_copy.glob("*.tmp")) == []
+    parsed.clear()
+    store = Store(taxonomy, demo_copy)
+    assert parsed == []
+    assert _contents(store) == _contents(_full_parse(taxonomy, demo_copy))
+
+
+def test_first_use_parse_never_overwrites_a_newer_ingest(
+    taxonomy, demo_copy, monkeypatch
+):
+    Store(taxonomy, demo_copy)
+    store = Store(taxonomy, demo_copy)
+    path = demo_copy / "cs" / "0101" / "cs.DL.0101027.abs"
+    newer = replace(parse_abs(path.read_bytes()), journal_ref="J. Ex. 9 (2001) 9")
+    real = store_module.parse_abs
+
+    def parse_beside_an_ingest(data):
+        meta = real(data)
+        monkeypatch.setattr(store_module, "parse_abs", real)
+        store.ingest(format_abs(newer), dt(date(2001, 2, 1)))
+        return meta
+
+    monkeypatch.setattr(store_module, "parse_abs", parse_beside_an_ingest)
+    got = store.get(newer.id)
+    assert got.meta == newer and got.datestamp == date(2001, 2, 1)
+    assert store.get(newer.id) == got
+
+
+_TABLE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["new", "replace", "delete", "compact", "reload"]),
+        st.integers(0, 1000),  # which existing record
+        st.integers(-2, 5),  # days since the last write; negative = early clock
+    ),
+    max_size=16,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_TABLE_OPS)
+def test_table_load_equals_full_parse(taxonomy, ops):
+    """After random ingests, deletions, compactions and reloads, a load
+    through the table and a full parse give what the live store gives."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp)
+        store = Store(taxonomy, data_dir)
+        ids: list[EprintId] = []
+        day = date(1999, 1, 1)
+        for i, (op, pick, gap) in enumerate(ops):
+            day += timedelta(days=gap)
+            if op == "compact":
+                store.compact()
+            elif op == "reload":
+                store = Store(taxonomy, data_dir)
+            elif op == "new" or not ids:
+                eid = EprintId("hep-th", 9901, len(ids) + 1)
+                store.ingest(format_abs(make_meta(eid, date(1999, 1, 1))), dt(day))
+                ids.append(eid)
+            elif op == "replace":
+                meta = make_meta(
+                    ids[pick % len(ids)],
+                    date(1999, 1, 1),
+                    crosslists=[["math.DS"], ["cs.DL", "q-alg"], []][pick % 3],
+                    journal_ref=f"J. Ex. {i} (1999) 1",
+                )
+                store.ingest(format_abs(meta), dt(day))
+            else:
+                store.mark_deleted(ids[pick % len(ids)], f"reason {i}", dt(day))
+        expected = _contents(store)
+        assert _contents(Store(taxonomy, data_dir)) == expected
+        assert _contents(_full_parse(taxonomy, data_dir)) == expected
