@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -155,21 +156,24 @@ def cmd_harvest(args: argparse.Namespace) -> int:
         set_spec=args.set,
     )
     transport = harvester.HttpTransport(args.target)
-    store = harvester.HarvestStore(config.data_dir)
     try:
-        if args.incremental:
-            state = harvester.HarvestState(args.state_file)
-            key = harvester.HarvestState.key(args.target, args.set, args.prefix)
-            records, report = harvester.incremental(
-                state, key, job, now().date(), transport, store
-            )
-        else:
-            records, report = harvester.run(job, transport)
-            store.upsert(records)
-    except (harvester.TransportFailure, harvester.ProtocolError) as exc:
+        with closing(harvester.HarvestStore(config.data_dir)) as store:
+            if args.incremental:
+                state = harvester.HarvestState(args.state_file)
+                key = harvester.HarvestState.key(args.target, args.set, args.prefix)
+                records, report = harvester.incremental(
+                    state, key, job, now().date(), transport, store
+                )
+            else:
+                records, report = harvester.run(job, transport)
+                store.upsert(records)
+    except (
+        harvester.TransportFailure,
+        harvester.ProtocolError,
+        harvester.HarvestStoreError,
+    ) as exc:
         print(f"harvest failed: {exc}", file=sys.stderr)
         return 1
-    store.compact()
     print(
         f"fetched={report.fetched} deleted={report.deleted} "
         f"pages={report.pages} retries_503={report.retries_503} "

@@ -2,11 +2,12 @@
 
 Follows resumptionTokens verbatim until a token-free page arrives, sleeps
 the advertised Retry-After on 503 replies, waits 1, 2, 4 ... s (capped)
-after transport failures, and persists results to an append-only journal
-plus a compacted latest-state file. Incremental runs
-overlap the previous harvest by one day, so updates made later on the day
-of the last harvest are re-fetched rather than missed; double-harvested
-records simply overwrite identically.
+after transport failures, and keeps the newest entry per identifier in
+one SQLite database, ``harvest.sqlite``, where each upsert is one atomic,
+durable transaction (:class:`HarvestStore`). Incremental runs overlap the
+previous harvest by one day, so updates made later on the day of the last
+harvest are re-fetched rather than missed; double-harvested records simply
+overwrite identically.
 
 Each page is read in one expat pass, with no tree built. A record's
 metadata is kept as the provider sent it: the bytes of the element inside
@@ -28,12 +29,10 @@ import time
 import xml.parsers.expat as expat
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
-from json.decoder import scanstring
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Protocol
 
-from .durable import AppendLog, replace_durably
+from .durable import replace_durably
 from .ids import format_datestamp, parse_datestamp
 from .xmlwriter import escape
 
@@ -446,142 +445,108 @@ def _seconds_until(value: str, now: datetime) -> float:
 # --- local persistence -------------------------------------------------------
 
 
+class HarvestStoreError(RuntimeError):
+    """The harvest directory cannot be used."""
+
+
+# files of the journal + latest-state format this store replaced
+_OLD_FORMAT = ("journal.jsonl", "latest.json")
+# an upsert that rewrites a known identifier's row in place; SQLite writes no
+# page for a row rewritten with the bytes it already holds, so re-fetching an
+# unchanged record writes nothing
+_UPSERT = (
+    "INSERT INTO entry VALUES (?, ?, ?, ?) ON CONFLICT (identifier) DO UPDATE "
+    "SET datestamp = excluded.datestamp, deleted = excluded.deleted, "
+    "metadata = excluded.metadata"
+)
+
+
 class HarvestStore:
-    """Append-only journal plus a compacted latest-state file.
+    """The newest entry per identifier, in one SQLite database.
 
-    ``journal.jsonl`` gets one JSON line per harvested record, in arrival
-    order; each :meth:`upsert` appends its lines and fsyncs them. Loading
-    ignores a torn last line (one with no trailing newline), which the next
-    upsert cuts off; a malformed line anywhere else raises. ``latest.json``
-    maps identifier to its newest entry, written as ``json.dumps(...,
-    indent=1, sort_keys=True)`` would write it, and is rewritten on
-    compaction: tmp + fsync, rename, directory fsync, and only then is the
-    journal truncated. Upserts are idempotent: re-fetching an identical
-    record changes nothing observable.
+    ``harvest.sqlite`` in the harvest directory holds one table keyed by
+    identifier, with the record's datestamp (``YYYY-MM-DD`` or NULL), its
+    deletion flag and its metadata (the provider's XML fragment or NULL).
+    Each :meth:`upsert` is one transaction of inserts that replace a known
+    identifier's entry, under SQLite's defaults (rollback journal,
+    ``synchronous=FULL``): once it returns the records are written and
+    fsynced, and a process killed or an error raised partway leaves every
+    entry as it was. (FULL does not fsync the directory after the journal
+    is deleted, so a power loss just after a commit may still undo it,
+    whole.) Upserts are idempotent: re-fetching an identical record changes
+    nothing observable. Text must be valid Unicode; the page parser only
+    yields decoded text.
 
-    Each entry is held as the text of its member of ``latest.json``, not as
-    a dict, so that compaction re-encodes nothing: it writes the kept texts
-    in identifier order. :meth:`latest` decodes them on demand.
+    A directory that holds files of the older journal format
+    (``journal.jsonl``, ``latest.json``) but no database is refused rather
+    than opened empty: a saved :class:`HarvestState` would then make the
+    next incremental run skip every record harvested before.
     """
 
     def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.journal_path = self.directory / "journal.jsonl"
-        self.latest_path = self.directory / "latest.json"
-        self._journal = AppendLog(self.journal_path)
-        # identifier -> '"<identifier>": {...}', its member of latest.json
-        self._members: dict[str, str] = {}
-        if self.latest_path.exists():
-            self._members = _members_of(self.latest_path.read_text(encoding="utf-8"))
-        for line in self._journal.read().split("\n"):
-            if line.strip():
-                entry = json.loads(line)
-                ident = entry["identifier"]
-                # the member as json.dumps writes it inside latest.json
-                self._members[ident] = json.dumps(
-                    {ident: entry}, indent=1, sort_keys=True
-                )[3:-2]
+        import sqlite3  # here, so that serving never loads it
+
+        directory = Path(directory)
+        self.path = directory / "harvest.sqlite"
+        old = [name for name in _OLD_FORMAT if (directory / name).exists()]
+        if old and not self.path.exists():
+            raise HarvestStoreError(
+                f"{directory} holds {' and '.join(old)} from an older harvest "
+                "store format and no harvest.sqlite; harvest into a new "
+                "directory"
+            )
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            self._db = sqlite3.connect(self.path)
+            self._db.execute(
+                "CREATE TABLE IF NOT EXISTS entry (identifier TEXT PRIMARY KEY, "
+                "datestamp TEXT, deleted INTEGER NOT NULL, metadata TEXT)"
+            )
+        except (OSError, sqlite3.Error) as exc:
+            raise HarvestStoreError(f"cannot use {self.path}: {exc}") from exc
 
     def upsert(self, records: list[HarvestedRecord]) -> None:
-        members: dict[str, str] = {}
+        import sqlite3
 
-        def lines():
-            for record in records:
-                line, members[record.identifier] = _entry_texts(record)
-                yield line.encode("utf-8")
-
-        self._journal.append(lines())
-        self._members.update(members)  # only once the journal holds them
+        rows = (
+            (
+                r.identifier,
+                format_datestamp(r.datestamp) if r.datestamp else None,
+                r.deleted,
+                r.metadata,
+            )
+            for r in records
+        )
+        try:
+            with self._db:  # commits, or rolls back on any exception
+                self._db.executemany(_UPSERT, rows)
+        except sqlite3.Error as exc:
+            raise HarvestStoreError(f"cannot write {self.path}: {exc}") from exc
 
     def compact(self) -> None:
-        replace_durably(self.latest_path, _object_parts(self._members))
-        self._journal.clear()
+        """Nothing to fold: every upsert already commits in place. Kept only
+        because the benchmark in ``bench/`` calls it."""
 
     def latest(self) -> dict[str, dict]:
-        return json.loads("{" + ",".join(self._members.values()) + "}")
+        """identifier -> entry dict, in identifier order."""
+        return {
+            ident: {
+                "identifier": ident,
+                "datestamp": stamp,
+                "deleted": bool(deleted),
+                "metadata": metadata,
+            }
+            for ident, stamp, deleted, metadata in self._db.execute(
+                "SELECT identifier, datestamp, deleted, metadata FROM entry "
+                "ORDER BY identifier"
+            )
+        }
 
     def __len__(self) -> int:
-        return len(self._members)
+        return self._db.execute("SELECT count(*) FROM entry").fetchone()[0]
 
-
-def _entry_texts(record: HarvestedRecord) -> tuple[str, str]:
-    """The record's journal line, exactly ``json.dumps(entry) + "\\n"``, and
-    its member of ``latest.json``, built from one encoding of each value."""
-    ident = encode_basestring_ascii(record.identifier)
-    stamp = (
-        encode_basestring_ascii(format_datestamp(record.datestamp))
-        if record.datestamp
-        else "null"
-    )
-    deleted = "true" if record.deleted else "false"
-    metadata = (
-        "null" if record.metadata is None else encode_basestring_ascii(record.metadata)
-    )
-    line = (
-        f'{{"identifier": {ident}, "datestamp": {stamp}, '
-        f'"deleted": {deleted}, "metadata": {metadata}}}\n'
-    )
-    member = (
-        f'{ident}: {{\n  "datestamp": {stamp},\n  "deleted": {deleted},\n'
-        f'  "identifier": {ident},\n  "metadata": {metadata}\n }}'
-    )
-    return line, member
-
-
-def _object_parts(members: dict[str, str]) -> Iterator[str]:
-    """The text of the JSON object holding ``members``, piece by piece, in
-    the layout of ``json.dumps(..., indent=1, sort_keys=True)``."""
-    if not members:
-        yield "{}"
-        return
-    separator = "{\n "
-    for name in sorted(members):
-        yield separator
-        yield members[name]
-        separator = ",\n "
-    yield "\n}"
-
-
-_scan_value = json.JSONDecoder().raw_decode
-_skip_space = re.compile(r"[ \t\n\r]*").match
-
-
-def _members_of(text: str) -> dict[str, str]:
-    """Split the JSON object ``text`` into its members' texts, keyed by name.
-
-    Each value is decoded once, to find where it ends and to reject a
-    malformed file, and then dropped; the texts are kept as the file holds
-    them.
-    """
-    members: dict[str, str] = {}
-    pos = _skip_space(text).end()
-    if text[pos : pos + 1] != "{":
-        raise json.JSONDecodeError("expecting an object", text, pos)
-    pos = _skip_space(text, pos + 1).end()
-    if text[pos : pos + 1] == "}":
-        pos += 1
-    else:
-        while True:
-            start = pos
-            if text[pos : pos + 1] != '"':
-                raise json.JSONDecodeError("expecting a name", text, pos)
-            name, pos = scanstring(text, pos + 1)
-            pos = _skip_space(text, pos).end()
-            if text[pos : pos + 1] != ":":
-                raise json.JSONDecodeError("expecting ':'", text, pos)
-            _, pos = _scan_value(text, _skip_space(text, pos + 1).end())
-            members[name] = text[start:pos]
-            pos = _skip_space(text, pos).end()
-            if text[pos : pos + 1] == "}":
-                pos += 1
-                break
-            if text[pos : pos + 1] != ",":
-                raise json.JSONDecodeError("expecting ',' or '}'", text, pos)
-            pos = _skip_space(text, pos + 1).end()
-    if _skip_space(text, pos).end() != len(text):
-        raise json.JSONDecodeError("extra data", text, pos)
-    return members
+    def close(self) -> None:
+        self._db.close()
 
 
 class HarvestState:

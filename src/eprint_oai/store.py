@@ -373,7 +373,9 @@ class Store:
             rel = ""
             if self.data_dir is not None:
                 self._append(f"{key}\t{day.isoformat()}")
-                rel = _rel_path(meta.id)
+                # an update replaces the file the record came from, whatever
+                # its name, so that no second file holds the same record
+                rel = existing[3] if existing is not None else _rel_path(meta.id)
                 path = self.data_dir / rel
                 path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_name(path.name + ".tmp")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -131,8 +132,43 @@ def test_harvest_command_over_http(tmp_path, capsys, live_server):
     out = capsys.readouterr().out
     assert rc == 0
     assert "fetched=13" in out
-    latest = json.loads((tmp_path / "h" / "latest.json").read_text())
+    latest = harvester.HarvestStore(tmp_path / "h").latest()
     assert "oai:arXiv:cs.DL/0101027" in latest
+    assert len(latest) == 13
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("latest.json", b"{}", "older harvest store format"),
+        ("harvest.sqlite", b"not a database\n" * 100, "not a database"),
+    ],
+    ids=["old-format", "not-a-database"],
+)
+def test_harvest_into_unusable_directory_fails_cleanly(
+    tmp_path, capsys, name, content, message
+):
+    (tmp_path / "h").mkdir()
+    (tmp_path / "h" / name).write_bytes(content)
+    rc = cli.main(
+        ["harvest", "--data-dir", str(tmp_path / "h"),
+         "http://127.0.0.1:1/", "--prefix", "oai_dc"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("harvest failed: ") and message in err
+
+
+def test_importing_the_cli_leaves_sqlite_unloaded():
+    """``serve`` never harvests, so it never pays for loading sqlite3."""
+    code = "import sys, eprint_oai.cli; print('sqlite3' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert out.stdout == "False\n"
 
 
 def test_harvest_incremental_state(tmp_path, capsys, live_server, monkeypatch):

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import stat
+import subprocess
+import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
@@ -12,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_meta
+from conftest import ROOT, make_meta
 from eprint_oai.absfile import format_abs
 from eprint_oai.config import RepositoryConfig
 from eprint_oai.flowcontrol import FlowPolicy
@@ -21,6 +24,7 @@ from eprint_oai.harvester import (
     HarvestJob,
     HarvestState,
     HarvestStore,
+    HarvestStoreError,
     ProtocolError,
     TransportFailure,
     TransportResponse,
@@ -34,7 +38,6 @@ from eprint_oai.ids import EprintId, format_datestamp, parse_datestamp
 from eprint_oai.protocol import ProtocolHandler
 from eprint_oai.server import make_app
 from eprint_oai.store import Store
-from test_store import Crash, crash_on_write
 
 
 @pytest.fixture()
@@ -585,8 +588,8 @@ def test_transport_backoff_is_capped():
 
 
 class ReferenceHarvestStore:
-    """The dict-based store that ``HarvestStore`` replaced, kept as the
-    reference its files and entries must equal."""
+    """The dict-based store of the journal format that ``HarvestStore``
+    replaced, kept as the reference its entries must equal."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
@@ -629,18 +632,19 @@ class ReferenceHarvestStore:
         self.journal_path.write_text("", encoding="utf-8")
 
     def latest(self):
-        return dict(self._latest)
+        return dict(sorted(self._latest.items()))
 
     def __len__(self):
         return len(self._latest)
 
 
-# quotes, backslashes, control characters, non-ASCII, astral characters and
-# lone surrogates, which JSON escapes in every way it can
+# quotes, backslashes, control characters, NUL, non-ASCII and astral
+# characters. No lone surrogates: harvested text is decoded from the page's
+# bytes and never holds one (an upsert of one is refused whole, below).
 _TEXT = st.text(
     st.one_of(
         st.sampled_from(['"', "\\", "/", "\n", "\x00", "\x7f", "é", "\u2028", "\U0001d49c"]),
-        st.characters(exclude_categories=()),
+        st.characters(exclude_categories=("Cs",)),
     ),
     max_size=12,
 )
@@ -654,26 +658,17 @@ _RECORD = st.builds(
 _STORE_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("upsert"), st.lists(_RECORD, max_size=6)),
-        st.tuples(st.sampled_from(["compact", "reload"]), st.none()),
+        st.tuples(st.sampled_from(["compact", "reopen"]), st.none()),
     ),
     max_size=12,
 )
 
 
-def _files(directory: Path) -> dict[str, bytes]:
-    return {
-        name: (directory / name).read_bytes()
-        for name in ("journal.jsonl", "latest.json")
-        if (directory / name).exists()
-    }
-
-
 @settings(max_examples=60, deadline=None)
 @given(_STORE_OPS)
 def test_harvest_store_matches_reference(ops):
-    """Over random upsert, compact and reload sequences, the text-keeping
-    store writes the same bytes and returns the same entries, in the same
-    order, as the dict-based reference."""
+    """Over random upsert, compact and reopen sequences, the database holds
+    the same entries, in the same order, as the journal-format reference."""
     with tempfile.TemporaryDirectory() as tmp:
         ours_dir, ref_dir = Path(tmp) / "ours", Path(tmp) / "ref"
         ours, ref = HarvestStore(ours_dir), ReferenceHarvestStore(ref_dir)
@@ -685,74 +680,150 @@ def test_harvest_store_matches_reference(ops):
                 ours.compact()
                 ref.compact()
             else:
+                ours.close()
                 ours, ref = HarvestStore(ours_dir), ReferenceHarvestStore(ref_dir)
-            assert _files(ours_dir) == _files(ref_dir)
             assert len(ours) == len(ref)
             latest = ours.latest()
             assert latest == ref.latest()
             assert list(latest) == list(ref.latest())
+        ours.close()
+        assert sorted(p.name for p in ours_dir.iterdir()) == ["harvest.sqlite"]
 
 
-def _harvested(n: int) -> list[HarvestedRecord]:
+def _harvested(n: int, note: str = "") -> list[HarvestedRecord]:
     return [
-        HarvestedRecord(f"oai:arXiv:hep-th/99010{i:02d}", date(1999, 1, i + 1),
-                        metadata=f"<dc>r\u00e9sum\u00e9 {i}</dc>")
+        HarvestedRecord(f"oai:arXiv:hep-th/99{i:05d}", date(1999, 1, 1 + i % 28),
+                        metadata=f"<dc>r\u00e9sum\u00e9 {i}{note}</dc>")
         for i in range(n)
     ]
 
 
-def _crash_mid_upsert(store: HarvestStore, records, monkeypatch) -> None:
-    """The process dies in an upsert after the first record's line and part
-    of the second."""
-    first = len(json.dumps(ReferenceHarvestStore._encode(records[0]))) + 1
-    with monkeypatch.context() as m:
-        crash_on_write(m, "journal.jsonl", budget=first + 20)
-        with pytest.raises(Crash):
-            store.upsert(records)
-
-
-def _journal_lines_whole(directory: Path) -> bool:
-    lines = (directory / "journal.jsonl").read_bytes().split(b"\n")
-    return lines[-1] == b"" and all(json.loads(line) for line in lines[:-1])
-
-
-def test_torn_journal_line_is_ignored_and_cut(tmp_path, monkeypatch):
-    """A harvester killed mid-upsert leaves a partial last line; the next
-    load ignores it and the next upsert cuts it off."""
-    records = _harvested(6)
-    HarvestStore(tmp_path).upsert(records[:3])
-    _crash_mid_upsert(HarvestStore(tmp_path), records[3:5], monkeypatch)
-    assert not (tmp_path / "journal.jsonl").read_bytes().endswith(b"\n")
-    reloaded = HarvestStore(tmp_path)
-    assert list(reloaded.latest()) == [r.identifier for r in records[:4]]
-    reloaded.upsert(records[5:])
-    assert _journal_lines_whole(tmp_path)
-    assert HarvestStore(tmp_path).latest() == reloaded.latest()
-    assert len(reloaded) == 5
-
-
-def test_malformed_journal_line_before_the_last_raises(tmp_path):
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # text SQLite cannot hold as UTF-8
+        HarvestedRecord("oai:arXiv:hep-th/9900005", metadata="<dc>\ud800</dc>"),
+        # not a record at all
+        None,
+    ],
+    ids=["surrogate", "not-a-record"],
+)
+def test_upsert_that_raises_partway_changes_no_entry(tmp_path, bad):
     store = HarvestStore(tmp_path)
-    store.upsert(_harvested(1))
-    journal = tmp_path / "journal.jsonl"
-    journal.write_bytes(b"{not json\n" + journal.read_bytes())
-    with pytest.raises(json.JSONDecodeError):
+    store.upsert(_harvested(3))
+    before = store.latest()
+    # the first record replaces an entry and the second adds one before
+    # the third raises
+    batch = _harvested(5, note=" revised")[2:4] + [bad]
+    with pytest.raises((ValueError, AttributeError)):
+        store.upsert(batch)
+    assert store.latest() == before
+    assert HarvestStore(tmp_path).latest() == before
+    store.upsert(batch[:2])
+    assert len(HarvestStore(tmp_path)) == 4
+
+
+# a child that upserts a batch too large for SQLite's page cache, so that
+# changed pages reach the database file before the commit; it reports
+# "mid" (paused half-way through the batch) or "after" (the upsert has
+# returned), or starts unpaused ("none"), then waits to be killed
+_UPSERT_CHILD = """
+import sys, time
+from datetime import date
+from eprint_oai.harvester import HarvestedRecord, HarvestStore
+
+directory, pause, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+
+def batch():
+    for i in range(n):
+        if pause == "mid" and i == n // 2:
+            print("mid", flush=True)
+            time.sleep(60)
+        yield HarvestedRecord(f"oai:arXiv:hep-th/99{i:05d}", date(2001, 2, 1),
+                              metadata=f"<dc>{i} {'y' * 2000}</dc>")
+
+store = HarvestStore(directory)
+print("start", flush=True)
+store.upsert(batch())
+print("after", flush=True)
+time.sleep(60)
+"""
+
+
+@pytest.mark.parametrize(
+    "pause, delay_s",
+    [("mid", 0), ("after", 0), ("none", 0.02), ("none", 0.06)],
+    ids=["mid", "after", "unpaused-20ms", "unpaused-60ms"],
+)
+def test_killed_upsert_reopens_before_or_after(tmp_path, pause, delay_s):
+    """A harvester SIGKILLed during a large upsert leaves the store as it
+    was before the upsert or as the upsert made it, never a mix."""
+    n = 4000
+    store = HarvestStore(tmp_path)
+    store.upsert(_harvested(200))
+    before = store.latest()
+    size = store.path.stat().st_size
+    store.close()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _UPSERT_CHILD, str(tmp_path), pause, str(n)],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert child.stdout.readline() == "start\n"
+        if pause == "none":
+            time.sleep(delay_s)
+        else:
+            assert child.stdout.readline() == pause + "\n"
+        if pause == "mid":
+            # the transaction is open and has spilled pages into the file
+            assert (tmp_path / "harvest.sqlite-journal").exists()
+            assert store.path.stat().st_size > size
+    finally:
+        child.kill()
+        child.wait(timeout=10)
+    assert child.returncode == -signal.SIGKILL
+    latest = HarvestStore(tmp_path).latest()
+    after = dict(before)
+    for i in range(n):
+        ident = f"oai:arXiv:hep-th/99{i:05d}"
+        after[ident] = {"identifier": ident, "datestamp": "2001-02-01",
+                        "deleted": False, "metadata": f"<dc>{i} {'y' * 2000}</dc>"}
+    if pause == "mid":
+        assert latest == before
+    elif pause == "after":
+        assert latest == after
+    else:
+        assert latest in (before, after)
+    assert len(HarvestStore(tmp_path)) in (len(before), len(after))
+
+
+@pytest.mark.parametrize(
+    "old",
+    [["latest.json"], ["journal.jsonl"], ["journal.jsonl", "latest.json"]],
+    ids=["latest", "journal", "both"],
+)
+def test_directory_in_the_old_format_is_refused(tmp_path, old):
+    """Opened empty, it would let a saved HarvestState skip every record
+    harvested before."""
+    for name in old:
+        (tmp_path / name).write_text("{}\n", encoding="utf-8")
+    with pytest.raises(HarvestStoreError, match=old[0]):
+        HarvestStore(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)
+
+
+def test_file_that_is_not_a_database_is_refused(tmp_path):
+    (tmp_path / "harvest.sqlite").write_bytes(b"not a database\n" * 100)
+    with pytest.raises(HarvestStoreError, match="not a database"):
         HarvestStore(tmp_path)
 
 
-def test_failed_upsert_is_cut_by_the_next(tmp_path, monkeypatch):
-    """A process that survives a failed upsert changes no entry, and does
-    not extend the partial line with its next upsert."""
-    records = _harvested(6)
+def test_upserts_commit_with_full_sync(tmp_path):
+    """SQLite's defaults: a rollback journal, fsynced at each commit."""
     store = HarvestStore(tmp_path)
-    store.upsert(records[:3])
-    before = store.latest()
-    _crash_mid_upsert(store, records[3:5], monkeypatch)
-    assert store.latest() == before
-    store.upsert(records[5:])
-    assert _journal_lines_whole(tmp_path)
-    assert HarvestStore(tmp_path).latest() == store.latest()
-    assert len(store) == 4
+    assert store._db.execute("PRAGMA synchronous").fetchone() == (2,)  # FULL
+    assert store._db.execute("PRAGMA journal_mode").fetchone() == ("delete",)
 
 
 def _record_durability(monkeypatch, watched: Path) -> list[tuple[str, int]]:
@@ -776,18 +847,6 @@ def _record_durability(monkeypatch, watched: Path) -> list[tuple[str, int]]:
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
     return events
-
-
-def test_compact_is_durable_before_the_journal_goes(tmp_path, monkeypatch):
-    store = HarvestStore(tmp_path)
-    store.upsert(_harvested(3))
-    journal = tmp_path / "journal.jsonl"
-    size = journal.stat().st_size
-    events = _record_durability(monkeypatch, journal)
-    store.compact()
-    assert events == [("fsync file", size), ("rename", size), ("fsync dir", size)]
-    assert journal.read_bytes() == b""
-    assert HarvestStore(tmp_path).latest() == store.latest()
 
 
 def test_harvest_state_advance_is_durable(tmp_path, monkeypatch):

@@ -760,6 +760,21 @@ def test_first_use_parse_never_overwrites_a_newer_ingest(
     assert store.get(newer.id) == got
 
 
+def test_update_replaces_a_differently_named_abs_file(taxonomy, demo_copy):
+    """A record loaded from a file named as other tools name them is updated
+    in that file, so the next load finds one file per record."""
+    month = demo_copy / "cs" / "0101"
+    (month / "cs.DL.0101027.abs").rename(month / "0101027.abs")
+    store = Store(taxonomy, demo_copy)
+    newer = replace(store.get(parse_internal_id("cs.DL/0101027")).meta,
+                    journal_ref="J. Ex. 9 (2001) 9")
+    store.ingest(format_abs(newer), dt(date(2001, 2, 1)))
+    assert sorted(p.name for p in month.iterdir()) == ["0101027.abs"]
+    reloaded = Store(taxonomy, demo_copy)
+    assert reloaded.get(newer.id).meta == newer
+    assert _contents(reloaded) == _contents(store)
+
+
 _TABLE_OPS = st.lists(
     st.tuples(
         st.sampled_from(["new", "replace", "delete", "compact", "reload"]),
