@@ -1,6 +1,16 @@
 """Operator command line: serve, ingest, harvest, crosswalk.
 
-Exit codes: 0 success, 1 operational failure, 2 usage error. The clock
+Settings come from one JSON file, ``--config``, and from flags, which win
+over it. The file's command settings are ``data_dir``, ``port``,
+``min_interval_list``, ``min_interval_other`` and ``taxonomy_file``; each
+of its other keys is a field of the repository's identity,
+:class:`~eprint_oai.config.RepositoryConfig`. Any other key is an error.
+Each command takes only the flags it reads.
+
+Exit codes: 0 success; 1 operational failure (a store that cannot be
+opened, a record not found, a failed harvest, a port that cannot be
+bound); 2 usage error (a bad flag, or a config file that is missing, not
+JSON, or holds an unknown key or a value its setting refuses). The clock
 used for datestamps and responseDate is injectable through the
 ``EPRINT_OAI_CLOCK`` environment variable (ISO timestamp) so fixture
 datestamps are reproducible.
@@ -19,21 +29,20 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 
 from . import harvester
-from .absfile import AbsParseError
-from .config import RepositoryConfig, load_repository_config
+from .config import RepositoryConfig, repository_config
 from .crosswalk import UnsupportedFormat, to_format
 from .flowcontrol import FlowPolicy
-from .ids import (
-    MalformedIdentifier,
-    load_taxonomy,
-    parse_datestamp,
-    parse_internal_id,
-)
+from .ids import load_taxonomy, parse_datestamp, parse_internal_id
 from .protocol import ProtocolHandler
 from .server import make_app, serve
 from .store import DuplicateRecord, Store
 
 CLOCK_ENV = "EPRINT_OAI_CLOCK"
+
+# the config file's command settings; its other keys are RepositoryConfig's
+COMMAND_KEYS = (
+    "data_dir", "port", "min_interval_list", "min_interval_other", "taxonomy_file"
+)
 
 
 def now() -> datetime:
@@ -45,95 +54,84 @@ def now() -> datetime:
     return datetime.now(timezone.utc)
 
 
+class CommandFailed(Exception):
+    """An operational failure: :func:`main` prints it and exits 1."""
+
+
 @dataclass
 class CliConfig:
     data_dir: Path
+    repository: RepositoryConfig
     port: int = 8080
-    base_url: str | None = None
-    page_size: int | None = None
     min_interval_list: float = 10.0
     min_interval_other: float = 1.0
     taxonomy_file: Path | None = None
-    identity_file: Path | None = None
 
-    def repository(self) -> RepositoryConfig:
-        cfg = (
-            load_repository_config(self.identity_file)
-            if self.identity_file
-            else RepositoryConfig()
-        )
-        overrides = {}
-        if self.base_url:
-            overrides["base_url"] = self.base_url
-        if self.page_size:
-            overrides["page_size"] = self.page_size
-        if overrides:
-            from dataclasses import replace
+    def open_store(self, create: bool = False) -> Store:
+        """The store in ``data_dir``, made first when ``create``."""
+        try:
+            if create:
+                self.data_dir.mkdir(parents=True, exist_ok=True)
+            return Store(load_taxonomy(self.taxonomy_file), self.data_dir)
+        except (OSError, ValueError) as exc:
+            raise CommandFailed(f"invalid store: {exc}") from exc
 
-            cfg = replace(cfg, **overrides)
-        return cfg
 
-    def open_store(self) -> Store:
-        return Store(load_taxonomy(self.taxonomy_file), self.data_dir)
+def _read_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"config file {path} is not JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise ValueError(f"config file {path} does not hold a JSON object")
+    return values
 
 
 def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    """Defaults, then config-file values, then flags (flags win)."""
-    values: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            values.update(json.load(fh))
-    for key in (
-        "data_dir",
-        "port",
-        "base_url",
-        "page_size",
-        "min_interval_list",
-        "min_interval_other",
-        "taxonomy_file",
-        "identity_file",
-    ):
+    """Defaults, then config-file values, then flags (flags win). Raises
+    ValueError naming what is wrong."""
+    values = _read_config(args.config) if args.config else {}
+    for key in (*COMMAND_KEYS, "base_url", "page_size"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if "data_dir" not in values:
-        raise SystemExit("error: --data-dir is required (flag or config file)")
-    values["data_dir"] = Path(values["data_dir"])
-    for key in ("taxonomy_file", "identity_file"):
-        if values.get(key):
-            values[key] = Path(values[key])
-    return CliConfig(**values)
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(message)s")
-    config = _config_from_args(args)
+    settings = {key: values.pop(key) for key in COMMAND_KEYS if key in values}
+    if not settings.get("data_dir"):
+        raise ValueError("--data-dir is required (flag or config file)")
     try:
-        store = config.open_store()
-    except (FileNotFoundError, AbsParseError, MalformedIdentifier) as exc:
-        print(f"invalid store: {exc}", file=sys.stderr)
-        return 1
-    handler = ProtocolHandler(store, config.repository(), clock=now)
+        settings["data_dir"] = Path(settings["data_dir"])
+        if settings.get("taxonomy_file"):
+            settings["taxonomy_file"] = Path(settings["taxonomy_file"])
+        return CliConfig(repository=repository_config(values), **settings)
+    except KeyError as exc:
+        raise ValueError(f"invalid configuration: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid configuration: {exc}") from None
+
+
+def cmd_serve(args: argparse.Namespace, config: CliConfig) -> int:
+    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(message)s")
+    handler = ProtocolHandler(config.open_store(), config.repository, clock=now)
     policy = FlowPolicy(config.min_interval_list, config.min_interval_other)
     app = make_app(handler, policy)
     try:
         serve(app, port=config.port)
     except OSError as exc:
-        print(f"cannot bind port {config.port}: {exc}", file=sys.stderr)
-        return 1
+        raise CommandFailed(f"cannot bind port {config.port}: {exc}") from exc
     return 0
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    config.data_dir.mkdir(parents=True, exist_ok=True)
-    store = config.open_store()
+def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
+    store = config.open_store(create=True)
     received_at = now()
     ingested = failed = 0
     for path in args.files:
         try:
             store.ingest(Path(path).read_bytes(), received_at)
-        except (AbsParseError, MalformedIdentifier, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             kind = "duplicate" if isinstance(exc, DuplicateRecord) else "failed"
             print(f"{path}: {kind}: {exc}", file=sys.stderr)
             failed += 1
@@ -145,8 +143,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_harvest(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_harvest(args: argparse.Namespace, config: CliConfig) -> int:
     verb = "ListRecords" if args.prefix else "ListIdentifiers"
     job = harvester.HarvestJob(
         verb=verb,
@@ -182,29 +179,22 @@ def cmd_harvest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_crosswalk(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_crosswalk(args: argparse.Namespace, config: CliConfig) -> int:
     store = config.open_store()
     try:
         eid = parse_internal_id(args.id)
-    except MalformedIdentifier as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        raise CommandFailed(str(exc)) from None
     record = store.get(eid)
     if record is None or record.deleted:
-        print(f"not found: {args.id}", file=sys.stderr)
-        return 1
+        raise CommandFailed(f"not found: {args.id}")
     try:
         lines = to_format(
-            record.meta,
-            record.datestamp,
-            args.prefix,
-            store.taxonomy,
-            abs_url_prefix=config.repository().abs_url_prefix,
+            record.meta, record.datestamp, args.prefix, store.taxonomy,
+            config.repository.abs_url_prefix,
         )
     except UnsupportedFormat:
-        print(f"unsupported format: {args.prefix}", file=sys.stderr)
-        return 1
+        raise CommandFailed(f"unsupported format: {args.prefix}") from None
     print("\n".join(lines))
     return 0
 
@@ -225,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # every command reads a data directory; all but harvest read a store
+    def store_flags(p):
         p.add_argument("--data-dir", dest="data_dir")
         p.add_argument("--taxonomy", dest="taxonomy_file")
-        p.add_argument("--identity", dest="identity_file")
 
     p = sub.add_parser("serve", help="run the harvesting-protocol service")
-    common(p)
+    store_flags(p)
     p.add_argument("--port", type=int)
     p.add_argument("--base-url", dest="base_url")
     p.add_argument("--page-size", dest="page_size", type=int)
@@ -244,12 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="ingest abs files into the store, then compact its change log "
         "once after the batch",
     )
-    common(p)
+    store_flags(p)
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("harvest", help="harvest a remote provider")
-    common(p)
+    p.add_argument("--data-dir", dest="data_dir", help="harvest directory")
     p.add_argument("target", help="provider base URL")
     p.add_argument("--prefix", help="metadataPrefix (ListRecords when given)")
     p.add_argument("--from", dest="from_", type=_datestamp_arg)
@@ -260,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_harvest)
 
     p = sub.add_parser("crosswalk", help="print one record in one format")
-    common(p)
+    store_flags(p)
     p.add_argument("id", help="internal e-print id")
     p.add_argument("prefix", help="metadataPrefix")
     p.set_defaults(func=cmd_crosswalk)
@@ -269,11 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except SystemExit as exc:
-        raise
+        config = _config_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        return args.func(args, config)
+    except CommandFailed as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         return 1
 

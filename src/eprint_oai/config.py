@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
+
+from .ids import parse_oai_identifier
 
 
 @dataclass(frozen=True)
@@ -27,11 +28,9 @@ class RepositoryConfig:
     repository_name: str = "arXiv"
     base_url: str = "http://arXiv.org/oai1"
     admin_email: str = "local-admin@xxx.lanl.gov"
-    protocol_version: str = "1.0"
-    # oai-identifier description container
-    scheme: str = "oai"
+    # the oai-identifier description; its scheme and delimiter are the
+    # constants of the identifier grammar in ids
     repository_identifier: str = "arXiv"
-    delimiter: str = ":"
     sample_identifier: str = "oai:arXiv:quant-ph/9901001"
     eprints: EprintsDescription | None = field(
         default_factory=lambda: EprintsDescription(
@@ -60,31 +59,31 @@ class RepositoryConfig:
             "repository_name",
             "base_url",
             "admin_email",
-            "protocol_version",
-            "scheme",
             "repository_identifier",
-            "delimiter",
             "sample_identifier",
         ):
             if not getattr(self, name):
                 raise ValueError(f"Identify-mandatory config field empty: {name}")
         if self.page_size < 1:
             raise ValueError("page_size must be positive")
+        # Identify may advertise only an identifier this repository answers to
+        try:
+            parse_oai_identifier(self.sample_identifier, self.repository_identifier)
+        except ValueError as exc:
+            raise ValueError(
+                f"sample_identifier {self.sample_identifier!r}: {exc}"
+            ) from None
 
 
-def load_repository_config(path) -> RepositoryConfig:
-    """Load identity config from a JSON file; missing keys take defaults."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    eprints = raw.pop("eprints", "default")
-    known = {f.name for f in fields(RepositoryConfig)} - {"eprints"}
-    unknown = set(raw) - known
+def repository_config(raw: dict) -> RepositoryConfig:
+    """The identity part of a parsed config file; missing keys take their
+    defaults, and ``"eprints": null`` drops the e-prints description."""
+    unknown = raw.keys() - {f.name for f in fields(RepositoryConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(raw)
-    if eprints is None:
-        kwargs["eprints"] = None
-    elif eprints != "default":
+    eprints = kwargs.get("eprints")
+    if eprints is not None:
         kwargs["eprints"] = EprintsDescription(
             content=eprints["content"],
             metadata_policy=PolicyText(**eprints["metadata_policy"]),

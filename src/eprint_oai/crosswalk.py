@@ -26,9 +26,6 @@ from .ids import TaxonomyConfig, format_datestamp
 from .texmap import tex_to_utf8
 from .xmlwriter import block_element, open_tag
 
-DEFAULT_ABS_URL_PREFIX = "http://arXiv.org/abs/"
-
-
 class UnsupportedFormat(ValueError):
     """Requested metadataPrefix is not registered."""
 
@@ -266,7 +263,7 @@ def to_format(
     datestamp: date,
     prefix: str,
     taxonomy: TaxonomyConfig,
-    abs_url_prefix: str = DEFAULT_ABS_URL_PREFIX,
+    abs_url_prefix: str,
 ) -> list[str]:
     """Render one record's metadata payload in the requested format.
 

@@ -156,7 +156,6 @@ class HarvestReport:
     pages: int = 0
     retries_503: int = 0
     elapsed: float = 0.0
-    completed: bool = False
 
 
 # the end of the tag that starts where the match starts; attribute values may
@@ -365,15 +364,14 @@ def run(
 
     503 replies are obeyed by sleeping the advertised Retry-After and
     retrying the same logical request; each page has ``max_retries``
-    attempts before the run fails with partial progress attached to the
-    raised :class:`TransportFailure`.
+    attempts before the run fails with :class:`TransportFailure`.
     """
     report = HarvestReport()
     records: list[HarvestedRecord] = []
     started = time.monotonic()
     params = job.initial_params()
     while True:
-        page, token = _fetch_page(job, transport, params, sleep, report, records)
+        page, token = _fetch_page(job, transport, params, sleep, report)
         records.extend(page)
         report.pages += 1
         report.fetched = len(records)
@@ -382,11 +380,10 @@ def run(
             break
         params = [("verb", job.verb), ("resumptionToken", token)]
     report.elapsed = time.monotonic() - started
-    report.completed = True
     return records, report
 
 
-def _fetch_page(job, transport, params, sleep, report, partial):
+def _fetch_page(job, transport, params, sleep, report):
     attempts = failures = 0
     while True:
         try:
@@ -394,8 +391,6 @@ def _fetch_page(job, transport, params, sleep, report, partial):
         except TransportFailure as exc:
             attempts += 1
             if attempts > job.max_retries:
-                exc.partial_records = partial  # type: ignore[attr-defined]
-                exc.report = report  # type: ignore[attr-defined]
                 raise
             sleep(min(2.0**failures, BACKOFF_CAP_S))
             failures += 1
@@ -404,10 +399,7 @@ def _fetch_page(job, transport, params, sleep, report, partial):
             report.retries_503 += 1
             attempts += 1
             if attempts > job.max_retries:
-                exc = TransportFailure("too many 503 replies")
-                exc.partial_records = partial  # type: ignore[attr-defined]
-                exc.report = report  # type: ignore[attr-defined]
-                raise exc
+                raise TransportFailure("too many 503 replies")
             sleep(_retry_after_seconds(resp.headers.get("Retry-After", "1")))
             continue
         if resp.status != 200:

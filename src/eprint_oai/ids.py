@@ -75,16 +75,6 @@ class EprintId:
         if self.version is not None and self.version < 1:
             raise MalformedIdentifier(f"bad version: {self.version}")
 
-    @property
-    def year(self) -> int:
-        """Four-digit year; two-digit years 91-99 fall in the 1990s."""
-        yy = self.yymm // 100
-        return 1900 + yy if yy >= 91 else 2000 + yy
-
-    @property
-    def month(self) -> int:
-        return self.yymm % 100
-
     def local(self) -> str:
         """Canonical rendering without the version suffix."""
         arch = self.archive
@@ -126,23 +116,31 @@ def parse_internal_id(text: str) -> EprintId:
     )
 
 
-class WrongScheme(MalformedIdentifier):
-    pass
-
-
 class WrongRepository(MalformedIdentifier):
     pass
+
+
+# the oai-identifier syntax, <scheme>:<repository>:<local>, that Identify
+# advertises and parse_oai_identifier accepts
+OAI_SCHEME = "oai"
+OAI_DELIMITER = ":"
+
+
+def oai_prefix(repository: str) -> str:
+    """What precedes the local part of each of ``repository``'s oai
+    identifiers: ``oai:<repository>:``."""
+    return f"{OAI_SCHEME}{OAI_DELIMITER}{repository}{OAI_DELIMITER}"
 
 
 def parse_oai_identifier(text: str, repository: str = "arXiv") -> EprintId:
     """Parse ``oai:<repository>:<local>`` for this repository; the OAI form
     of an e-print is its :meth:`EprintId.local` rendering, without version."""
-    parts = text.split(":", 2)
+    parts = text.split(OAI_DELIMITER, 2)
     if len(parts) != 3:
         raise MalformedIdentifier(f"not an oai identifier: {text!r}")
     scheme, repo, local = parts
-    if scheme != "oai":
-        raise WrongScheme(f"expected scheme 'oai', got {scheme!r}")
+    if scheme != OAI_SCHEME:
+        raise MalformedIdentifier(f"expected scheme {OAI_SCHEME!r}, got {scheme!r}")
     if repo != repository:
         raise WrongRepository(f"expected repository {repository!r}, got {repo!r}")
     eid = parse_internal_id(local)

@@ -12,14 +12,19 @@ from typing import Callable, Sequence
 from .config import RepositoryConfig
 from .crosswalk import DEFAULT_FORMATS, FormatDescriptor, find_format, to_format
 from .ids import (
+    OAI_DELIMITER,
+    OAI_SCHEME,
     MalformedIdentifier,
     TaxonomyConfig,
     format_datestamp,
+    oai_prefix,
     parse_datestamp,
     parse_oai_identifier,
 )
 from .store import IndexEntry, Store
 from .xmlwriter import NOT_XML_CHAR_RE, element, escape, open_tag
+
+PROTOCOL_VERSION = "1.0"
 
 # each verb: the ProtocolHandler method that answers it, its required
 # arguments and its optional ones
@@ -205,7 +210,7 @@ class ProtocolHandler:
         lines = [
             element("repositoryName", cfg.repository_name, "  "),
             element("baseURL", cfg.base_url, "  "),
-            element("protocolVersion", cfg.protocol_version, "  "),
+            element("protocolVersion", PROTOCOL_VERSION, "  "),
             element("adminEmail", cfg.admin_email, "  "),
             "  <description>",
             open_tag(
@@ -214,9 +219,9 @@ class ProtocolHandler:
                 "http://www.openarchives.org/OAI/oai-identifier.xsd",
                 "   ",
             ),
-            element("scheme", cfg.scheme, "    "),
+            element("scheme", OAI_SCHEME, "    "),
             element("repositoryIdentifier", cfg.repository_identifier, "    "),
-            element("delimiter", cfg.delimiter, "    "),
+            element("delimiter", OAI_DELIMITER, "    "),
             element("sampleIdentifier", cfg.sample_identifier, "    "),
             "   </oai-identifier>",
             "  </description>",
@@ -280,13 +285,17 @@ class ProtocolHandler:
 
     def get_record(self, request: OaiRequest) -> VerbResponse:
         fmt = find_format(request.arguments["metadataPrefix"])
-        lines = self._record_lines(request.arguments["identifier"], fmt)
+        prefix = oai_prefix(self.config.repository_identifier)
+        lines = self._record_lines(request.arguments["identifier"], fmt, prefix)
         return self._render("GetRecord", lines, request)
 
-    def _record_lines(self, ident: str, fmt: FormatDescriptor | None) -> list[str]:
+    def _record_lines(
+        self, ident: str, fmt: FormatDescriptor | None, prefix: str
+    ) -> list[str]:
         """The four-outcome record rendering shared by GetRecord and
         ListRecords: absent, deleted, header-only (``fmt`` None: no format
-        has the requested prefix), or header+metadata."""
+        has the requested prefix), or header+metadata. ``prefix`` is this
+        repository's :func:`oai_prefix`."""
         try:
             eid = parse_oai_identifier(ident, self.config.repository_identifier)
         except MalformedIdentifier:
@@ -294,10 +303,9 @@ class ProtocolHandler:
         record = self.store.get(eid)
         if record is None:
             return []
-        oai_id = f"oai:{self.config.repository_identifier}:{eid.local()}"
         header = [
             "   <header>",
-            element("identifier", oai_id, "    "),
+            element("identifier", prefix + eid.local(), "    "),
             element("datestamp", format_datestamp(record.datestamp), "    "),
             "   </header>",
         ]
@@ -357,20 +365,18 @@ class ProtocolHandler:
 
     def list_identifiers(self, request: OaiRequest) -> VerbResponse:
         page, token, _ = self._list_window(request)
-        repo = self.config.repository_identifier
-        lines = [
-            element("identifier", f"oai:{repo}:{e.identifier}", "  ") for e in page
-        ]
+        prefix = oai_prefix(self.config.repository_identifier)
+        lines = [element("identifier", prefix + e.identifier, "  ") for e in page]
         if token is not None:
             lines.append(element("resumptionToken", token.encode(), "  "))
         return self._render("ListIdentifiers", lines, request)
 
     def list_records(self, request: OaiRequest) -> VerbResponse:
         page, token, fmt = self._list_window(request)
-        repo = self.config.repository_identifier
+        prefix = oai_prefix(self.config.repository_identifier)
         lines: list[str] = []
         for entry in page:
-            lines += self._record_lines(f"oai:{repo}:{entry.identifier}", fmt)
+            lines += self._record_lines(prefix + entry.identifier, fmt, prefix)
         if token is not None:
             lines.append(element("resumptionToken", token.encode(), "  "))
         return self._render("ListRecords", lines, request)
@@ -394,7 +400,7 @@ class ProtocolHandler:
             f"<h1>{escape(self.config.repository_name)} harvesting interface"
             "</h1>\n"
             f"<p>This service implements protocol version "
-            f"{escape(self.config.protocol_version)} at base URL "
+            f"{PROTOCOL_VERSION} at base URL "
             f"<code>{escape(base)}</code>. The Document verb is not part of "
             "the protocol, so this page is returned with HTTP status 400. "
             "Example requests:</p>\n"
@@ -420,7 +426,7 @@ class ProtocolHandler:
     def _render(
         self, verb: str, payload_lines: list[str], request: OaiRequest
     ) -> VerbResponse:
-        ns = f"http://www.openarchives.org/OAI/1.0/OAI_{verb}"
+        ns = f"http://www.openarchives.org/OAI/{PROTOCOL_VERSION}/OAI_{verb}"
         lines = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             open_tag(verb, ns, f"{ns}.xsd", " "),

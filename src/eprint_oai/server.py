@@ -38,12 +38,11 @@ def remote_addr_key(environ: dict) -> str:
 def make_app(
     handler: ProtocolHandler,
     policy: FlowPolicy | None = None,
-    ledger: ClientLedger | None = None,
-    client_key: Callable[[dict], str] = remote_addr_key,
     monotonic: Callable[[], float] = time.monotonic,
 ):
-    """Build the WSGI callable. Without a policy no throttling happens."""
-    ledger = ledger if ledger is not None else ClientLedger()
+    """Build the WSGI callable. Without a policy no throttling happens;
+    with one, each client (its remote address) is throttled on its own."""
+    ledger = ClientLedger()
 
     def app(environ: dict, start_response) -> Iterable[bytes]:
         started = time.perf_counter()
@@ -75,7 +74,7 @@ def make_app(
         start_response(_STATUS_LINE[response.http_status], headers)
         log.info(
             "client=%s verb=%s status=%d duration_ms=%.1f",
-            client_key(environ),
+            remote_addr_key(environ),
             verb or "-",
             response.http_status,
             (time.perf_counter() - started) * 1000,
@@ -86,7 +85,8 @@ def make_app(
         if policy is None:
             return None
         verb_class = "list" if verb in LIST_VERBS else "other"
-        decision = ledger.admit(client_key(environ), verb_class, monotonic(), policy)
+        client = remote_addr_key(environ)
+        decision = ledger.admit(client, verb_class, monotonic(), policy)
         if decision.allowed:
             return None
         return VerbResponse(

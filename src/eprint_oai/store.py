@@ -112,16 +112,12 @@ class StoredRecord:
     deletion_reason: str | None = None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class IndexEntry:
     datestamp: date
     identifier: str  # canonical internal id, no version suffix
     sets: frozenset[SetSpec] = frozenset()
     deleted: bool = False
-
-    def __post_init__(self):
-        # order=True must only consider (datestamp, identifier)
-        object.__setattr__(self, "sets", frozenset(self.sets))
 
 
 # (metadata or None until first use, datestamp, sets, abs path relative to
@@ -342,14 +338,17 @@ class Store:
         """Parse and persist one abs file; the record's datestamp is the
         calendar date of ``received_at``.
 
-        Raises :class:`AbsParseError` (or an identifier error) on bad input
-        and :class:`DuplicateRecord` when the same id is re-ingested with
-        unchanged content. Changed content for an existing id is an update
-        and advances the datestamp.
+        Raises :class:`AbsParseError` (or an identifier error) on bad input,
+        :class:`DuplicateRecord` when the same id is re-ingested with
+        unchanged content, and ``ValueError`` for a deleted id, which is
+        never revived; both before anything is written. Changed content for
+        an existing id is an update and advances the datestamp.
         """
         meta = parse_abs(data)
         text = format_abs(meta)
         key = meta.id.local()
+        if key in self._deleted:
+            raise ValueError(f"record {key} is deleted; it cannot be ingested again")
         day = received_at.date()
         known = self._records.get(key)
         if known is not None and known[0] is None:
@@ -368,8 +367,6 @@ class Store:
             # a record's datestamp never moves backward
             if existing is not None:
                 day = max(day, existing[1])
-            if key in self._deleted:
-                day = max(day, self._deleted[key][0])
             rel = ""
             if self.data_dir is not None:
                 self._append(f"{key}\t{day.isoformat()}")

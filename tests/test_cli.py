@@ -24,9 +24,11 @@ def test_usage_error_exits_2(capsys):
     assert info.value.code == 2
 
 
-def test_missing_data_dir_is_usage_error():
-    with pytest.raises(SystemExit, match="data-dir"):
+def test_missing_data_dir_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
         cli.main(["crosswalk", "cs.DL/0101027", "oai_dc"])
+    assert info.value.code == 2
+    assert "--data-dir is required" in capsys.readouterr().err
 
 
 def test_crosswalk_command(capsys):
@@ -67,6 +69,131 @@ def test_config_file_with_flag_override(tmp_path, capsys):
          "cs.DL/0101027", "oai_dc"]
     )
     assert rc == 0  # flag wins over the config file
+
+
+def test_config_file_sets_the_repository_identity(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"data_dir": str(DEMO), "abs_url_prefix": "https://example.org/a/"}),
+        encoding="utf-8",
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "eprint_oai.cli", "--config", str(cfg),
+         "crosswalk", "cs.DL/0101027", "oai_dc"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "<identifier>https://example.org/a/cs.DL/0101027</identifier>" in done.stdout
+    assert "http://arXiv.org/abs/" not in done.stdout
+
+
+def _usage_error(capsys, argv) -> str:
+    """Run the CLI expecting exit 2; its stderr."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("scheme", "foo"), ("delimiter", "/"), ("protocol_version", "2.0"),
+     ("identity_file", "id.json"), ("pagesize", 7)],
+)
+def test_config_file_with_unknown_key_is_usage_error(tmp_path, capsys, key, value):
+    """The oai-identifier syntax and the protocol version are constants, so
+    a file cannot set them; nor can it set a key no setting has."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data_dir": str(DEMO), key: value}), encoding="utf-8")
+    err = _usage_error(capsys, ["--config", str(cfg), "crosswalk",
+                                "cs.DL/0101027", "oai_dc"])
+    assert f"unknown config keys: ['{key}']" in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read config file"), ("{", "is not JSON"),
+     ("[1]", "does not hold a JSON object"),
+     ('{"data_dir": ".", "page_size": 0}', "page_size must be positive"),
+     ('{"data_dir": ".", "eprints": {}}', "missing key 'content'"),
+     ('{"data_dir": 5}', "invalid configuration")],
+    ids=["missing", "not-json", "not-an-object", "bad-value", "bad-eprints",
+         "bad-path"],
+)
+def test_unusable_config_file_is_usage_error(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content, encoding="utf-8")
+    err = _usage_error(capsys, ["--config", str(cfg), "crosswalk",
+                                "cs.DL/0101027", "oai_dc"])
+    assert message in err
+
+
+def test_sample_identifier_of_another_repository_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"data_dir": str(DEMO), "repository_identifier": "demo"}),
+        encoding="utf-8",
+    )
+    err = _usage_error(capsys, ["--config", str(cfg), "crosswalk",
+                                "cs.DL/0101027", "oai_dc"])
+    assert "sample_identifier 'oai:arXiv:quant-ph/9901001'" in err
+
+
+def _invalid_store(capsys, argv) -> None:
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid store: ") and "Traceback" not in err
+
+
+def test_serve_with_a_taxonomy_lacking_an_archive_fails_cleanly(tmp_path, capsys):
+    table = tmp_path / "taxonomy.tsv"
+    table.write_text(
+        "".join(
+            line + "\n"
+            for line in (ROOT / "src/eprint_oai/data/taxonomy.tsv")
+            .read_text(encoding="utf-8").splitlines()
+            if not line.startswith("archive\tcs\t")
+        ),
+        encoding="utf-8",
+    )
+    _invalid_store(capsys, ["serve", "--data-dir", str(DEMO),
+                            "--taxonomy", str(table), "--port", "1"])
+
+
+def test_crosswalk_on_a_missing_store_fails_cleanly(tmp_path, capsys):
+    _invalid_store(capsys, ["crosswalk", "--data-dir", str(tmp_path / "nodir"),
+                            "cs.DL/0101027", "oai_dc"])
+
+
+def test_ingest_into_a_store_that_cannot_be_opened_fails_cleanly(tmp_path, capsys):
+    (tmp_path / "store").write_text("a file, not a directory\n", encoding="utf-8")
+    src = DEMO / "cs" / "0101" / "cs.DL.0101027.abs"
+    _invalid_store(capsys, ["ingest", "--data-dir", str(tmp_path / "store"), str(src)])
+
+
+def _flags(parser) -> set[str]:
+    return {
+        flag for action in parser._actions for flag in action.option_strings
+    } - {"-h", "--help"}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    """A flag that its command ignores is a knob that does nothing."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert _flags(parser) == {"--config"}
+    assert {name: _flags(p) for name, p in commands.items()} == {
+        "serve": {"--data-dir", "--taxonomy", "--port", "--base-url",
+                  "--page-size", "--min-interval-list", "--min-interval-other"},
+        "ingest": {"--data-dir", "--taxonomy"},
+        "harvest": {"--data-dir", "--prefix", "--from", "--until", "--set",
+                    "--incremental", "--state-file"},
+        "crosswalk": {"--data-dir", "--taxonomy"},
+    }
 
 
 def test_ingest_command(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ from datetime import date
 import pytest
 
 from conftest import make_meta, synth_corpus
+from eprint_oai.config import RepositoryConfig
 from eprint_oai.crosswalk import (
     DEFAULT_FORMATS,
     UnsupportedFormat,
@@ -17,8 +18,11 @@ from eprint_oai.ids import EprintId, parse_internal_id
 from eprint_oai.store import Store
 
 
+ABS_URL_PREFIX = RepositoryConfig().abs_url_prefix
+
+
 def render(meta, datestamp, prefix, taxonomy) -> str:
-    return "\n".join(to_format(meta, datestamp, prefix, taxonomy))
+    return "\n".join(to_format(meta, datestamp, prefix, taxonomy, ABS_URL_PREFIX))
 
 
 def fields(meta, datestamp, prefix, taxonomy) -> list[tuple[str, str]]:
@@ -112,7 +116,7 @@ def test_line_breaks_in_text_keep_the_fragment_indented(taxonomy):
         title="A\r\nB\x0bC\x0cD\x1cE\x85F\u2028G\u2029H\rI",
     )
     for fmt in DEFAULT_FORMATS:
-        lines = to_format(meta, date(2001, 1, 3), fmt.prefix, taxonomy)
+        lines = to_format(meta, date(2001, 1, 3), fmt.prefix, taxonomy, ABS_URL_PREFIX)
         text = "\n".join(lines)
         assert all(line.startswith("    ") for line in text.splitlines())
         title = ET.fromstring(text).find(f"{{{fmt.namespace}}}title").text
@@ -175,4 +179,4 @@ def test_all_records_convert_to_all_formats(taxonomy):
 def test_unsupported_prefix(taxonomy):
     meta = make_meta(EprintId("hep-th", 9901, 1), date(1999, 1, 1))
     with pytest.raises(UnsupportedFormat):
-        to_format(meta, date(1999, 1, 2), "oai_marc", taxonomy)
+        to_format(meta, date(1999, 1, 2), "oai_marc", taxonomy, ABS_URL_PREFIX)

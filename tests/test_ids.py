@@ -74,12 +74,6 @@ def test_malformed_ids_rejected(bad):
         parse_internal_id(bad)
 
 
-def test_year_windowing():
-    assert parse_internal_id("hep-th/9108001").year == 1991
-    assert parse_internal_id("cs.DL/0101027").year == 2001
-    assert parse_internal_id("math.AG/9001001").year == 2090
-
-
 @pytest.mark.parametrize(
     "internal,oai",
     [

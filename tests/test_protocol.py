@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIXED_CLOCK, make_meta, synth_corpus
 from eprint_oai.absfile import AbsParseError, format_abs
-from eprint_oai.config import RepositoryConfig
+from eprint_oai.config import RepositoryConfig, repository_config
 from eprint_oai.crosswalk import DEFAULT_FORMATS
 from eprint_oai.ids import EprintId, load_taxonomy, parse_datestamp
 from eprint_oai.protocol import (
@@ -134,6 +134,51 @@ def test_identify(demo_handler):
     ns = NS % "Identify"
     assert root.findtext(f"{ns}repositoryName") == "arXiv"
     assert root.findtext(f"{ns}protocolVersion") == "1.0"
+
+
+@pytest.mark.parametrize(
+    "identity",
+    [{}, {"repository_identifier": "demo", "eprints": None,
+          "sample_identifier": "oai:demo:cs.DL/0101027"}],
+    ids=["default", "renamed"],
+)
+def test_identify_advertises_the_identifiers_it_serves(demo_store, identity):
+    """scheme, repositoryIdentifier and delimiter put together are the
+    prefix of every identifier the repository lists, and its sample
+    identifier is one it answers to."""
+    handler = ProtocolHandler(
+        demo_store, repository_config(identity), clock=lambda: FIXED_CLOCK
+    )
+    root = body_root(call(handler, verb="Identify"))
+    oai = "{http://www.openarchives.org/OAI/oai-identifier}"
+    scheme, repo, delimiter, sample = (
+        root.findtext(f".//{oai}{tag}")
+        for tag in ("scheme", "repositoryIdentifier", "delimiter", "sampleIdentifier")
+    )
+    prefix = f"{scheme}{delimiter}{repo}{delimiter}"
+    listed = body_root(call(handler, verb="ListIdentifiers"))
+    idents = [e.text for e in listed.findall(f"{NS % 'ListIdentifiers'}identifier")]
+    assert idents and all(i.startswith(prefix) for i in idents)
+    assert sample.startswith(prefix)
+    described = {d[0].tag for d in root.findall(f"{NS % 'Identify'}description")}
+    assert ("{http://www.openarchives.org/OAI/eprints}eprints" in described) == (
+        "eprints" not in identity
+    )
+    if "sample_identifier" in identity:
+        got = body_root(
+            call(handler, verb="GetRecord", identifier=sample, metadataPrefix="oai_dc")
+        )
+        assert got.findtext(f".//{NS % 'GetRecord'}identifier") == sample
+
+
+def test_repository_config_refuses_a_sample_it_would_not_answer_to():
+    for sample in ("oai:other:hep-th/9901001", "foo:arXiv:hep-th/9901001",
+                   "oai:arXiv:hep-th/9901001v2", "oai/arXiv/hep-th/9901001"):
+        with pytest.raises(ValueError, match="sample_identifier"):
+            RepositoryConfig(sample_identifier=sample)
+    with pytest.raises(ValueError, match="sample_identifier"):
+        RepositoryConfig(repository_identifier="a:b",
+                         sample_identifier="oai:a:b:hep-th/9901001")
 
 
 def test_list_sets_order(demo_handler):

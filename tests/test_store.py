@@ -5,6 +5,7 @@ import io
 import logging
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -98,6 +99,27 @@ def test_mark_deleted(store):
 def test_mark_deleted_unknown(store):
     with pytest.raises(NotFound):
         store.mark_deleted(parse_internal_id("hep-th/9901001"), "x", dt(date(2000, 1, 1)))
+
+
+@pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+def test_ingest_of_a_deleted_record_is_refused(taxonomy, tmp_path, on_disk):
+    """A deleted id is never revived, so ingesting it is refused before
+    anything is written: no log line, no abs file, no change of its sets."""
+    store = Store(taxonomy, tmp_path if on_disk else None)
+    eid = EprintId("hep-th", 9901, 1)
+    store.ingest(format_abs(make_meta(eid, date(1999, 1, 1))), dt(date(1999, 1, 1)))
+    store.mark_deleted(eid, "withdrawn", dt(date(1999, 1, 2)))
+    before = store.scan()
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    v2 = make_meta(eid, date(1999, 1, 1), ["cs.DL"], journal_ref="J. Ex. 2 (1999) 1")
+    with pytest.raises(ValueError, match="record hep-th/9901001 is deleted"):
+        store.ingest(format_abs(v2), dt(date(1999, 1, 5)))
+    assert store.scan() == before
+    assert store.get(eid).deleted and store.get(eid).datestamp == date(1999, 1, 2)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+    if on_disk:
+        assert (tmp_path / CHANGE_LOG).exists()
+        assert Store(taxonomy, tmp_path).scan() == before
 
 
 def test_scan_range_and_set(demo_store):
@@ -310,6 +332,16 @@ def test_readers_see_whole_snapshots_while_a_writer_runs(taxonomy, tmp_path):
     assert Store(taxonomy, tmp_path).scan() == store.scan()
 
 
+def _ingest_or_refuse(store, eid, data, received_at):
+    """Ingest a replacement of ``eid``, which the store refuses, naming the
+    record, when ``eid`` is deleted."""
+    if store.get(eid).deleted:
+        with pytest.raises(ValueError, match=re.escape(f"record {eid.local()} ")):
+            store.ingest(data, received_at)
+    else:
+        store.ingest(data, received_at)
+
+
 _OPS = st.lists(
     st.tuples(
         st.sampled_from(["new", "replace", "delete"]),
@@ -345,7 +377,7 @@ def test_reload_compact_and_replay_equal_incremental_scan(taxonomy, ops):
                     crosslists=["math.DS"] if pick % 2 else [],
                     journal_ref=f"J. Ex. {i} (1999) 1",
                 )
-                store.ingest(format_abs(meta), dt(day))
+                _ingest_or_refuse(store, eid, format_abs(meta), dt(day))
             else:
                 store.mark_deleted(ids[pick % len(ids)], f"reason {i}", dt(day))
         expected = store.scan()
@@ -806,13 +838,14 @@ def test_table_load_equals_full_parse(taxonomy, ops):
                 store.ingest(format_abs(make_meta(eid, date(1999, 1, 1))), dt(day))
                 ids.append(eid)
             elif op == "replace":
+                eid = ids[pick % len(ids)]
                 meta = make_meta(
-                    ids[pick % len(ids)],
+                    eid,
                     date(1999, 1, 1),
                     crosslists=[["math.DS"], ["cs.DL", "q-alg"], []][pick % 3],
                     journal_ref=f"J. Ex. {i} (1999) 1",
                 )
-                store.ingest(format_abs(meta), dt(day))
+                _ingest_or_refuse(store, eid, format_abs(meta), dt(day))
             else:
                 store.mark_deleted(ids[pick % len(ids)], f"reason {i}", dt(day))
         expected = _contents(store)
