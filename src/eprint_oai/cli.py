@@ -44,6 +44,27 @@ COMMAND_KEYS = (
     "data_dir", "port", "min_interval_list", "min_interval_other", "taxonomy_file"
 )
 
+_STRING = ((str,), "a string")
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+# the JSON types each config-file key takes; a boolean is no number, and
+# null is taken only where the setting's default is None
+_CONFIG_TYPES = {
+    "data_dir": _STRING,
+    "port": _INTEGER,
+    "min_interval_list": _NUMBER,
+    "min_interval_other": _NUMBER,
+    "taxonomy_file": ((str, type(None)), "a string or null"),
+    "repository_name": _STRING,
+    "base_url": _STRING,
+    "admin_email": _STRING,
+    "repository_identifier": _STRING,
+    "sample_identifier": _STRING,
+    "eprints": ((dict, type(None)), "an object or null"),
+    "abs_url_prefix": _STRING,
+    "page_size": _INTEGER,
+}
+
 
 def now() -> datetime:
     """Wall clock, overridable for reproducible fixtures."""
@@ -87,6 +108,13 @@ def _read_config(path: str) -> dict:
         raise ValueError(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(values, dict):
         raise ValueError(f"config file {path} does not hold a JSON object")
+    for key, value in values.items():
+        # unknown keys are reported with the repository's fields
+        types, expected = _CONFIG_TYPES.get(key, ((object,), ""))
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ValueError(
+                f"invalid configuration: {key} must be {expected}, got {value!r}"
+            )
     return values
 
 
@@ -101,6 +129,9 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     settings = {key: values.pop(key) for key in COMMAND_KEYS if key in values}
     if not settings.get("data_dir"):
         raise ValueError("--data-dir is required (flag or config file)")
+    port = settings.get("port", 0)
+    if not 0 <= port <= 65535:
+        raise ValueError(f"invalid configuration: port {port} is not 0-65535")
     try:
         settings["data_dir"] = Path(settings["data_dir"])
         if settings.get("taxonomy_file"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 def write_durably(path: Path, parts: Iterable[str]) -> None:
@@ -47,7 +47,7 @@ class AppendLog:
     """A file of newline-terminated lines, appended to with fsync.
 
     A last line with no trailing newline is torn: a crash cut its append
-    short. :meth:`read` leaves it out and the next :meth:`append` cuts it
+    short. :meth:`lines` leaves it out and the next :meth:`append` cuts it
     off, so it never prefixes a later line.
     """
 
@@ -56,15 +56,21 @@ class AppendLog:
         # length of the valid prefix when the file ends in a torn line
         self._end: int | None = None
 
-    def read(self) -> str:
-        """The file's whole lines; empty when there is no file."""
-        if not self.path.exists():
-            return ""
-        data = self.path.read_bytes()
-        if data and not data.endswith(b"\n"):
-            self._end = data.rfind(b"\n") + 1
-            data = data[: self._end]
-        return data.decode("utf-8")
+    def lines(self) -> Iterator[str]:
+        """The file's whole lines, decoded and without their newlines; none
+        when there is no file. Read one at a time."""
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with fh:
+            end = 0
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    self._end = end
+                    return
+                end += len(line)
+                yield line[:-1].decode("utf-8")
 
     def append(self, lines: Iterable[bytes]) -> None:
         """Append ``lines``, each ending in a newline, and fsync them."""

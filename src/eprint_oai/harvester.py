@@ -183,6 +183,7 @@ def _parse_page(body: bytes, verb: str) -> tuple[list[HarvestedRecord], str | No
     # a fragment has
     in_scope: list[list[tuple[str, str]]] = [[], [], []]
     text: list[str] | None = None  # character data being collected
+    rooted = False  # whether the root element has started
     ident, stamp, deleted, metadata = "", None, False, None
     start = depth = 0  # where the open fragment starts, its depth
     inherited: dict[str, str] = {}
@@ -201,13 +202,14 @@ def _parse_page(body: bytes, verb: str) -> tuple[list[HarvestedRecord], str | No
         parser.CharacterDataHandler = text.append
 
     def element_start(name, attrs):
-        nonlocal declared, ident, stamp, deleted, metadata
+        nonlocal declared, ident, stamp, deleted, metadata, rooted
         local = name.rpartition("}")[2]
         level = len(path)
         if level < 3:
             in_scope[level] = declared
         declared = []
         if level == 0:
+            rooted = True
             if local != verb:
                 raise ProtocolError(f"expected {verb} response, got {local!r}")
         elif level == 1:
@@ -312,6 +314,12 @@ def _parse_page(body: bytes, verb: str) -> tuple[list[HarvestedRecord], str | No
         parser.Parse(body, True)
     except expat.ExpatError as exc:
         raise ProtocolError(f"response body does not parse as XML: {exc}") from exc
+    except (LookupError, ValueError) as exc:
+        # expat asks Python for an encoding it does not know itself while it
+        # reads the XML declaration; no codec, or not a one-byte text codec
+        if rooted:
+            raise
+        raise ProtocolError(f"unusable declared encoding {encoding!r}: {exc}") from exc
     return records, token
 
 
@@ -547,26 +555,49 @@ class HarvestState:
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._state: dict[str, str] = {}
+        self._state: dict[str, date] = {}
         if self.path is not None and self.path.exists():
-            self._state = json.loads(self.path.read_text(encoding="utf-8"))
+            self._state = _read_state(self.path)
 
     @staticmethod
     def key(base_url: str, set_spec: str | None, prefix: str | None) -> str:
         return "\t".join([base_url, set_spec or "", prefix or ""])
 
     def last_completed(self, key: str) -> date | None:
-        raw = self._state.get(key)
-        return parse_datestamp(raw) if raw else None
+        return self._state.get(key)
 
     def advance(self, key: str, day: date) -> None:
         prior = self.last_completed(key)
         if prior is not None and day < prior:
             return
-        self._state[key] = format_datestamp(day)
+        self._state[key] = day
         if self.path is not None:
-            text = json.dumps(self._state, indent=1, sort_keys=True)
+            saved = {k: format_datestamp(v) for k, v in self._state.items()}
+            text = json.dumps(saved, indent=1, sort_keys=True)
             replace_durably(self.path, [text])
+
+
+def _read_state(path: Path) -> dict[str, date]:
+    """The dates a state file holds: a JSON object of ``YYYY-MM-DD``
+    strings. Anything else raises :class:`HarvestStoreError` naming the
+    file, since a guessed date could skip records or fetch them all."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise HarvestStoreError(f"unusable harvest state file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise HarvestStoreError(
+            f"harvest state file {path} does not hold a JSON object"
+        )
+    state = {}
+    for key, day in raw.items():
+        try:
+            state[key] = parse_datestamp(day)
+        except (TypeError, ValueError):
+            raise HarvestStoreError(
+                f"harvest state file {path}: {key!r} is not a YYYY-MM-DD date: {day!r}"
+            ) from None
+    return state
 
 
 def incremental(

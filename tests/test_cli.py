@@ -132,6 +132,37 @@ def test_unusable_config_file_is_usage_error(tmp_path, capsys, content, message)
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [("port", "8099", "an integer"), ("port", True, "an integer"),
+     ("min_interval_list", "fast", "a number"),
+     ("min_interval_other", False, "a number"),
+     ("page_size", "50", "an integer"), ("page_size", 50.0, "an integer"),
+     ("base_url", 5, "a string"), ("data_dir", None, "a string"),
+     ("taxonomy_file", 1, "a string or null"), ("eprints", [], "an object or null")],
+)
+def test_config_value_of_the_wrong_type_is_usage_error(
+    tmp_path, capsys, key, value, expected
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data_dir": str(DEMO), key: value}), encoding="utf-8")
+    err = _usage_error(capsys, ["--config", str(cfg), "crosswalk",
+                                "cs.DL/0101027", "oai_dc"])
+    assert f"{key} must be {expected}, got {value!r}" in err
+
+
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_port_out_of_range_is_usage_error(tmp_path, capsys, source):
+    cfg = tmp_path / "cfg.json"
+    settings = {"data_dir": str(DEMO)}
+    if source == "file":
+        settings["port"] = 70000
+    cfg.write_text(json.dumps(settings), encoding="utf-8")
+    flag = ["--port", "70000"] if source == "flag" else []
+    err = _usage_error(capsys, ["--config", str(cfg), "serve", *flag])
+    assert "port 70000 is not 0-65535" in err
+
+
 def test_sample_identifier_of_another_repository_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -320,6 +351,19 @@ def test_harvest_unreachable_target(tmp_path, capsys, monkeypatch):
     )
     assert rc == 1
     assert "harvest failed" in capsys.readouterr().err
+
+
+def test_harvest_with_an_unusable_state_file_fails_cleanly(tmp_path, capsys):
+    state_file = tmp_path / "state.json"
+    state_file.write_text('{"k": "2001-13-45"}', encoding="utf-8")
+    rc = cli.main(
+        ["harvest", "--data-dir", str(tmp_path / "h"), "http://127.0.0.1:1/",
+         "--prefix", "oai_dc", "--incremental", "--state-file", str(state_file)]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("harvest failed: ") and str(state_file) in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--from", "--until"])

@@ -410,6 +410,15 @@ def test_utf16_page_is_protocol_error():
             _parse_page(body, "ListRecords")
 
 
+@pytest.mark.parametrize("encoding", ["no-such-codec", "rot13", "shift_jis"])
+def test_unusable_declared_encoding_is_protocol_error(encoding):
+    """An encoding expat leaves to Python, and Python cannot give it as a
+    one-byte text codec, is the provider's fault like any other bad page."""
+    body = _page(_record('<dc xmlns="urn:dc"/>'), declaration=encoding)
+    with pytest.raises(ProtocolError, match=f"unusable declared encoding '{encoding}'"):
+        _parse_page(body.encode("ascii"), "ListRecords")
+
+
 @pytest.mark.parametrize(
     "fragment",
     [
@@ -498,6 +507,22 @@ def test_harvest_state_never_moves_backward(tmp_path):
     state.advance(key, date(2001, 1, 10))
     assert state.last_completed(key) == date(2001, 1, 20)
     assert HarvestState(path).last_completed(key) == date(2001, 1, 20)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [("{not json", "unusable harvest state file"),
+     ("[]", "does not hold a JSON object"),
+     ('{"k": "2001-13-45"}', "'k' is not a YYYY-MM-DD date: '2001-13-45'"),
+     ('{"k": 20010120}', "'k' is not a YYYY-MM-DD date: 20010120")],
+    ids=["not-json", "not-an-object", "bad-date", "not-a-string"],
+)
+def test_unusable_state_file_is_refused_on_open(tmp_path, content, message):
+    path = tmp_path / "state.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(HarvestStoreError, match=message) as info:
+        HarvestState(path)
+    assert str(path) in str(info.value)
 
 
 def day_clock(day_holder):

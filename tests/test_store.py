@@ -12,6 +12,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -615,6 +616,99 @@ def test_second_load_of_demo_corpus_parses_nothing(
     assert _contents(store) == contents
     assert sorted(parsed) == sorted(live)
     assert contents == _contents(Store(taxonomy, demo_copy))
+
+
+def _load_counts(caplog) -> list[dict[str, str]]:
+    """The fields of each ``store.load`` line logged so far."""
+    return [
+        dict(field.split("=") for field in record.getMessage().split()[1:])
+        for record in caplog.records
+        if record.getMessage().startswith("store.load ")
+    ]
+
+
+def test_each_load_logs_its_work(taxonomy, demo_copy, caplog):
+    with caplog.at_level(logging.INFO, logger="eprint_oai.store"):
+        store = Store(taxonomy, demo_copy)
+        Store(taxonomy, demo_copy)
+    first, second = _load_counts(caplog)
+    deleted = len([e for e in store.scan() if e.deleted])
+    for counts in (first, second):
+        assert counts["records"] == str(len(store.scan()))
+        assert counts["deleted"] == str(deleted)
+        assert float(counts["seconds"]) >= 0
+    assert (first["trusted"], first["parsed"], first["dropped"]) == (
+        "0", str(DEMO_FILES), "0"
+    )
+    assert (second["trusted"], second["parsed"], second["dropped"]) == (
+        str(DEMO_FILES), "0", "0"
+    )
+
+
+def test_rows_out_of_walk_order_count_as_missing(taxonomy, demo_copy, parsed, caplog):
+    """A hand-shuffled table loads as a full parse would, and the load
+    writes the table back in walk order."""
+    Store(taxonomy, demo_copy)
+    table = demo_copy / INDEX_TABLE
+    in_order = table.read_text(encoding="utf-8")
+    version, *rows = in_order.splitlines(keepends=True)
+    random.Random(3).shuffle(rows)
+    assert "".join(rows) != in_order.partition("\n")[2]
+    table.write_text(version + "".join(rows), encoding="utf-8")
+    parsed.clear()
+    with caplog.at_level(logging.INFO, logger="eprint_oai.store"):
+        store = Store(taxonomy, demo_copy)
+    [counts] = _load_counts(caplog)
+    assert 0 < len(parsed) < DEMO_FILES
+    assert counts["parsed"] == str(len(parsed))
+    assert int(counts["trusted"]) + int(counts["dropped"]) == DEMO_FILES
+    assert table.read_text(encoding="utf-8") == in_order
+    assert _contents(store) == _contents(_full_parse(taxonomy, demo_copy))
+
+
+def _write_tree(data_dir: Path, n: int) -> None:
+    """``n`` abs files with their datestamp table, and 2% of them deleted,
+    written as another program would write them."""
+    rng = random.Random(11)
+    stamps, deleted = [], []
+    for i in range(n):
+        archive = ("hep-th", "astro-ph", "cond-mat", "quant-ph")[i % 4]
+        yymm = 9201 + (i // 4) % 12
+        eid = EprintId(archive, yymm, i // 48 + 1)
+        day = date(1992, yymm % 100, 1 + i % 28)
+        month = data_dir / archive / f"{yymm:04d}"
+        month.mkdir(parents=True, exist_ok=True)
+        (month / f"{archive}.{yymm}{i // 48 + 1:03d}.abs").write_text(
+            format_abs(make_meta(eid, day, rng.choice([[], ["math.DS"], ["cs.DL"]]))),
+            encoding="utf-8",
+        )
+        stamps.append(f"{eid.local()}\t{day + timedelta(days=3)}\n")
+        if i % 50 == 7:
+            deleted.append(f"{eid.local()}\t{day + timedelta(days=9)}\tgone\n")
+    (data_dir / DATESTAMP_TABLE).write_text("".join(stamps), encoding="utf-8")
+    (data_dir / DELETED_TABLE).write_text("".join(deleted), encoding="utf-8")
+
+
+def test_load_of_a_consistent_store_holds_little_beyond_the_store(taxonomy, tmp_path):
+    """A load streams the tables, the tree and the trusted rows: its traced
+    peak is at most twice the heap the loaded store keeps."""
+    data_dir = tmp_path / "store"
+    _write_tree(data_dir, 2000)
+    time.sleep(0.02)  # so that every file is older than the table
+    expected = _contents(Store(taxonomy, data_dir))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        store = Store(taxonomy, data_dir)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(store.scan()) == 2000 and len(expected[0]) == 2000
+    assert peak - base <= 2 * (live - base), (peak - base, live - base)
+    assert _contents(store) == expected
 
 
 def _change_in_place(data_dir: Path) -> None:
