@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 
-from . import harvester
 from .config import RepositoryConfig, repository_config
 from .crosswalk import UnsupportedFormat, to_format
 from .flowcontrol import FlowPolicy
@@ -175,6 +174,8 @@ def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_harvest(args: argparse.Namespace, config: CliConfig) -> int:
+    from . import harvester  # here, so that serve never loads it or sqlite3
+
     verb = "ListRecords" if args.prefix else "ListIdentifiers"
     job = harvester.HarvestJob(
         verb=verb,

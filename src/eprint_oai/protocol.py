@@ -1,13 +1,22 @@
 """Request parsing, verb dispatch, pagination and XML response rendering
 for the six harvesting-protocol verbs (plus the undocumented Document verb,
 whose contract is an HTTP 400 with an HTML body).
+
+Every XML response is assembled by :meth:`ProtocolHandler._render` as a
+sequence of encoded parts: a head (XML declaration, root tag,
+``responseDate``, ``requestURL``), the payload, and a tail (the
+resumptionToken, if any, and the closing tag). A ListRecords page's
+payload is its records' text, gathered into parts of about
+:data:`PART_CHARS` characters and encoded one part at a time, so a page
+never exists as one ``str`` and its bytes exist once. Every record is
+fetched and rendered before :meth:`ProtocolHandler.handle` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .config import RepositoryConfig
 from .crosswalk import DEFAULT_FORMATS, FormatDescriptor, find_format, to_format
@@ -25,6 +34,11 @@ from .store import IndexEntry, Store
 from .xmlwriter import NOT_XML_CHAR_RE, element, escape, open_tag
 
 PROTOCOL_VERSION = "1.0"
+
+# characters of payload text gathered before they are encoded as one part
+# of a response: large enough that a 1 MB page goes out in about 16 sends,
+# small enough that the text awaiting encoding stays small beside the page
+PART_CHARS = 64 * 1024
 
 # each verb: the ProtocolHandler method that answers it, its required
 # arguments and its optional ones
@@ -116,10 +130,16 @@ def _format_for_tag(tag: str | None) -> FormatDescriptor | None:
 
 @dataclass(frozen=True)
 class VerbResponse:
+    """A response as the encoded parts that are sent in order."""
+
     http_status: int
     content_type: str
-    body: bytes
+    parts: Sequence[bytes]
     retry_after: float | None = None
+
+    @property
+    def body(self) -> bytes:
+        return b"".join(self.parts)
 
 
 def parse_request(params: Sequence[tuple[str, str]]) -> OaiRequest:
@@ -170,6 +190,11 @@ def _paginate(
     if cut == len(entries):
         return entries, None
     return entries[:cut], entries[cut].datestamp
+
+
+def _text(lines: list[str]) -> str:
+    """Lines as they stand in a response, each ended by a newline."""
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def _utc_now() -> datetime:
@@ -252,7 +277,7 @@ class ProtocolHandler:
                 lines.append(f"    </{tag}>")
             lines.append("   </eprints>")
             lines.append("  </description>")
-        return self._render("Identify", lines, request)
+        return self._render("Identify", request, [_text(lines)])
 
     def list_sets(self, request: OaiRequest) -> VerbResponse:
         lines = []
@@ -261,7 +286,7 @@ class ProtocolHandler:
             lines.append(element("setSpec", token, "   "))
             lines.append(element("setName", name, "   "))
             lines.append("  </set>")
-        return self._render("ListSets", lines, request)
+        return self._render("ListSets", request, [_text(lines)])
 
     def list_metadata_formats(self, request: OaiRequest) -> VerbResponse:
         listed: Sequence[FormatDescriptor] = DEFAULT_FORMATS
@@ -281,28 +306,29 @@ class ProtocolHandler:
             lines.append(element("schema", f.schema, "   "))
             lines.append(element("metadataNamespace", f.namespace, "   "))
             lines.append("  </metadataFormat>")
-        return self._render("ListMetadataFormats", lines, request)
+        return self._render("ListMetadataFormats", request, [_text(lines)])
 
     def get_record(self, request: OaiRequest) -> VerbResponse:
         fmt = find_format(request.arguments["metadataPrefix"])
         prefix = oai_prefix(self.config.repository_identifier)
-        lines = self._record_lines(request.arguments["identifier"], fmt, prefix)
-        return self._render("GetRecord", lines, request)
+        text = self._record_text(request.arguments["identifier"], fmt, prefix)
+        return self._render("GetRecord", request, [text])
 
-    def _record_lines(
+    def _record_text(
         self, ident: str, fmt: FormatDescriptor | None, prefix: str
-    ) -> list[str]:
+    ) -> str:
         """The four-outcome record rendering shared by GetRecord and
-        ListRecords: absent, deleted, header-only (``fmt`` None: no format
-        has the requested prefix), or header+metadata. ``prefix`` is this
-        repository's :func:`oai_prefix`."""
+        ListRecords, as lines each ended by a newline: absent (no text),
+        deleted, header-only (``fmt`` None: no format has the requested
+        prefix), or header+metadata. ``prefix`` is this repository's
+        :func:`oai_prefix`."""
         try:
             eid = parse_oai_identifier(ident, self.config.repository_identifier)
         except MalformedIdentifier:
-            return []  # outcome 1: no such item, no <record> container
+            return ""  # outcome 1: no such item, no <record> container
         record = self.store.get(eid)
         if record is None:
-            return []
+            return ""
         header = [
             "   <header>",
             element("identifier", prefix + eid.local(), "    "),
@@ -310,9 +336,9 @@ class ProtocolHandler:
             "   </header>",
         ]
         if record.deleted:
-            return ['  <record status="deleted">', *header, "  </record>"]
+            return _text(['  <record status="deleted">', *header, "  </record>"])
         if fmt is None:
-            return ["  <record>", *header, "  </record>"]
+            return _text(["  <record>", *header, "  </record>"])
         fragment = to_format(
             record.meta,
             record.datestamp,
@@ -320,14 +346,16 @@ class ProtocolHandler:
             self.taxonomy,
             self.config.abs_url_prefix,
         )
-        return [
-            "  <record>",
-            *header,
-            "   <metadata>",
-            *fragment,
-            "   </metadata>",
-            "  </record>",
-        ]
+        return _text(
+            [
+                "  <record>",
+                *header,
+                "   <metadata>",
+                *fragment,
+                "   </metadata>",
+                "  </record>",
+            ]
+        )
 
     # --- list verbs -------------------------------------------------------
 
@@ -367,19 +395,13 @@ class ProtocolHandler:
         page, token, _ = self._list_window(request)
         prefix = oai_prefix(self.config.repository_identifier)
         lines = [element("identifier", prefix + e.identifier, "  ") for e in page]
-        if token is not None:
-            lines.append(element("resumptionToken", token.encode(), "  "))
-        return self._render("ListIdentifiers", lines, request)
+        return self._render("ListIdentifiers", request, [_text(lines)], token)
 
     def list_records(self, request: OaiRequest) -> VerbResponse:
         page, token, fmt = self._list_window(request)
         prefix = oai_prefix(self.config.repository_identifier)
-        lines: list[str] = []
-        for entry in page:
-            lines += self._record_lines(prefix + entry.identifier, fmt, prefix)
-        if token is not None:
-            lines.append(element("resumptionToken", token.encode(), "  "))
-        return self._render("ListRecords", lines, request)
+        records = (self._record_text(prefix + e.identifier, fmt, prefix) for e in page)
+        return self._render("ListRecords", request, records, token)
 
     def document(self, request: OaiRequest) -> VerbResponse:
         base = self.config.base_url
@@ -407,7 +429,7 @@ class ProtocolHandler:
             f"<ul>\n{items}\n</ul>\n"
             "</body></html>\n"
         )
-        return VerbResponse(400, "text/html; charset=utf-8", body.encode("utf-8"))
+        return VerbResponse(400, "text/html; charset=utf-8", [body.encode("utf-8")])
 
     # --- rendering --------------------------------------------------------
 
@@ -424,19 +446,39 @@ class ProtocolHandler:
         return url
 
     def _render(
-        self, verb: str, payload_lines: list[str], request: OaiRequest
+        self,
+        verb: str,
+        request: OaiRequest,
+        payload: Iterable[str],
+        token: ResumptionToken | None = None,
     ) -> VerbResponse:
+        """The response to ``verb`` as encoded parts: the head, ``payload``
+        (texts of whole lines) gathered into parts of about
+        :data:`PART_CHARS` characters, and the tail."""
         ns = f"http://www.openarchives.org/OAI/{PROTOCOL_VERSION}/OAI_{verb}"
-        lines = [
+        head = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             open_tag(verb, ns, f"{ns}.xsd", " "),
             element("responseDate", self._response_date(), "  "),
             element("requestURL", self._request_url(request.params), "  "),
-            *payload_lines,
-            f" </{verb}>",
         ]
-        body = "\n".join(lines) + "\n"
-        return VerbResponse(200, "text/xml; charset=utf-8", body.encode("utf-8"))
+        parts = [_text(head).encode("utf-8")]
+        pending: list[str] = []
+        size = 0
+        for text in payload:
+            pending.append(text)
+            size += len(text)
+            if size >= PART_CHARS:
+                parts.append("".join(pending).encode("utf-8"))
+                pending.clear()
+                size = 0
+        if size:
+            parts.append("".join(pending).encode("utf-8"))
+        tail = f" </{verb}>\n"
+        if token is not None:
+            tail = element("resumptionToken", token.encode(), "  ") + "\n" + tail
+        parts.append(tail.encode("utf-8"))
+        return VerbResponse(200, "text/xml; charset=utf-8", parts)
 
     def bad_request(
         self, message: str, params: Sequence[tuple[str, str]]
@@ -448,4 +490,4 @@ class ProtocolHandler:
             f"<p>Request: <code>{escape(self._request_url(params))}</code></p>\n"
             "</body></html>\n"
         )
-        return VerbResponse(400, "text/html; charset=utf-8", body.encode("utf-8"))
+        return VerbResponse(400, "text/html; charset=utf-8", [body.encode("utf-8")])

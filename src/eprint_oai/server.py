@@ -62,12 +62,12 @@ def make_app(
                     response = VerbResponse(
                         503,
                         "text/plain; charset=utf-8",
-                        b"The record store is unavailable; retry later.\n",
+                        [b"The record store is unavailable; retry later.\n"],
                         retry_after=STORE_RETRY_AFTER_S,
                     )
         headers = [
             ("Content-Type", response.content_type),
-            ("Content-Length", str(len(response.body))),
+            ("Content-Length", str(sum(map(len, response.parts)))),
         ]
         if response.retry_after is not None:
             headers.append(("Retry-After", str(math.ceil(response.retry_after))))
@@ -79,7 +79,7 @@ def make_app(
             response.http_status,
             (time.perf_counter() - started) * 1000,
         )
-        return [response.body]
+        return response.parts
 
     def _admit(environ: dict, verb: str) -> VerbResponse | None:
         if policy is None:
@@ -92,7 +92,7 @@ def make_app(
         return VerbResponse(
             503,
             "text/plain; charset=utf-8",
-            f"Retry after {decision.retry_after:.3f} seconds\n".encode(),
+            [f"Retry after {decision.retry_after:.3f} seconds\n".encode()],
             retry_after=decision.retry_after,
         )
 

@@ -2,18 +2,24 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import socket
 import subprocess
 import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
+from urllib.parse import urlencode, urlsplit
 from wsgiref.simple_server import make_server
 
 import pytest
 
-from conftest import GOLDEN, ROOT
+from conftest import FIXED_CLOCK, GOLDEN, ROOT, synth_corpus
 from eprint_oai import cli, harvester
+from eprint_oai.config import RepositoryConfig
+from eprint_oai.protocol import PART_CHARS, ProtocolHandler
 from eprint_oai.server import ThreadingWSGIServer, _QuietHandler, make_app
+from eprint_oai.store import Store
 
 DEMO = Path(__file__).resolve().parent.parent / "corpus" / "demo"
 
@@ -276,10 +282,54 @@ def serving(app):
 
 
 @pytest.fixture()
-def live_server(demo_handler):
+def served_handler(demo_handler):
+    """The handler ``live_server`` serves; a test class may override it."""
+    return demo_handler
+
+
+@pytest.fixture()
+def live_server(served_handler):
     # no throttling: this exercises transport
-    with serving(make_app(demo_handler)) as url:
+    with serving(make_app(served_handler)) as url:
         yield url
+
+
+def _http_get(url: str, params: list[tuple[str, str]]) -> tuple[dict, bytes]:
+    """One HTTP/1.0 GET on a raw socket: the response headers and every
+    byte received after them until the server closed the connection."""
+    parts = urlsplit(url)
+    request = f"GET {parts.path}?{urlencode(params)} HTTP/1.0\r\n\r\n"
+    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+        sock.sendall(request.encode("ascii"))
+        received = b"".join(iter(lambda: sock.recv(65536), b""))
+    head, _, body = received.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return headers, body
+
+
+class TestPageOfManyParts:
+    """A ListRecords page longer than one part, over a real socket."""
+
+    @pytest.fixture()
+    def served_handler(self, taxonomy):
+        store = Store(taxonomy)
+        synth_corpus(store, 400, random.Random(5))
+        return ProtocolHandler(
+            store, RepositoryConfig(page_size=500), clock=lambda: FIXED_CLOCK
+        )
+
+    def test_wire_bytes_are_the_handlers_page(self, live_server, served_handler):
+        params = [("verb", "ListRecords"), ("metadataPrefix", "oai_dc")]
+        headers, body = _http_get(live_server, params)
+        response = served_handler.handle(params)
+        assert len(response.parts) > 3  # head, two or more payload parts, tail
+        assert len(body) > PART_CHARS
+        assert int(headers["Content-Length"]) == len(body)
+        assert body == response.body
+        records, token = harvester._parse_page(body, "ListRecords")
+        assert token is None
+        assert len(records) == len(served_handler.store.scan())
 
 
 def test_harvest_command_over_http(tmp_path, capsys, live_server):
@@ -318,15 +368,19 @@ def test_harvest_into_unusable_directory_fails_cleanly(
 
 
 def test_importing_the_cli_leaves_sqlite_unloaded():
-    """``serve`` never harvests, so it never pays for loading sqlite3."""
-    code = "import sys, eprint_oai.cli; print('sqlite3' in sys.modules)"
+    """``serve`` never harvests, so it never pays for loading sqlite3 or
+    the harvester."""
+    code = (
+        "import sys, eprint_oai.cli; "
+        "print('sqlite3' in sys.modules, 'eprint_oai.harvester' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True,
         timeout=60, check=True,
     )
-    assert out.stdout == "False\n"
+    assert out.stdout == "False False\n"
 
 
 def test_harvest_incremental_state(tmp_path, capsys, live_server, monkeypatch):

@@ -787,23 +787,24 @@ def test_killed_upsert_reopens_before_or_after(tmp_path, pause, delay_s):
     size = store.path.stat().st_size
     store.close()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    child = subprocess.Popen(
+    # leaving the with block closes the child's pipe
+    with subprocess.Popen(
         [sys.executable, "-c", _UPSERT_CHILD, str(tmp_path), pause, str(n)],
         env=env, stdout=subprocess.PIPE, text=True,
-    )
-    try:
-        assert child.stdout.readline() == "start\n"
-        if pause == "none":
-            time.sleep(delay_s)
-        else:
-            assert child.stdout.readline() == pause + "\n"
-        if pause == "mid":
-            # the transaction is open and has spilled pages into the file
-            assert (tmp_path / "harvest.sqlite-journal").exists()
-            assert store.path.stat().st_size > size
-    finally:
-        child.kill()
-        child.wait(timeout=10)
+    ) as child:
+        try:
+            assert child.stdout.readline() == "start\n"
+            if pause == "none":
+                time.sleep(delay_s)
+            else:
+                assert child.stdout.readline() == pause + "\n"
+            if pause == "mid":
+                # the transaction is open and has spilled pages into the file
+                assert (tmp_path / "harvest.sqlite-journal").exists()
+                assert store.path.stat().st_size > size
+        finally:
+            child.kill()
+            child.wait(timeout=10)
     assert child.returncode == -signal.SIGKILL
     latest = HarvestStore(tmp_path).latest()
     after = dict(before)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from datetime import date
 
@@ -500,3 +501,33 @@ def test_pagination_sound_and_complete(seed, page_size):
         resp = call(handler, verb="ListIdentifiers", resumptionToken=token)
     full = [f"oai:arXiv:{e.identifier}" for e in store.scan()]
     assert collected == full
+
+
+# --- response assembly --------------------------------------------------------
+
+
+@pytest.mark.parametrize("prefix", ["oai_dc", "arXiv"])
+def test_page_render_peak_is_bounded_by_its_size(taxonomy, prefix):
+    """A ListRecords page is built as encoded parts: rendering it never
+    holds its lines, a page-sized str or a second copy of its bytes, so
+    the traced peak of a warm render stays within 1.6x of the body."""
+    store = Store(taxonomy)
+    synth_corpus(store, 1200, random.Random(5))
+    handler = ProtocolHandler(
+        store, RepositoryConfig(page_size=500), clock=lambda: FIXED_CLOCK
+    )
+    params = [("verb", "ListRecords"), ("metadataPrefix", prefix)]
+    handler.handle(params)  # the page's records are parsed on first use
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        resp = handler.handle(params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    body = resp.body  # joined only now, outside the measured render
+    assert b"<resumptionToken>" in body
+    assert peak <= 1.6 * len(body), (peak, len(body), peak / len(body))
