@@ -155,26 +155,25 @@ def cmd_serve(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace, config: CliConfig) -> int:
-    store = config.open_store(create=True)
     received_at = now()
     ingested = failed = 0
-    for path in args.files:
-        try:
-            store.ingest(Path(path).read_bytes(), received_at)
-        except (ValueError, OSError) as exc:
-            kind = "duplicate" if isinstance(exc, DuplicateRecord) else "failed"
-            print(f"{path}: {kind}: {exc}", file=sys.stderr)
-            failed += 1
-        else:
-            print(f"{path}: ingested")
-            ingested += 1
-    store.compact()
+    with closing(config.open_store(create=True)) as store:
+        for path in args.files:
+            try:
+                store.ingest(Path(path).read_bytes(), received_at)
+            except (ValueError, OSError) as exc:
+                kind = "duplicate" if isinstance(exc, DuplicateRecord) else "failed"
+                print(f"{path}: {kind}: {exc}", file=sys.stderr)
+                failed += 1
+            else:
+                print(f"{path}: ingested")
+                ingested += 1
     print(f"{ingested} ingested, {failed} failed")
     return 1 if failed else 0
 
 
 def cmd_harvest(args: argparse.Namespace, config: CliConfig) -> int:
-    from . import harvester  # here, so that serve never loads it or sqlite3
+    from . import harvester  # here, so that serve never loads it
 
     verb = "ListRecords" if args.prefix else "ListIdentifiers"
     job = harvester.HarvestJob(
@@ -263,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "ingest",
-        help="ingest abs files into the store, then compact its change log "
-        "once after the batch",
+        help="ingest abs files into the store, each one committed as it is read",
     )
     store_flags(p)
     p.add_argument("files", nargs="+")

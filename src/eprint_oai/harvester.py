@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import sqlite3
 import time
 import xml.parsers.expat as expat
 from dataclasses import dataclass, replace
@@ -484,8 +485,6 @@ class HarvestStore:
     """
 
     def __init__(self, directory: str | Path):
-        import sqlite3  # here, so that serving never loads it
-
         directory = Path(directory)
         self.path = directory / "harvest.sqlite"
         old = [name for name in _OLD_FORMAT if (directory / name).exists()]
@@ -506,8 +505,6 @@ class HarvestStore:
             raise HarvestStoreError(f"cannot use {self.path}: {exc}") from exc
 
     def upsert(self, records: list[HarvestedRecord]) -> None:
-        import sqlite3
-
         rows = (
             (
                 r.identifier,

@@ -105,7 +105,8 @@ def _request_params(environ: dict) -> list[tuple[str, str]]:
             length = int(environ.get("CONTENT_LENGTH") or 0)
         except ValueError:
             length = 0
-        body = environ["wsgi.input"].read(length) if length else b""
+        # a negative length would read the socket to EOF
+        body = environ["wsgi.input"].read(length) if length > 0 else b""
         return parse_qsl(body.decode("utf-8"), keep_blank_values=True)
     return parse_qsl(environ.get("QUERY_STRING", ""), keep_blank_values=True)
 

@@ -1,64 +1,66 @@
 """File-backed metadata store with a datestamp index.
 
-One abs file per record under ``data-dir/<archive>/<yymm>/``, and four
-line-oriented files in ``data-dir`` itself:
+One abs file per record under ``data-dir/<archive>/<yymm>/``, and one
+SQLite database, ``store.sqlite``, in ``data-dir`` itself, with two tables:
 
-- ``datestamps.tab``: ``<id> TAB <YYYY-MM-DD>``, the day of the most recent
-  metadata change per record;
-- ``deleted.tab``: ``<id> TAB <YYYY-MM-DD> TAB <reason>``, the deleted
-  records;
-- ``changes.log``: the writes since the last compaction, one line per
-  write in the form of a line of one of the two tables;
-- ``abs-index.tab``: derived from the abs files, never the record of
-  anything. A version line, then one row per abs file: its path relative
-  to ``data-dir``, its inode, size, ``mtime_ns`` and ``ctime_ns``, the
-  record's canonical id, its last submission date and its ``Subj-class``
-  cross-lists (comma-separated).
+- ``record``: per record id, its datestamp (the day of its most recent
+  metadata change, or of its deletion), whether it is deleted and the
+  reason of a deletion;
+- ``absfile``: derived from the abs files, never the record of anything.
+  One row per abs file: its archive, month and file name, its inode, size,
+  ``mtime_ns`` and ``ctime_ns``, the record's canonical id, its last
+  submission date and its ``Subj-class`` cross-lists (comma-separated).
 
 Datestamps come from the ingest clock rather than filesystem metadata so
 behaviour is deterministic.
 
-Each write appends one line to ``changes.log`` and fsyncs it.
-:meth:`Store.compact` folds the log into the two tables (tmp + fsync,
-rename, directory fsync), writing them a line at a time, and then truncates
-it; ``eprint-oai ingest`` compacts once after its batch.
+The database runs in WAL mode with ``synchronous=FULL``: each write is one
+transaction, on disk once it commits, and a process killed at any point
+leaves every table as it was before or after a transaction. Its page cache
+is held to :data:`CACHE_KIB`, since a load reads each page once.
 
-Loading is one streaming pass: it holds no list of the tree, no table of
-rows and no whole file. It walks the abs files one month directory at a
-time, in (archive, month, name) order, and merges each with the next row of
-``abs-index.tab``, which is written in that order. A row is trusted when
-the file's inode, size, mtime and ctime equal the row's and the file's
-ctime is older than the table itself, so a change made after the table was
-written always shows; other files are parsed. Rows without a file, stale
-rows and rows out of walk order (a hand-edited table) are dropped. An edit
-that keeps all four values goes unseen until the file changes again. One
-pass over the table checks every row before the merge trusts any: a table
-that is missing, of another version, torn, not UTF-8 or with any malformed
-row counts as absent, and every file is parsed. Whenever a load parsed or
-dropped anything it rewrites the table durably, in walk order, through a tmp
-file of its own process; the rows trusted before its first change are
-copied from the old table, so only the rows after them are held. A
-directory that refuses the write is served all the same and parsed again by
-the next load. The load then reads the two tables and replays the log over
-them a line at a time, ignoring the log's torn last line (one with no
-trailing newline). Sets come from the cross-lists through the current
-taxonomy, so a changed taxonomy needs no reparse. Each load logs one INFO
-line, ``store.load``, with its records, deleted records, rows trusted, files
-parsed, rows dropped and seconds.
+A directory with no database gets one on first open. The records of the
+older tables, ``datestamps.tab`` (``<id> TAB <YYYY-MM-DD>``) and
+``deleted.tab`` (``<id> TAB <YYYY-MM-DD> TAB <reason>``), are imported into
+it in the transaction that makes it, and those files are not read again. A
+directory whose older ``changes.log`` still holds writes that were never
+folded into those tables is refused rather than opened without them.
 
-A load's transient is small next to what the store keeps. Through a valid
-table, tracemalloc's peak during ``Store(...)`` is about 1.03x the heap the
-store keeps after it at 10k records (4.7 MB kept) and 1.04x at 100k (43.5 MB
-kept); building the lists and dicts up front took 3.2x and 3.7x.
+Loading is one streaming pass: it holds no list of the tree and no table of
+rows. It walks the abs files one month directory at a time, in (archive,
+month, name) order, and merges each with the next ``absfile`` row of one
+cursor in the same order. A row is trusted when the file's inode, size,
+mtime and ctime equal the row's; other files are parsed, and rows without a
+file or stale are dropped. An edit that keeps all four values goes unseen
+until the file changes again. A row is written only for a file whose ctime
+is older than the start of the load that took its stat, so that a change
+made after the stat, within one tick of a coarse filesystem clock, always
+shows. That start comes from the filesystem's own clock, the one that
+stamps the abs files: the load touches ``store.sqlite`` before its walk and
+reads back its ctime. (A WAL commit does not move the database file's
+mtime, so that mtime cannot say when rows were written.) After the walk,
+one transaction writes the rows of the files parsed and deletes the rows
+dropped; a database that refuses it is logged once and the store is served
+all the same, to be parsed again by the next load. The load then reads the
+``record`` rows one at a time. Sets come from the cross-lists through the
+current taxonomy, so a changed taxonomy needs no reparse. Each load logs one
+INFO line, ``store.load``, with its records, deleted records, rows trusted,
+files parsed, rows dropped and seconds.
+
+A load's transient is small next to what the store keeps. When every row is
+trusted, tracemalloc's peak during ``Store(...)`` is about 1.04x the heap
+the store keeps after it at 10k records (4.2 MB kept); building the lists
+and dicts up front took 3.2x. SQLite's own memory, which tracemalloc does
+not see, is bounded by the page cache.
 
 A trusted record's abs file is parsed when :meth:`Store.get` first needs it
 and then kept; a file that has vanished or no longer parses by then raises
 :class:`StoreError`.
 
-An ingest writes the log line first, then the abs file (tmp + fsync +
-rename), then updates memory. A crash between the steps can therefore only
-announce old content again under a newer datestamp; it can never leave new
-content under an old datestamp.
+An ingest commits the record's row first, then writes the abs file (tmp +
+fsync + rename), then updates memory. A crash between the steps can
+therefore only announce old content again under a newer datestamp; it can
+never leave new content under an old datestamp.
 
 Loading builds the index; after that, each write replaces its record's one
 entry in a copy and swaps the copy in, so readers always see a consistent
@@ -72,21 +74,19 @@ from __future__ import annotations
 
 import logging
 import os
-import re
+import sqlite3
 import threading
 import time
 from bisect import bisect_left, bisect_right, insort
-from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import date, datetime
 from functools import lru_cache
-from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator
 
 from .absfile import AbsParseError, InternalMetadata, format_abs, parse_abs
-from .durable import AppendLog, replace_durably, write_durably
+from .durable import write_durably
 from .ids import (
     EprintId,
     SetSpec,
@@ -96,11 +96,26 @@ from .ids import (
     sets_for,
 )
 
+STORE_DB = "store.sqlite"
+# the older tables, imported once into a new database
 DATESTAMP_TABLE = "datestamps.tab"
 DELETED_TABLE = "deleted.tab"
-CHANGE_LOG = "changes.log"
-INDEX_TABLE = "abs-index.tab"
-INDEX_VERSION = "eprint-oai abs-index 1"
+# SQLite's page cache per store, in KiB: a load reads each page once, in
+# order, so a larger cache only adds to the process's memory
+CACHE_KIB = 64
+
+# both tables are stored in key order (WITHOUT ROWID): a record write changes
+# one b-tree instead of a table and its key index, and a load reads the
+# absfile rows in walk order from one b-tree
+_SCHEMA = (
+    "CREATE TABLE record (id TEXT PRIMARY KEY, datestamp TEXT NOT NULL, "
+    "deleted INTEGER NOT NULL, reason TEXT) WITHOUT ROWID",
+    "CREATE TABLE absfile (archive TEXT, month TEXT, name TEXT, "
+    "inode INTEGER, size INTEGER, mtime_ns INTEGER, ctime_ns INTEGER, "
+    "id TEXT, last TEXT, crosslists TEXT, "
+    "PRIMARY KEY (archive, month, name)) WITHOUT ROWID",
+)
+_PUT_RECORD = "INSERT OR REPLACE INTO record VALUES (?, ?, ?, ?)"
 
 log = logging.getLogger("eprint_oai.store")
 
@@ -145,13 +160,6 @@ class IndexEntry:
 _Record = tuple[InternalMetadata | None, date, frozenset[SetSpec], str]
 # (inode, size, mtime_ns, ctime_ns) of an abs file
 _Stat = tuple[int, int, int, int]
-
-# a row of abs-index.tab as a load writes it, newline included; the group
-# is the record's last submission date
-_ROW = re.compile(
-    r"[^\t\n]*\t[0-9]+\t[0-9]+\t-?[0-9]+\t-?[0-9]+\t[^\t\n]+"
-    r"\t([0-9]{4}-[0-9]{2}-[0-9]{2})\t[^\t\n]*\n"
-)
 
 
 def _sort_key(e: IndexEntry):
@@ -201,43 +209,43 @@ def _walk(root: str) -> Iterator[tuple[tuple[str, str, str], _Stat]]:
                 )
 
 
-def _lines(path: Path) -> Iterator[str]:
-    """The lines of a UTF-8 file, split on ``\\n`` only and without it; none
-    when there is no file."""
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        return
-    with fh:
-        for line in fh:
-            yield line.rstrip(b"\n").decode("utf-8")
+def _fs_now(path: Path) -> int:
+    """Now, in ns, on the clock of the filesystem that holds ``path``, read
+    as the ctime of ``path`` after touching it."""
+    os.utime(path)
+    return os.stat(path).st_ctime_ns
 
 
-def _joined(lines: Iterable[str]) -> Iterator[str]:
-    """The parts of ``"\\n".join(lines) + "\\n"``, one line at a time."""
-    sep = ""
-    for line in lines:
-        yield sep + line
-        sep = "\n"
-    yield "\n"
+def _made(db: sqlite3.Connection) -> bool:
+    """Whether the store's tables exist in ``db``."""
+    return db.execute(
+        "SELECT 1 FROM sqlite_master WHERE name = 'record'"
+    ).fetchone() is not None
 
 
-def _usable(table: TextIO) -> bool:
-    """Whether ``table``, read from its start, is a whole UTF-8
-    ``abs-index.tab`` of this version whose every row is well formed. A load
-    checks every row before it trusts any, since one bad row, however late,
-    makes the whole table count as absent."""
-    try:
-        if table.readline() != INDEX_VERSION + "\n":
-            return False
-        for line in table:
-            row = _ROW.fullmatch(line)
-            if row is None:
-                return False
-            _parse_day(row[1])
-    except ValueError:  # not UTF-8, or a day no calendar has
-        return False
-    return True
+def _older_rows(data_dir: Path) -> Iterator[tuple[str, str, bool, str | None]]:
+    """The ``record`` rows that ``datestamps.tab`` and then ``deleted.tab``
+    hold, a line at a time: ``id TAB day`` sets a datestamp, ``id TAB day
+    TAB reason`` marks a deletion. A missing file holds none; a line that
+    is not one of these raises ``ValueError`` naming the file."""
+    for name in (DATESTAMP_TABLE, DELETED_TABLE):
+        path = data_dir / name
+        try:
+            fh = open(path, encoding="utf-8", newline="\n")
+        except FileNotFoundError:
+            continue
+        with fh:
+            try:
+                for line in fh:
+                    if not line.strip():
+                        continue
+                    ident, day, *reason = line.rstrip("\n").split("\t", 2)
+                    _parse_day(day)
+                    if reason:
+                        parse_internal_id(ident)
+                    yield ident, day, bool(reason), reason[0] if reason else None
+            except ValueError as exc:
+                raise ValueError(f"cannot import {path}: {exc}") from exc
 
 
 class Store:
@@ -255,31 +263,72 @@ class Store:
         # index entries in (datestamp, identifier) order
         self._snapshot: list[IndexEntry] = []
         if self.data_dir is not None:
-            self._log = AppendLog(self.data_dir / CHANGE_LOG)
             self._load()
 
     # --- loading / persistence ---------------------------------------
+
+    def _open(self) -> sqlite3.Connection:
+        """The store's database, made on first use from the older tables.
+        Raises ``ValueError`` naming the file when it cannot be used."""
+        assert self.data_dir is not None
+        path = self.data_dir / STORE_DB
+        try:
+            db = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+        except sqlite3.Error as exc:
+            raise ValueError(f"cannot use {path}: {exc}") from exc
+        try:
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("PRAGMA synchronous=FULL")
+            db.execute(f"PRAGMA cache_size=-{CACHE_KIB}")
+            if not _made(db):
+                with db:  # commits, or rolls back on any exception
+                    db.execute("BEGIN IMMEDIATE")
+                    if not _made(db):  # no other process made it meanwhile
+                        self._make(db)
+        except sqlite3.Error as exc:
+            db.close()
+            raise ValueError(f"cannot use {path}: {exc}") from exc
+        except BaseException:
+            db.close()
+            raise
+        return db
+
+    def _make(self, db: sqlite3.Connection) -> None:
+        """Make the tables and import the older tables' records into them,
+        in the caller's transaction."""
+        assert self.data_dir is not None
+        old_log = self.data_dir / "changes.log"
+        if old_log.exists() and old_log.stat().st_size:
+            raise ValueError(
+                f"{old_log} holds writes of an older store format that are not "
+                f"in {DATESTAMP_TABLE} or {DELETED_TABLE}; fold them in with the "
+                "version that wrote them before opening the store"
+            )
+        for statement in _SCHEMA:
+            db.execute(statement)
+        db.executemany(_PUT_RECORD, _older_rows(self.data_dir))
 
     def _load(self) -> None:
         assert self.data_dir is not None
         if not self.data_dir.is_dir():
             raise FileNotFoundError(f"store directory not found: {self.data_dir}")
         started = time.perf_counter()
+        self._db = self._open()
         try:
-            table = open(self.data_dir / INDEX_TABLE, encoding="utf-8", newline="\n")
-        except FileNotFoundError:
-            table = None
-        with table if table is not None else nullcontext():
-            usable = table is not None and _usable(table)
-            trusted, parsed, dropped = self._read_tree(table if usable else None)
-        for lines in (
-            _lines(self.data_dir / DATESTAMP_TABLE),
-            _lines(self.data_dir / DELETED_TABLE),
-            self._log.lines(),
-        ):
-            for line in lines:
-                if line.strip():
-                    self._replay(line)
+            trusted, parsed, dropped = self._read_tree()
+            for ident, day, deleted, reason in self._db.execute(
+                "SELECT id, datestamp, deleted, reason FROM record"
+            ):
+                stamp = _parse_day(day)
+                if deleted:
+                    self._deleted[ident] = (stamp, reason)
+                else:
+                    record = self._records.get(ident)
+                    if record is not None:
+                        self._records[ident] = (record[0], stamp, record[2], record[3])
+        except BaseException:
+            self._db.close()
+            raise
         entries = [self._entry_for(key) for key in self._records]
         entries += [
             self._entry_for(key) for key in self._deleted if key not in self._records
@@ -296,116 +345,79 @@ class Store:
             time.perf_counter() - started,
         )
 
-    def _read_tree(self, table: TextIO | None) -> tuple[int, int, int]:
+    def _read_tree(self) -> tuple[int, int, int]:
         """Fill the records from the abs files, merging the walk with the
-        rows of the usable ``table``, or parsing every file when there is
-        none: both are in (archive, month, name) order. A row is trusted
-        when its file's stat equals its own and the file's ctime is older
-        than the table; other files are parsed, and rows with no file, out
-        of order or stale are dropped. Rewrites the table when it changed.
-        Returns the rows trusted, the files parsed and the rows dropped."""
+        ``absfile`` rows: both are in (archive, month, name) order. A row is
+        trusted when its file's stat equals its own; other files are
+        parsed, and rows with no file or stale are dropped. Then writes the
+        rows of the files parsed whose ctime is older than the load's start,
+        and deletes the rows dropped. Returns the rows trusted, the files
+        parsed and the rows dropped."""
         assert self.data_dir is not None
         root = str(self.data_dir)
-        written = 0
-        rows: Iterator[str] = iter(())
-        if table is not None:
-            written = os.fstat(table.fileno()).st_mtime_ns
-            table.seek(0)
-            table.readline()
-            rows = iter(table)
-        trusted = parsed = dropped = 0
-        # the new table is the old one's first ``kept`` rows, trusted before
-        # the load's first change, then ``lines``
-        changed, kept, lines = table is None, 0, []
-
-        def next_row() -> tuple[tuple[str, ...], str] | None:
-            line = next(rows, None)
-            if line is None:
-                return None
-            return tuple(line.partition("\t")[0].split("/")), line
-
-        row = next_row()
+        begun = _fs_now(self.data_dir / STORE_DB)
+        rows = self._db.execute(
+            "SELECT * FROM absfile ORDER BY archive, month, name"
+        )
+        trusted = parsed = 0
+        # the rows of the files parsed, and the keys of the rows dropped
+        put: list[tuple] = []
+        gone: list[tuple[str, str, str]] = []
+        row = next(rows, None)
         for place, stat in _walk(root):
-            while row is not None and row[0] < place:
-                dropped += 1
-                changed = True
-                row = next_row()
+            while row is not None and row[:3] < place:
+                gone.append(row[:3])
+                row = next(rows, None)
             rel = "/".join(place)
-            line = None
-            if row is not None and row[0] == place:
-                line = row[1]
-                row = next_row()
-                _, ino, size, mtime, ctime, key, last, crosslists = (
-                    line[:-1].split("\t")
-                )
-                if (
-                    (int(ino), int(size), int(mtime), int(ctime)) != stat
-                    or stat[3] >= written
-                    or not rel.isprintable()
-                ):
-                    line = None
-                    dropped += 1
-            if line is not None:
+            has_row = row is not None and row[:3] == place
+            if has_row and row[3:7] == stat:
                 meta = None
+                key, last, crosslists = row[7:]
                 last = _parse_day(last)
                 crosslists = tuple(crosslists.split(",")) if crosslists else ()
                 trusted += 1
             else:
+                if has_row:
+                    gone.append(place)
                 meta = parse_abs(_read(os.path.join(root, rel)))
                 key = meta.id.local()
                 last = meta.submission_dates[-1][1]
                 crosslists = tuple(meta.crosslists)
-                line = "\t".join(
-                    (rel, *map(str, stat), key, last.isoformat(), ",".join(crosslists))
-                ) + "\n"
                 parsed += 1
-                changed = True
+                # a file changed in the load's own tick may change again
+                # after its stat, and a name with undecodable bytes is no
+                # text a row can hold: both are parsed by the next load
+                if stat[3] < begun and rel.isprintable():
+                    put.append(
+                        (*place, *stat, key, last.isoformat(), ",".join(crosslists))
+                    )
+            if has_row:
+                row = next(rows, None)
             if key in self._records:
                 raise AbsParseError(f"{self.data_dir / rel}: duplicate record {key}")
             self._records[key] = (meta, last, self._sets(key, crosslists), rel)
-            if not changed:
-                kept += 1
-            # a name no row can hold is parsed by every load
-            elif rel.isprintable():
-                lines.append(line)
         if row is not None:
-            dropped += 1 + sum(1 for _ in rows)
-            changed = True
-        if changed:
-            prefix: Iterable[str] = ()
-            if table is not None:
-                table.seek(0)
-                table.readline()
-                prefix = islice(table, kept)
-            self._write_index(chain(prefix, lines))
-        return trusted, parsed, dropped
-
-    def _write_index(self, rows: Iterable[str]) -> None:
-        assert self.data_dir is not None
-        path = self.data_dir / INDEX_TABLE
-        tmp = path.with_name(f"{INDEX_TABLE}.{os.getpid()}.tmp")
-        try:
-            replace_durably(path, chain([INDEX_VERSION + "\n"], rows), tmp=tmp)
-        except OSError as exc:
-            log.warning("cannot write %s, the next load parses again: %s", path, exc)
-            tmp.unlink(missing_ok=True)
-
-    def _replay(self, line: str) -> None:
-        """Apply one table or log line to the loaded records: ``id TAB day``
-        sets a datestamp, ``id TAB day TAB reason`` marks a deletion."""
-        ident, day, *reason = line.split("\t", 2)
-        if reason:
-            parse_internal_id(ident)
-            self._deleted[ident] = (_parse_day(day), reason[0])
-            return
-        stamp = _parse_day(day)
-        record = self._records.get(ident)
-        if record is not None:
-            self._records[ident] = (record[0], stamp, record[2], record[3])
-
-    def _append(self, line: str) -> None:
-        """Append one line to the change log and fsync it."""
-        self._log.append([line.encode("utf-8") + b"\n"])
+            gone += [row[:3], *(r[:3] for r in rows)]
+        if put or gone:
+            try:
+                with self._db:  # commits, or rolls back on any exception
+                    self._db.execute("BEGIN IMMEDIATE")
+                    self._db.executemany(
+                        "DELETE FROM absfile WHERE archive = ? AND month = ? "
+                        "AND name = ?",
+                        gone,
+                    )
+                    self._db.executemany(
+                        "INSERT OR REPLACE INTO absfile "
+                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                        put,
+                    )
+            except sqlite3.Error as exc:
+                log.warning(
+                    "cannot write %s, the next load parses again: %s",
+                    self.data_dir / STORE_DB, exc,
+                )
+        return trusted, parsed, len(gone)
 
     def _sets(self, key: str, crosslists: tuple[str, ...]) -> frozenset[SetSpec]:
         """The sets of record ``key`` with these cross-lists; they depend on
@@ -417,34 +429,20 @@ class Store:
             self._set_memo[memo] = sets
         return sets
 
-    def compact(self) -> None:
-        """Fold the change log into the datestamp and deleted tables, then
-        truncate it. A crash at any point reloads to the same state: the
-        log is truncated only once the new tables are durable, and
-        replaying it over them changes nothing."""
-        if self.data_dir is None:
-            return
-        with self._lock:
-            records, deleted = self._records, self._deleted
-            stamps = chain(
-                (f"{key}\t{records[key][1].isoformat()}" for key in sorted(records)),
-                (
-                    f"{key}\t{deleted[key][0].isoformat()}"
-                    for key in sorted(deleted)
-                    if key not in records
-                ),
+    def close(self) -> None:
+        """Close the store's database; an in-memory store holds none."""
+        if self.data_dir is not None:
+            self._db.close()
+
+    def _commit(self, key: str, day: date, reason: str | None = None) -> None:
+        """Write record ``key``'s row: its datestamp, and its deletion when
+        ``reason`` is given. The row is on disk once this returns."""
+        try:
+            self._db.execute(
+                _PUT_RECORD, (key, day.isoformat(), reason is not None, reason)
             )
-            gone = (
-                f"{key}\t{deleted[key][0].isoformat()}\t{deleted[key][1]}"
-                for key in sorted(deleted)
-            )
-            # the tables are written a line at a time, with no copy of either
-            # in memory; an empty deleted table is an empty file
-            replace_durably(self.data_dir / DATESTAMP_TABLE, _joined(stamps))
-            replace_durably(
-                self.data_dir / DELETED_TABLE, _joined(gone) if deleted else ()
-            )
-            self._log.clear()
+        except sqlite3.Error as exc:
+            raise OSError(f"cannot write {self.data_dir / STORE_DB}: {exc}") from exc
 
     # --- mutation ------------------------------------------------------
 
@@ -483,7 +481,7 @@ class Store:
                 day = max(day, existing[1])
             rel = ""
             if self.data_dir is not None:
-                self._append(f"{key}\t{day.isoformat()}")
+                self._commit(key, day)
                 # an update replaces the file the record came from, whatever
                 # its name, so that no second file holds the same record
                 rel = existing[3] if existing is not None else _rel_path(meta.id)
@@ -499,22 +497,19 @@ class Store:
         return StoredRecord(id=meta.id, datestamp=day, meta=meta)
 
     def mark_deleted(self, eid: EprintId, reason: str, now: datetime) -> None:
-        """Move a record to the deleted table. Its datestamp advances to
-        today so harvesters re-fetch the deleted status. The reason is one
-        line: it may not contain ``\\n`` or ``\\r``."""
+        """Mark a record deleted. Its datestamp advances to today, and never
+        moves backward, so harvesters re-fetch the deleted status. The
+        reason is one line: it may not contain ``\\n`` or ``\\r``."""
         if "\n" in reason or "\r" in reason:
             raise ValueError(f"deletion reason must be one line: {reason!r}")
         key = eid.without_version().local()
         with self._lock:
-            if key not in self._records and key not in self._deleted:
-                raise NotFound(key)
-            prior = self._records.get(key)
-            day = now.date()
-            if prior is not None:
-                day = max(day, prior[1])
-            if self.data_dir is not None:
-                self._append(f"{key}\t{day.isoformat()}\t{reason}")
             old = self._index_key(key)
+            if old is None:
+                raise NotFound(key)
+            day = max(now.date(), old[0])
+            if self.data_dir is not None:
+                self._commit(key, day, reason)
             self._deleted[key] = (day, reason)
             self._reindex(old, key)
 

@@ -3,11 +3,13 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
 import socket
 import subprocess
 import sys
 import threading
 from contextlib import contextmanager
+from datetime import date
 from pathlib import Path
 from urllib.parse import urlencode, urlsplit
 from wsgiref.simple_server import make_server
@@ -19,7 +21,8 @@ from eprint_oai import cli, harvester
 from eprint_oai.config import RepositoryConfig
 from eprint_oai.protocol import PART_CHARS, ProtocolHandler
 from eprint_oai.server import ThreadingWSGIServer, _QuietHandler, make_app
-from eprint_oai.store import Store
+from eprint_oai.ids import load_taxonomy, parse_internal_id
+from eprint_oai.store import STORE_DB, Store
 
 DEMO = Path(__file__).resolve().parent.parent / "corpus" / "demo"
 
@@ -212,6 +215,24 @@ def test_ingest_into_a_store_that_cannot_be_opened_fails_cleanly(tmp_path, capsy
     _invalid_store(capsys, ["ingest", "--data-dir", str(tmp_path / "store"), str(src)])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["serve", "--port", "1"],
+     ["ingest", str(DEMO / "cs" / "0101" / "cs.DL.0101027.abs")]],
+    ids=["serve", "ingest"],
+)
+def test_store_with_an_unfolded_change_log_fails_cleanly(tmp_path, capsys, argv):
+    """An older store whose change log was never folded into its tables is
+    refused, naming the log, rather than opened without those writes."""
+    store = tmp_path / "store"
+    shutil.copytree(DEMO, store, ignore=shutil.ignore_patterns(STORE_DB + "*"))
+    (store / "changes.log").write_text("cs.DL/0101027\t2001-02-01\n", encoding="utf-8")
+    assert cli.main([argv[0], "--data-dir", str(store), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid store: ") and "Traceback" not in err
+    assert str(store / "changes.log") in err
+
+
 def _flags(parser) -> set[str]:
     return {
         flag for action in parser._actions for flag in action.option_strings
@@ -239,10 +260,9 @@ def test_ingest_command(tmp_path, capsys, monkeypatch):
     rc = cli.main(["ingest", "--data-dir", str(tmp_path / "store"), str(src)])
     assert rc == 0
     assert "1 ingested, 0 failed" in capsys.readouterr().out
-    # the batch ends with a compaction: the change log is folded into the table
-    store = tmp_path / "store"
-    assert (store / "changes.log").read_bytes() == b""
-    assert (store / "datestamps.tab").read_text() == "cs.DL/0101027\t2001-02-03\n"
+    # the ingest is on disk: a new load holds it under the ingest's day
+    reloaded = Store(load_taxonomy(), tmp_path / "store")
+    assert reloaded.get(parse_internal_id("cs.DL/0101027")).datestamp == date(2001, 2, 3)
     # re-ingest of identical content is reported as a failure
     rc = cli.main(["ingest", "--data-dir", str(tmp_path / "store"), str(src)])
     assert rc == 1
@@ -367,20 +387,17 @@ def test_harvest_into_unusable_directory_fails_cleanly(
     assert err.startswith("harvest failed: ") and message in err
 
 
-def test_importing_the_cli_leaves_sqlite_unloaded():
-    """``serve`` never harvests, so it never pays for loading sqlite3 or
-    the harvester."""
-    code = (
-        "import sys, eprint_oai.cli; "
-        "print('sqlite3' in sys.modules, 'eprint_oai.harvester' in sys.modules)"
-    )
+def test_importing_the_cli_leaves_the_harvester_unloaded():
+    """``serve`` never harvests, so it never pays for loading the
+    harvester."""
+    code = "import sys, eprint_oai.cli; print('eprint_oai.harvester' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True,
         timeout=60, check=True,
     )
-    assert out.stdout == "False False\n"
+    assert out.stdout == "False\n"
 
 
 def test_harvest_incremental_state(tmp_path, capsys, live_server, monkeypatch):

@@ -3,8 +3,11 @@ from __future__ import annotations
 import io
 import logging
 import shutil
+import time
 import xml.etree.ElementTree as ET
 from urllib.parse import quote
+
+import pytest
 
 from conftest import DEMO_CORPUS, FIXED_CLOCK
 from eprint_oai.config import RepositoryConfig
@@ -12,7 +15,7 @@ from eprint_oai.flowcontrol import FlowPolicy
 from eprint_oai.harvester import WsgiTransport
 from eprint_oai.protocol import ProtocolHandler
 from eprint_oai.server import make_app
-from eprint_oai.store import INDEX_TABLE, Store
+from eprint_oai.store import STORE_DB, Store
 
 
 def get(app, query, addr="1.2.3.4"):
@@ -168,6 +171,36 @@ def test_post_body_not_utf8_is_400(demo_handler):
     assert b"not valid UTF-8" in body
 
 
+class _RecordingInput(io.BytesIO):
+    """A request body that records the size of every read."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes: list[int] = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize("length", ["-1", "-20", "abc"])
+def test_unusable_content_length_reads_nothing(demo_handler, length):
+    """A negative length is no length: ``read(-1)`` on a socket would wait
+    for EOF, holding a server thread and buffering an unbounded body."""
+    body = _RecordingInput(b"verb=Identify")
+    environ = {
+        "REQUEST_METHOD": "POST",
+        "QUERY_STRING": "",
+        "REMOTE_ADDR": "1.2.3.4",
+        "CONTENT_LENGTH": length,
+        "wsgi.input": body,
+    }
+    statuses = []
+    b"".join(make_app(demo_handler)(environ, lambda status, headers: statuses.append(status)))
+    assert body.sizes == []
+    assert statuses == ["400 Bad Request"]  # no verb was read
+
+
 def test_control_characters_never_make_a_broken_200(demo_handler):
     app = make_app(demo_handler)
     for code in range(32):
@@ -194,8 +227,10 @@ def test_store_failure_is_503_with_retry_after(taxonomy, tmp_path, caplog):
     503 with Retry-After, for GetRecord and for a ListRecords page holding
     it; the log names the file."""
     data_dir = tmp_path / "demo"
-    shutil.copytree(DEMO_CORPUS, data_dir, ignore=shutil.ignore_patterns(INDEX_TABLE + "*"))
-    Store(taxonomy, data_dir)  # writes the table, so the next load parses nothing
+    shutil.copytree(DEMO_CORPUS, data_dir, ignore=shutil.ignore_patterns(STORE_DB + "*"))
+    # a load writes no row for a file changed in its own tick of the clock
+    time.sleep(0.02)
+    Store(taxonomy, data_dir)  # writes the rows, so the next load parses nothing
     handler = ProtocolHandler(
         Store(taxonomy, data_dir), RepositoryConfig(page_size=7), clock=lambda: FIXED_CLOCK
     )

@@ -7,6 +7,8 @@ import os
 import random
 import re
 import shutil
+import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -25,11 +27,9 @@ from conftest import DEMO_CORPUS, ROOT, make_meta, synth_corpus
 from eprint_oai.absfile import format_abs, parse_abs
 from eprint_oai.ids import EprintId, parse_internal_id
 from eprint_oai.store import (
-    CHANGE_LOG,
     DATESTAMP_TABLE,
     DELETED_TABLE,
-    INDEX_TABLE,
-    INDEX_VERSION,
+    STORE_DB,
     DuplicateRecord,
     NotFound,
     Store,
@@ -105,7 +105,8 @@ def test_mark_deleted_unknown(store):
 @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
 def test_ingest_of_a_deleted_record_is_refused(taxonomy, tmp_path, on_disk):
     """A deleted id is never revived, so ingesting it is refused before
-    anything is written: no log line, no abs file, no change of its sets."""
+    anything is written: no database row, no abs file, no change of its
+    sets."""
     store = Store(taxonomy, tmp_path if on_disk else None)
     eid = EprintId("hep-th", 9901, 1)
     store.ingest(format_abs(make_meta(eid, date(1999, 1, 1))), dt(date(1999, 1, 1)))
@@ -119,7 +120,7 @@ def test_ingest_of_a_deleted_record_is_refused(taxonomy, tmp_path, on_disk):
     assert store.get(eid).deleted and store.get(eid).datestamp == date(1999, 1, 2)
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
     if on_disk:
-        assert (tmp_path / CHANGE_LOG).exists()
+        assert (tmp_path / STORE_DB).exists()
         assert Store(taxonomy, tmp_path).scan() == before
 
 
@@ -233,44 +234,140 @@ def test_deletion_reason_roundtrips(taxonomy, tmp_path, reason):
     store.ingest(format_abs(meta), dt(date(1999, 1, 2)))
     store.mark_deleted(meta.id, reason, dt(date(1999, 2, 1)))
     assert Store(taxonomy, tmp_path).get(meta.id).deletion_reason == reason
-    store.compact()
-    assert Store(taxonomy, tmp_path).get(meta.id).deletion_reason == reason
 
 
-# --- change log ----------------------------------------------------------------
+# --- database writes -------------------------------------------------------------
 
 
-def _log_lines(data_dir: Path) -> list[bytes]:
-    return (data_dir / CHANGE_LOG).read_bytes().splitlines(keepends=True)
+def _table(data_dir: Path, name: str) -> list[tuple]:
+    """The rows of one of the store's tables, in key order."""
+    db = sqlite3.connect(data_dir / STORE_DB)
+    try:
+        return db.execute(f"SELECT * FROM {name} ORDER BY 1, 2, 3").fetchall()
+    finally:
+        db.close()
 
 
-def test_each_write_appends_one_log_line(taxonomy, tmp_path):
-    """A write costs one log line, whatever the store's size: both tables
-    stay byte-identical until compaction."""
+def test_each_write_changes_one_record_row(taxonomy, tmp_path):
+    """A write costs one row of the record table, whatever the store's size:
+    every other row, and the absfile table, stay as they were."""
     store = Store(taxonomy, tmp_path)
     ids = synth_corpus(store, 200, random.Random(3))
-    store.compact()
-    tables = {n: (tmp_path / n).read_bytes() for n in (DATESTAMP_TABLE, DELETED_TABLE)}
-    assert _log_lines(tmp_path) == []
+    time.sleep(0.02)  # so that the load writes a row for every file
+    store = Store(taxonomy, tmp_path)
+    absfiles = _table(tmp_path, "absfile")
+    assert len(absfiles) == len(ids)
     live = [e for e in ids if not store.get(e).deleted]
     replaced = replace(store.get(live[0]).meta, journal_ref="J. Ex. 1 (2003) 1")
     writes = [
-        lambda: store.ingest(
+        ("hep-th/0301001", lambda: store.ingest(
             format_abs(make_meta(EprintId("hep-th", 301, 1), date(2003, 1, 2))),
             dt(date(2003, 1, 2)),
-        ),
-        lambda: store.ingest(format_abs(replaced), dt(date(2003, 1, 3))),
-        lambda: store.mark_deleted(live[1], "withdrawn", dt(date(2003, 1, 4))),
+        )),
+        (live[0].local(), lambda: store.ingest(format_abs(replaced), dt(date(2003, 1, 3)))),
+        (live[1].local(), lambda: store.mark_deleted(live[1], "withdrawn", dt(date(2003, 1, 4)))),
     ]
-    for n, write in enumerate(writes, start=1):
+    for key, write in writes:
+        records = _table(tmp_path, "record")
         write()
-        assert {name: (tmp_path / name).read_bytes() for name in tables} == tables
-        lines = _log_lines(tmp_path)
-        assert len(lines) == n and lines[-1].endswith(b"\n")
-    expected = store.scan()
-    store.compact()
-    assert _log_lines(tmp_path) == []
-    assert Store(taxonomy, tmp_path).scan() == expected
+        after = _table(tmp_path, "record")
+        assert {row[0] for row in set(after) ^ set(records)} == {key}
+        assert len(after) == len(records) + (key not in {row[0] for row in records})
+        assert _table(tmp_path, "absfile") == absfiles
+    assert Store(taxonomy, tmp_path).scan() == store.scan()
+
+
+@pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+def test_deleting_again_never_moves_the_datestamp_back(taxonomy, tmp_path, on_disk):
+    store = Store(taxonomy, tmp_path if on_disk else None)
+    eid = EprintId("hep-th", 9901, 1)
+    store.ingest(format_abs(make_meta(eid, date(1999, 1, 1))), dt(date(1999, 1, 2)))
+    store.mark_deleted(eid, "withdrawn", dt(date(1999, 3, 1)))
+    store.mark_deleted(eid, "duplicate", dt(date(1999, 2, 1)))  # an early clock
+    assert store.get(eid).datestamp == date(1999, 3, 1)
+    assert store.get(eid).deletion_reason == "duplicate"
+    if on_disk:
+        assert Store(taxonomy, tmp_path).get(eid) == store.get(eid)
+
+
+def _older_store(data_dir: Path, stamps: str, deleted: str = "") -> EprintId:
+    """A store directory in the older layout: one abs file and the two
+    tables; returns the record's id."""
+    eid = EprintId("hep-th", 9901, 1)
+    month = data_dir / "hep-th" / "9901"
+    month.mkdir(parents=True)
+    (month / "hep-th.9901001.abs").write_text(
+        format_abs(make_meta(eid, date(1999, 1, 1))), encoding="utf-8"
+    )
+    (data_dir / DATESTAMP_TABLE).write_text(stamps, encoding="utf-8")
+    (data_dir / DELETED_TABLE).write_text(deleted, encoding="utf-8")
+    return eid
+
+
+def test_older_tables_are_imported_once(taxonomy, tmp_path):
+    eid = _older_store(
+        tmp_path, "hep-th/9901001\t1999-01-05\n", "hep-th/9901002\t1999-01-06\tgone\n"
+    )
+    store = Store(taxonomy, tmp_path)
+    assert store.get(eid).datestamp == date(1999, 1, 5)
+    assert [(e.identifier, e.datestamp, e.deleted) for e in store.scan()] == [
+        ("hep-th/9901001", date(1999, 1, 5), False),
+        ("hep-th/9901002", date(1999, 1, 6), True),
+    ]
+    # the database is the record from now on: the files are not read again
+    (tmp_path / DATESTAMP_TABLE).write_text("hep-th/9901001\t1998-01-01\n")
+    (tmp_path / DELETED_TABLE).write_text("")
+    assert Store(taxonomy, tmp_path).scan() == store.scan()
+
+
+def test_failed_import_leaves_no_tables(taxonomy, tmp_path):
+    """The import is one transaction with the making of the tables, so a
+    table it cannot read is imported whole by the next open."""
+    eid = _older_store(tmp_path, "hep-th/9901001\t1999-01-05\nhep-th/9901002\t1999-13-01\n")
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path / DATESTAMP_TABLE))):
+        Store(taxonomy, tmp_path)
+    assert _table(tmp_path, "sqlite_master") == []
+    (tmp_path / DATESTAMP_TABLE).write_text("hep-th/9901001\t1999-01-05\n")
+    assert Store(taxonomy, tmp_path).get(eid).datestamp == date(1999, 1, 5)
+
+
+def test_unfolded_change_log_is_refused(taxonomy, tmp_path):
+    """An older store's change log holds writes its tables lack; opened
+    without them, the store would move their datestamps backward."""
+    eid = _older_store(tmp_path, "hep-th/9901001\t1999-01-05\n")
+    (tmp_path / "changes.log").write_text("hep-th/9901001\t1999-02-01\n")
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path / "changes.log"))):
+        Store(taxonomy, tmp_path)
+    assert _table(tmp_path, "sqlite_master") == []
+    # an empty log, as the older version's compaction leaves it, holds nothing
+    (tmp_path / "changes.log").write_text("")
+    assert Store(taxonomy, tmp_path).get(eid).datestamp == date(1999, 1, 5)
+
+
+def test_database_made_meanwhile_is_not_made_again(taxonomy, tmp_path, monkeypatch):
+    """Two processes may both find no tables, then take turns making them:
+    the second finds them made, and imports nothing over newer writes."""
+    eid = _older_store(tmp_path, "hep-th/9901001\t1999-01-05\n")
+    first = Store(taxonomy, tmp_path)
+    first.mark_deleted(eid, "withdrawn", dt(date(1999, 2, 1)))
+    made = store_module._made
+    checks = []
+
+    def made_after_the_first_check(db):
+        checks.append(db)
+        return len(checks) > 1 and made(db)
+
+    monkeypatch.setattr(store_module, "_made", made_after_the_first_check)
+    second = Store(taxonomy, tmp_path)
+    assert len(checks) == 2
+    assert second.get(eid) == first.get(eid)
+
+
+def test_unusable_database_is_refused(taxonomy, tmp_path):
+    _older_store(tmp_path, "")
+    (tmp_path / STORE_DB).write_bytes(b"not a database\n" * 100)
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path / STORE_DB))):
+        Store(taxonomy, tmp_path)
 
 
 def test_readers_see_whole_snapshots_while_a_writer_runs(taxonomy, tmp_path):
@@ -343,99 +440,11 @@ def _ingest_or_refuse(store, eid, data, received_at):
         store.ingest(data, received_at)
 
 
-_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["new", "replace", "delete"]),
-        st.integers(0, 1000),  # which existing record
-        st.integers(-2, 5),  # days since the last write; negative = early clock
-    ),
-    max_size=14,
-)
-
-
-@settings(max_examples=30, deadline=None)
-@given(_OPS)
-def test_reload_compact_and_replay_equal_incremental_scan(taxonomy, ops):
-    """For random on-disk ingest/replace/delete sequences, the in-place
-    index equals a reload, a reload after compaction, and a reload that
-    replays the old log over the compacted tables."""
-    with tempfile.TemporaryDirectory() as tmp:
-        data_dir = Path(tmp)
-        store = Store(taxonomy, data_dir)
-        ids: list[EprintId] = []
-        day = date(1999, 1, 1)
-        for i, (op, pick, gap) in enumerate(ops):
-            day += timedelta(days=gap)
-            if op == "new" or not ids:
-                eid = EprintId("hep-th", 9901, len(ids) + 1)
-                store.ingest(format_abs(make_meta(eid, date(1999, 1, 1))), dt(day))
-                ids.append(eid)
-            elif op == "replace":
-                eid = ids[pick % len(ids)]
-                meta = make_meta(
-                    eid,
-                    date(1999, 1, 1),
-                    crosslists=["math.DS"] if pick % 2 else [],
-                    journal_ref=f"J. Ex. {i} (1999) 1",
-                )
-                _ingest_or_refuse(store, eid, format_abs(meta), dt(day))
-            else:
-                store.mark_deleted(ids[pick % len(ids)], f"reason {i}", dt(day))
-        expected = store.scan()
-        assert Store(taxonomy, data_dir).scan() == expected
-        log = data_dir / CHANGE_LOG
-        old_log = log.read_bytes() if log.exists() else b""
-        store.compact()
-        assert Store(taxonomy, data_dir).scan() == expected
-        log.write_bytes(old_log)
-        assert Store(taxonomy, data_dir).scan() == expected
-
-
 # --- crash safety ----------------------------------------------------------------
 
 
 class Crash(Exception):
     """The process dies at an injected point."""
-
-
-class _CrashingFile:
-    """A file that takes ``budget`` more bytes (or characters), then dies."""
-
-    def __init__(self, fh, budget: int):
-        self._fh = fh
-        self._budget = budget
-
-    def write(self, data):
-        if len(data) > self._budget:
-            self._fh.write(data[: self._budget])
-            self._fh.flush()
-            raise Crash
-        self._budget -= len(data)
-        return self._fh.write(data)
-
-    def __getattr__(self, name):
-        return getattr(self._fh, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._fh.close()
-
-
-def crash_on_write(monkeypatch, name_part: str, budget: int = 0) -> None:
-    """Files opened for writing whose name contains ``name_part`` take
-    ``budget`` bytes, then the process dies."""
-    real_open = builtins.open
-
-    def faulty_open(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        if any(c in mode for c in "wax") and name_part in os.fspath(file):
-            return _CrashingFile(fh, budget)
-        return fh
-
-    monkeypatch.setattr(builtins, "open", faulty_open)
-    monkeypatch.setattr(io, "open", faulty_open)
 
 
 def crash_on_rename(monkeypatch) -> None:
@@ -483,21 +492,80 @@ def assert_recovered(taxonomy, data_dir, before) -> Store:
     return reloaded
 
 
-def test_crash_between_log_append_and_abs_write(
-    taxonomy, tmp_path, crash_store, monkeypatch
+# a child that loads the store in ``data_dir`` and ingests revisions of
+# hep-th/9901001, one a day from 1999-03-01. It reports "row" (paused after
+# the first revision's record row is committed and before its abs file is
+# written) or "after" (the first ingest has returned), or runs unpaused
+# ("none") through many revisions; then it waits to be killed
+_INGEST_CHILD = """
+import sys, time
+from dataclasses import replace
+from datetime import datetime, timedelta
+import eprint_oai.store as store_module
+from eprint_oai import EprintId, format_abs, load_taxonomy
+
+data_dir, pause = sys.argv[1], sys.argv[2]
+if pause == "row":
+    def paused(*args):
+        print("row", flush=True)
+        time.sleep(60)
+    store_module.write_durably = paused
+store = store_module.Store(load_taxonomy(), data_dir)
+eid = EprintId("hep-th", 9901, 1)
+print("start", flush=True)
+for i in range(500 if pause == "none" else 1):
+    meta = replace(store.get(eid).meta, journal_ref=f"J. Ex. {i} (1999) 1")
+    store.ingest(format_abs(meta), datetime(1999, 3, 1) + timedelta(days=i))
+print("after", flush=True)
+time.sleep(60)
+"""
+
+
+def _kill_when(child: subprocess.Popen, pause: str, delay_s: float) -> None:
+    """Wait for ``child`` to report ``pause`` (or ``delay_s`` after it
+    started, when unpaused), then SIGKILL it."""
+    try:
+        assert child.stdout.readline() == "start\n"
+        if pause == "none":
+            time.sleep(delay_s)
+        else:
+            assert child.stdout.readline() == pause + "\n"
+    finally:
+        child.kill()
+        child.wait(timeout=10)
+    assert child.returncode == -signal.SIGKILL
+
+
+@pytest.mark.parametrize(
+    "pause, delay_s",
+    [("row", 0), ("after", 0), ("none", 0.02), ("none", 0.06)],
+    ids=["row", "after", "unpaused-20ms", "unpaused-60ms"],
+)
+def test_killed_ingest_reopens_with_no_datestamp_moved_backward(
+    taxonomy, tmp_path, crash_store, pause, delay_s
 ):
+    """A process SIGKILLed mid-ingest leaves a store whose datestamps never
+    moved backward, whose changed content came under an advanced datestamp,
+    and that takes new writes."""
     before = _state(crash_store)
-    text = _revised(crash_store, 1, "J. Ex. 1 (1999) 1")
-    with monkeypatch.context() as m:
-        crash_on_write(m, ".abs")
-        with pytest.raises(Crash):
-            crash_store.ingest(text, dt(date(1999, 3, 1)))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # leaving the with block closes the child's pipe
+    with subprocess.Popen(
+        [sys.executable, "-c", _INGEST_CHILD, str(tmp_path), pause],
+        env=env, stdout=subprocess.PIPE, text=True,
+    ) as child:
+        _kill_when(child, pause, delay_s)
     reloaded = assert_recovered(taxonomy, tmp_path, before)
-    # announced again, with the old content, and the store takes new writes
-    assert _state(reloaded)["hep-th/9901001"] == (
-        date(1999, 3, 1), before["hep-th/9901001"][1]
-    )
-    reloaded.ingest(text, dt(date(1999, 3, 2)))
+    old_text = before["hep-th/9901001"][1]
+    if pause == "row":
+        # announced again, with the old content
+        assert _state(reloaded)["hep-th/9901001"] == (date(1999, 3, 1), old_text)
+    elif pause == "after":
+        assert _state(reloaded)["hep-th/9901001"] == (
+            date(1999, 3, 1), _revised(crash_store, 1, "J. Ex. 0 (1999) 1")
+        )
+    text = _revised(crash_store, 1, "J. Ex. 9 (2001) 9")
+    reloaded.ingest(text, dt(date(2001, 1, 1)))
     assert _state(Store(taxonomy, tmp_path)) == _state(reloaded)
 
 
@@ -516,39 +584,7 @@ def test_crash_between_tmp_write_and_rename(
     assert _state(Store(taxonomy, tmp_path)) == _state(reloaded)
 
 
-def test_crash_tearing_the_log_line(taxonomy, tmp_path, crash_store, monkeypatch):
-    before = _state(crash_store)
-    text = _revised(crash_store, 1, "J. Ex. 3 (1999) 3")
-    with monkeypatch.context() as m:
-        crash_on_write(m, CHANGE_LOG, budget=7)
-        with pytest.raises(Crash):
-            crash_store.ingest(text, dt(date(1999, 3, 1)))
-    assert not (tmp_path / CHANGE_LOG).read_bytes().endswith(b"\n")
-    reloaded = assert_recovered(taxonomy, tmp_path, before)
-    assert _state(reloaded) == before
-    # the next write cuts the torn line off rather than extending it
-    reloaded.ingest(text, dt(date(1999, 3, 2)))
-    assert all(line.endswith(b"\n") for line in _log_lines(tmp_path))
-    again = assert_recovered(taxonomy, tmp_path, before)
-    assert _state(again)["hep-th/9901001"] == (date(1999, 3, 2), text)
-
-
-def test_failed_log_append_is_cut_by_the_next(
-    taxonomy, tmp_path, crash_store, monkeypatch
-):
-    """A process that survives a failed append does not extend the partial
-    line with its next write."""
-    text = _revised(crash_store, 1, "J. Ex. 4 (1999) 4")
-    with monkeypatch.context() as m:
-        crash_on_write(m, CHANGE_LOG, budget=7)
-        with pytest.raises(Crash):
-            crash_store.ingest(text, dt(date(1999, 3, 1)))
-    crash_store.mark_deleted(EprintId("hep-th", 9901, 2), "gone", dt(date(1999, 3, 3)))
-    assert all(line.endswith(b"\n") for line in _log_lines(tmp_path))
-    assert Store(taxonomy, tmp_path).scan() == crash_store.scan()
-
-
-# --- abs-index table -------------------------------------------------------------
+# --- absfile table ---------------------------------------------------------------
 
 DEMO_FILES = 13  # abs files in the demo corpus
 
@@ -570,11 +606,11 @@ def parsed(monkeypatch):
 
 @pytest.fixture()
 def demo_copy(tmp_path):
-    """The demo corpus without its table, written a little before any
-    table a test's load writes: some filesystems stamp file times by the
-    clock tick, and a file changed in the table's own tick is not trusted."""
+    """The demo corpus without its database, written a little before any
+    load a test makes: some filesystems stamp file times by the clock tick,
+    and a load writes no row for a file changed in its own tick."""
     dest = tmp_path / "demo"
-    shutil.copytree(DEMO_CORPUS, dest, ignore=shutil.ignore_patterns(INDEX_TABLE + "*"))
+    shutil.copytree(DEMO_CORPUS, dest, ignore=shutil.ignore_patterns(STORE_DB + "*"))
     time.sleep(0.02)
     return dest
 
@@ -586,15 +622,18 @@ def _contents(store: Store):
 
 
 def _full_parse(taxonomy, data_dir: Path) -> Store:
-    """A load with no table, which parses every abs file."""
-    (data_dir / INDEX_TABLE).unlink(missing_ok=True)
+    """A load with no absfile rows, which parses every abs file."""
+    db = sqlite3.connect(data_dir / STORE_DB)
+    with db:
+        db.execute("DELETE FROM absfile")
+    db.close()
     return Store(taxonomy, data_dir)
 
 
 def test_second_load_of_demo_corpus_parses_nothing(
     taxonomy, demo_copy, parsed, monkeypatch
 ):
-    Store(taxonomy, DEMO_CORPUS)  # writes the table if it is missing or stale
+    Store(taxonomy, DEMO_CORPUS)  # writes the rows that are missing or stale
     opened: list[str] = []
     real_open = io.open
 
@@ -645,25 +684,33 @@ def test_each_load_logs_its_work(taxonomy, demo_copy, caplog):
     )
 
 
-def test_rows_out_of_walk_order_count_as_missing(taxonomy, demo_copy, parsed, caplog):
-    """A hand-shuffled table loads as a full parse would, and the load
-    writes the table back in walk order."""
-    Store(taxonomy, demo_copy)
-    table = demo_copy / INDEX_TABLE
-    in_order = table.read_text(encoding="utf-8")
-    version, *rows = in_order.splitlines(keepends=True)
-    random.Random(3).shuffle(rows)
-    assert "".join(rows) != in_order.partition("\n")[2]
-    table.write_text(version + "".join(rows), encoding="utf-8")
+def test_rows_merge_in_walk_order_where_archive_names_share_a_prefix(
+    taxonomy, tmp_path, parsed
+):
+    """The rows come in (archive, month, name) order, the walk's. Ordered by
+    the joined path instead, ``math-ph/...`` would come before ``math/...``
+    (``-`` sorts before ``/``), and every row would be parsed again."""
+    taxonomy = replace(
+        taxonomy,
+        archive_group={**taxonomy.archive_group, "math-ph": "physics"},
+        archive_display={**taxonomy.archive_display, "math-ph": "Mathematical Physics"},
+    )
+    for n in (1, 2):
+        for eid in (EprintId("math", 9201, n, subject_class="LO"),
+                    EprintId("math-ph", 9201, n)):
+            path = tmp_path / eid.archive / "9201" / (eid.local().replace("/", ".") + ".abs")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(format_abs(make_meta(eid, date(1992, 1, n))), encoding="utf-8")
+    time.sleep(0.02)  # so that the first load writes a row for every file
+    expected = _contents(Store(taxonomy, tmp_path))
+    assert len(parsed) == 4
     parsed.clear()
-    with caplog.at_level(logging.INFO, logger="eprint_oai.store"):
-        store = Store(taxonomy, demo_copy)
-    [counts] = _load_counts(caplog)
-    assert 0 < len(parsed) < DEMO_FILES
-    assert counts["parsed"] == str(len(parsed))
-    assert int(counts["trusted"]) + int(counts["dropped"]) == DEMO_FILES
-    assert table.read_text(encoding="utf-8") == in_order
-    assert _contents(store) == _contents(_full_parse(taxonomy, demo_copy))
+    store = Store(taxonomy, tmp_path)
+    assert parsed == []
+    assert _contents(store) == expected
+    assert [row[:2] for row in _table(tmp_path, "absfile")] == [
+        ("math", "9201"), ("math", "9201"), ("math-ph", "9201"), ("math-ph", "9201")
+    ]
 
 
 def _write_tree(data_dir: Path, n: int) -> None:
@@ -736,73 +783,76 @@ def _remove(data_dir: Path) -> None:
 def test_reload_picks_up_external_edits(taxonomy, demo_copy, parsed, edit, reparsed):
     Store(taxonomy, demo_copy)
     edit(demo_copy)
+    time.sleep(0.02)  # made a little before the load, as demo_copy's files are
     parsed.clear()
     store = Store(taxonomy, demo_copy)
     assert parsed == reparsed
-    table = (demo_copy / INDEX_TABLE).read_text(encoding="utf-8")
+    rows = _table(demo_copy, "absfile")
     contents = _contents(store)
     assert contents == _contents(_full_parse(taxonomy, demo_copy))
-    # the rewritten table is the one a full parse writes
-    assert (demo_copy / INDEX_TABLE).read_text(encoding="utf-8") == table
+    # the rows the load left are the ones a full parse writes
+    assert _table(demo_copy, "absfile") == rows
 
 
-def test_change_in_the_tables_own_tick_is_parsed_again(taxonomy, demo_copy, parsed):
-    """A file whose ctime is not older than the table may have changed
-    after the table took its stat, within one tick of a coarse clock."""
-    Store(taxonomy, demo_copy)
-    os.utime(demo_copy / INDEX_TABLE, ns=(0, 0))
+def test_change_in_the_tables_own_tick_is_parsed_again(
+    taxonomy, demo_copy, parsed, monkeypatch
+):
+    """A file whose ctime is not older than the start of the load that took
+    its stat may have changed after that stat, within one tick of a coarse
+    clock: that load writes no row for it, so the next load parses it."""
+    oldest = min(p.stat().st_ctime_ns for p in demo_copy.rglob("*.abs"))
+    with monkeypatch.context() as m:
+        # a clock so coarse that every file changed in the load's own tick
+        m.setattr(store_module, "_fs_now", lambda path: oldest)
+        Store(taxonomy, demo_copy)
+    assert len(parsed) == DEMO_FILES
+    assert _table(demo_copy, "absfile") == []
     parsed.clear()
     Store(taxonomy, demo_copy)
     assert len(parsed) == DEMO_FILES
     parsed.clear()
-    Store(taxonomy, demo_copy)  # the table that load wrote holds
+    Store(taxonomy, demo_copy)  # the rows that load wrote hold
     assert parsed == []
 
 
-def _torn(text: str) -> str:
-    return text[: len(text) // 2]
+# a child that loads the store in its argument and is paused inside the
+# transaction that writes its absfile rows, after the stale rows are deleted
+# and before the new ones are written; it waits there to be killed
+_TABLE_CHILD = """
+import sqlite3, sys, time
+from eprint_oai import Store, load_taxonomy
+
+class Pausing(sqlite3.Connection):
+    def executemany(self, sql, rows):
+        if sql.startswith("INSERT OR REPLACE INTO absfile"):
+            print("mid", flush=True)
+            time.sleep(60)
+        return super().executemany(sql, rows)
+
+connect = sqlite3.connect
+sqlite3.connect = lambda *args, **kwargs: connect(*args, factory=Pausing, **kwargs)
+print("start", flush=True)
+Store(load_taxonomy(), sys.argv[1])
+"""
 
 
-def _unknown_version(text: str) -> str:
-    return text.replace(INDEX_VERSION, INDEX_VERSION + "0", 1)
-
-
-def _malformed_row(text: str) -> str:
-    version, row, rest = text.split("\n", 2)
-    fields = row.split("\t")
-    fields[1] = "inode"
-    return "\n".join([version, "\t".join(fields), rest])
-
-
-@pytest.mark.parametrize("damage", [_torn, _unknown_version, _malformed_row])
-def test_damaged_table_reloads_as_full_parse(taxonomy, demo_copy, parsed, damage):
-    expected = _contents(Store(taxonomy, demo_copy))
-    table = demo_copy / INDEX_TABLE
-    table.write_text(damage(table.read_text(encoding="utf-8")), encoding="utf-8")
-    parsed.clear()
-    store = Store(taxonomy, demo_copy)
-    assert len(parsed) == DEMO_FILES
-    assert _contents(store) == expected
-    # and the table it wrote in place of the damaged one holds again
-    parsed.clear()
-    assert _contents(Store(taxonomy, demo_copy)) == expected
-    assert len(parsed) == len([e for e in expected[0] if not e.deleted])
-
-
-def test_crash_writing_the_table(taxonomy, demo_copy, parsed, monkeypatch):
+def test_crash_writing_the_table(taxonomy, demo_copy, parsed):
+    """A load SIGKILLed while it writes its absfile rows leaves the table as
+    it was, and the next load parses the file that changed."""
     Store(taxonomy, demo_copy)
-    table = demo_copy / INDEX_TABLE
-    before = table.read_bytes()
+    before = _table(demo_copy, "absfile")
     edited = demo_copy / "math" / "9201" / "math.LO.9201250.abs"
     edited.write_text(
         edited.read_text(encoding="utf-8") + "One more line.\n", encoding="utf-8"
     )
-    with monkeypatch.context() as m:
-        crash_on_write(m, INDEX_TABLE, budget=40)
-        with pytest.raises(Crash):
-            Store(taxonomy, demo_copy)
-    assert table.read_bytes() == before  # the old table is whole
-    assert len(list(demo_copy.glob(INDEX_TABLE + ".*.tmp"))) == 1
+    time.sleep(0.02)  # so that the killed load has a row to write
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with subprocess.Popen(
+        [sys.executable, "-c", _TABLE_CHILD, str(demo_copy)],
+        env=env, stdout=subprocess.PIPE, text=True,
+    ) as child:
+        _kill_when(child, "mid", 0)
+    assert _table(demo_copy, "absfile") == before
     parsed.clear()
     store = Store(taxonomy, demo_copy)
     assert parsed == ["math.LO/9201250"]
@@ -820,32 +870,47 @@ def test_taxonomy_change_changes_sets_without_reparse(taxonomy, demo_copy, parse
     assert store.scan() == _full_parse(moved, demo_copy).scan()
 
 
+def _refuse_absfile_writes(action, table, *rest):
+    if action in (sqlite3.SQLITE_INSERT, sqlite3.SQLITE_DELETE) and table == "absfile":
+        return sqlite3.SQLITE_DENY
+    return sqlite3.SQLITE_OK
+
+
 def test_unwritable_table_warns_once_and_serves(taxonomy, demo_copy, caplog, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise PermissionError(13, "Permission denied")
+    real_connect = sqlite3.connect
+
+    def connect(*args, **kwargs):
+        db = real_connect(*args, **kwargs)
+        db.set_authorizer(_refuse_absfile_writes)
+        return db
 
     with monkeypatch.context() as m:
-        m.setattr(store_module, "replace_durably", refuse)
+        m.setattr(sqlite3, "connect", connect)
         with caplog.at_level(logging.WARNING, logger="eprint_oai.store"):
             store = Store(taxonomy, demo_copy)
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
-    assert INDEX_TABLE in caplog.records[0].getMessage()
-    assert list(demo_copy.glob(INDEX_TABLE + "*")) == []
+    assert STORE_DB in caplog.records[0].getMessage()
+    assert _table(demo_copy, "absfile") == []
     assert _contents(store) == _contents(_full_parse(taxonomy, demo_copy))
 
 
 def test_concurrent_loads_leave_a_whole_table(taxonomy, demo_copy, parsed):
-    """Two processes that keep rewriting the table of one directory never
-    leave it torn: each writes through a tmp file of its own."""
+    """Two processes that open a new store at once, then keep emptying its
+    absfile table and loading it again, never leave it torn: the database
+    is made once, and each load writes its rows in one transaction."""
     code = (
-        "import sys\n"
+        "import sqlite3, sys\n"
         "from pathlib import Path\n"
         "from eprint_oai import Store, load_taxonomy\n"
-        "from eprint_oai.store import INDEX_TABLE\n"
+        "from eprint_oai.store import STORE_DB\n"
         "data_dir, taxonomy = Path(sys.argv[1]), load_taxonomy()\n"
         "for _ in range(30):\n"
-        "    (data_dir / INDEX_TABLE).unlink(missing_ok=True)\n"
         "    Store(taxonomy, data_dir)\n"
+        "    db = sqlite3.connect(data_dir / STORE_DB, timeout=30)\n"
+        "    with db:\n"
+        "        db.execute('DELETE FROM absfile')\n"
+        "    db.close()\n"
+        "Store(taxonomy, data_dir)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     procs = [
@@ -858,7 +923,6 @@ def test_concurrent_loads_leave_a_whole_table(taxonomy, demo_copy, parsed):
     for proc in procs:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err.decode()
-    assert list(demo_copy.glob("*.tmp")) == []
     parsed.clear()
     store = Store(taxonomy, demo_copy)
     assert parsed == []
@@ -903,7 +967,7 @@ def test_update_replaces_a_differently_named_abs_file(taxonomy, demo_copy):
 
 _TABLE_OPS = st.lists(
     st.tuples(
-        st.sampled_from(["new", "replace", "delete", "compact", "reload"]),
+        st.sampled_from(["new", "replace", "delete", "reload"]),
         st.integers(0, 1000),  # which existing record
         st.integers(-2, 5),  # days since the last write; negative = early clock
     ),
@@ -914,7 +978,7 @@ _TABLE_OPS = st.lists(
 @settings(max_examples=30, deadline=None)
 @given(_TABLE_OPS)
 def test_table_load_equals_full_parse(taxonomy, ops):
-    """After random ingests, deletions, compactions and reloads, a load
+    """After random ingests, deletions and reloads, a load
     through the table and a full parse give what the live store gives."""
     with tempfile.TemporaryDirectory() as tmp:
         data_dir = Path(tmp)
@@ -923,9 +987,7 @@ def test_table_load_equals_full_parse(taxonomy, ops):
         day = date(1999, 1, 1)
         for i, (op, pick, gap) in enumerate(ops):
             day += timedelta(days=gap)
-            if op == "compact":
-                store.compact()
-            elif op == "reload":
+            if op == "reload":
                 store = Store(taxonomy, data_dir)
             elif op == "new" or not ids:
                 eid = EprintId("hep-th", 9901, len(ids) + 1)
