@@ -8,7 +8,9 @@ enabled and prints the report.
 
 from __future__ import annotations
 
+import shutil
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -20,10 +22,11 @@ from eprint_oai.flowcontrol import FlowPolicy  # noqa: E402
 from eprint_oai.harvester import HarvestJob, WsgiTransport, run  # noqa: E402
 from eprint_oai.protocol import ProtocolHandler  # noqa: E402
 from eprint_oai.server import make_app  # noqa: E402
+from eprint_oai.store import STORE_DB  # noqa: E402
 
 
-def main() -> None:
-    store = Store(load_taxonomy(), ROOT / "corpus" / "demo")
+def demonstrate(store: Store) -> None:
+    """Walk every verb on ``store``, then harvest it politely."""
     handler = ProtocolHandler(
         store,
         RepositoryConfig(page_size=7),
@@ -64,6 +67,22 @@ def main() -> None:
     for record in records:
         flag = " (deleted)" if record.deleted else ""
         print(f"  {record.identifier} {record.datestamp}{flag}")
+
+
+def main() -> None:
+    # a copy without its database, so that loading the store writes nothing
+    # under corpus/
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp) / "demo"
+        shutil.copytree(
+            ROOT / "corpus" / "demo", data_dir,
+            ignore=shutil.ignore_patterns(STORE_DB + "*"),
+        )
+        store = Store(load_taxonomy(), data_dir)
+        try:
+            demonstrate(store)
+        finally:
+            store.close()
 
 
 if __name__ == "__main__":

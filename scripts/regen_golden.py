@@ -7,7 +7,9 @@ documented example responses by eye before committing.
 
 from __future__ import annotations
 
+import shutil
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -16,6 +18,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from eprint_oai import RepositoryConfig, Store, load_taxonomy  # noqa: E402
 from eprint_oai.protocol import ProtocolHandler  # noqa: E402
+from eprint_oai.store import STORE_DB  # noqa: E402
 
 FIXED_CLOCK = datetime(2001, 1, 22, 10, 1, 27, tzinfo=timezone.utc)
 
@@ -48,8 +51,8 @@ REQUESTS = {
 }
 
 
-def main() -> None:
-    store = Store(load_taxonomy(), ROOT / "corpus" / "demo")
+def regenerate(store: Store) -> None:
+    """Write each fixture from ``store``."""
     handler = ProtocolHandler(
         store, RepositoryConfig(page_size=7), clock=lambda: FIXED_CLOCK
     )
@@ -60,6 +63,22 @@ def main() -> None:
         assert response.http_status == 200, (name, response.http_status)
         (out_dir / name).write_bytes(response.body)
         print(f"wrote {out_dir / name}")
+
+
+def main() -> None:
+    # a copy without its database, so that loading the store writes nothing
+    # under corpus/
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp) / "demo"
+        shutil.copytree(
+            ROOT / "corpus" / "demo", data_dir,
+            ignore=shutil.ignore_patterns(STORE_DB + "*"),
+        )
+        store = Store(load_taxonomy(), data_dir)
+        try:
+            regenerate(store)
+        finally:
+            store.close()
 
 
 if __name__ == "__main__":

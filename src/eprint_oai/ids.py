@@ -209,6 +209,10 @@ class TaxonomyConfig:
         tokens = [t for t, _ in self.groups]
         if len(set(tokens)) != len(tokens):
             raise ValueError("duplicate group tokens in taxonomy")
+        for token in tokens:
+            # "_" separates a resumptionToken's fields, set among them
+            if "_" in token:
+                raise ValueError(f"group token may not contain '_': {token!r}")
         known = set(tokens)
         for arch, grp in self.archive_group.items():
             if grp not in known:

@@ -57,14 +57,19 @@ A trusted record's abs file is parsed when :meth:`Store.get` first needs it
 and then kept; a file that has vanished or no longer parses by then raises
 :class:`StoreError`.
 
-An ingest commits the record's row first, then writes the abs file (tmp +
-fsync + rename), then updates memory. A crash between the steps can
-therefore only announce old content again under a newer datestamp; it can
-never leave new content under an old datestamp.
+Every write, an ingest or a deletion, commits the record's row first, then
+replaces the abs file when it has new content (tmp + fsync + rename), then
+updates memory. A crash between the steps can therefore only announce old
+content again under a newer datestamp; it can never leave new content
+under an old datestamp. The directory is not fsynced after the rename, so
+a power loss soon after an ingest returns can undo the rename while the row
+keeps the new datestamp (README, "Store layout").
 
-Loading builds the index; after that, each write replaces its record's one
-entry in a copy and swaps the copy in, so readers always see a consistent
-pre- or post-write snapshot.
+Each record is one value of one dict: its index entry, which the sorted
+index holds too, its metadata, abs path and deletion reason. Loading builds
+the index; after that, each write replaces its record's one entry in a copy
+and swaps the copy in, so readers always see a consistent pre- or
+post-write snapshot.
 
 The store may also run purely in memory (``data_dir=None``), which the
 test suites use for large synthetic corpora.
@@ -155,9 +160,10 @@ class IndexEntry:
     deleted: bool = False
 
 
-# (metadata or None until first use, datestamp, sets, abs path relative to
-# the data dir); replaced whole, never mutated
-_Record = tuple[InternalMetadata | None, date, frozenset[SetSpec], str]
+# (the record's index entry, its metadata or None until first use and
+# whenever deleted, its abs path relative to the data dir or "" when it has
+# no file, its deletion reason or None); replaced whole, never mutated
+_Record = tuple[IndexEntry, InternalMetadata | None, str, str | None]
 # (inode, size, mtime_ns, ctime_ns) of an abs file
 _Stat = tuple[int, int, int, int]
 
@@ -256,11 +262,11 @@ class Store:
         self.taxonomy = taxonomy
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self._lock = threading.Lock()
+        # canonical id -> record, deleted ones included
         self._records: dict[str, _Record] = {}
-        self._deleted: dict[str, tuple[date, str]] = {}
         # (archive, cross-lists) -> sets, so equal inputs share one frozenset
         self._set_memo: dict[tuple[str, tuple[str, ...]], frozenset[SetSpec]] = {}
-        # index entries in (datestamp, identifier) order
+        # the records' index entries in (datestamp, identifier) order
         self._snapshot: list[IndexEntry] = []
         if self.data_dir is not None:
             self._load()
@@ -316,23 +322,28 @@ class Store:
         self._db = self._open()
         try:
             trusted, parsed, dropped = self._read_tree()
-            for ident, day, deleted, reason in self._db.execute(
+            deleted = 0
+            for ident, day, gone, reason in self._db.execute(
                 "SELECT id, datestamp, deleted, reason FROM record"
             ):
-                stamp = _parse_day(day)
-                if deleted:
-                    self._deleted[ident] = (stamp, reason)
+                record = self._records.get(ident)
+                if record is not None:
+                    # the walk's key, not the row's: one string per id is kept
+                    entry, meta, rel, _ = record
+                    ident, sets = entry.identifier, entry.sets
+                elif gone:
+                    sets, meta, rel = self._sets(ident, ()), None, ""
                 else:
-                    record = self._records.get(ident)
-                    if record is not None:
-                        self._records[ident] = (record[0], stamp, record[2], record[3])
+                    continue  # a live record whose file is gone
+                deleted += gone
+                self._records[ident] = (
+                    IndexEntry(_parse_day(day), ident, sets, bool(gone)),
+                    None if gone else meta, rel, reason,
+                )
         except BaseException:
             self._db.close()
             raise
-        entries = [self._entry_for(key) for key in self._records]
-        entries += [
-            self._entry_for(key) for key in self._deleted if key not in self._records
-        ]
+        entries = [record[0] for record in self._records.values()]
         # two stable sorts give (datestamp, identifier) order with no key
         # tuple per entry
         entries.sort(key=_identifier)
@@ -341,7 +352,7 @@ class Store:
         log.info(
             "store.load records=%d deleted=%d trusted=%d parsed=%d dropped=%d "
             "seconds=%.3f",
-            len(entries), len(self._deleted), trusted, parsed, dropped,
+            len(entries), deleted, trusted, parsed, dropped,
             time.perf_counter() - started,
         )
 
@@ -395,7 +406,8 @@ class Store:
                 row = next(rows, None)
             if key in self._records:
                 raise AbsParseError(f"{self.data_dir / rel}: duplicate record {key}")
-            self._records[key] = (meta, last, self._sets(key, crosslists), rel)
+            entry = IndexEntry(last, key, self._sets(key, crosslists))
+            self._records[key] = (entry, meta, rel, None)
         if row is not None:
             gone += [row[:3], *(r[:3] for r in rows)]
         if put or gone:
@@ -434,16 +446,6 @@ class Store:
         if self.data_dir is not None:
             self._db.close()
 
-    def _commit(self, key: str, day: date, reason: str | None = None) -> None:
-        """Write record ``key``'s row: its datestamp, and its deletion when
-        ``reason`` is given. The row is on disk once this returns."""
-        try:
-            self._db.execute(
-                _PUT_RECORD, (key, day.isoformat(), reason is not None, reason)
-            )
-        except sqlite3.Error as exc:
-            raise OSError(f"cannot write {self.data_dir / STORE_DB}: {exc}") from exc
-
     # --- mutation ------------------------------------------------------
 
     def ingest(self, data: bytes | str, received_at: datetime) -> StoredRecord:
@@ -459,41 +461,31 @@ class Store:
         meta = parse_abs(data)
         text = format_abs(meta)
         key = meta.id.local()
-        if key in self._deleted:
-            raise ValueError(f"record {key} is deleted; it cannot be ingested again")
-        day = received_at.date()
         known = self._records.get(key)
-        if known is not None and known[0] is None:
+        if known is not None and known[1] is None and not known[0].deleted:
             try:
-                self._parsed(key, known)
+                self._parsed(known)
             except StoreError:
                 pass  # an unreadable old file is simply replaced
+        day = received_at.date()
         with self._lock:
-            existing = self._records.get(key)
-            if (
-                existing is not None
-                and existing[0] is not None
-                and format_abs(existing[0]) == text
-            ):
-                raise DuplicateRecord(f"record {key} already stored unchanged")
-            # a record's datestamp never moves backward
-            if existing is not None:
-                day = max(day, existing[1])
-            rel = ""
-            if self.data_dir is not None:
-                self._commit(key, day)
+            old = self._records.get(key)
+            if old is None:
+                rel = _rel_path(meta.id)
+            else:
+                if old[0].deleted:
+                    raise ValueError(
+                        f"record {key} is deleted; it cannot be ingested again"
+                    )
+                if old[1] is not None and format_abs(old[1]) == text:
+                    raise DuplicateRecord(f"record {key} already stored unchanged")
+                # a record's datestamp never moves backward
+                day = max(day, old[0].datestamp)
                 # an update replaces the file the record came from, whatever
                 # its name, so that no second file holds the same record
-                rel = existing[3] if existing is not None else _rel_path(meta.id)
-                path = self.data_dir / rel
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_name(path.name + ".tmp")
-                write_durably(tmp, [text])
-                os.replace(tmp, path)
-            old = self._index_key(key)
-            sets = self._sets(key, tuple(meta.crosslists))
-            self._records[key] = (meta, day, sets, rel)
-            self._reindex(old, key)
+                rel = old[2]
+            entry = IndexEntry(day, key, self._sets(key, tuple(meta.crosslists)))
+            self._write((entry, meta, rel, None), old, text)
         return StoredRecord(id=meta.id, datestamp=day, meta=meta)
 
     def mark_deleted(self, eid: EprintId, reason: str, now: datetime) -> None:
@@ -504,30 +496,42 @@ class Store:
             raise ValueError(f"deletion reason must be one line: {reason!r}")
         key = eid.without_version().local()
         with self._lock:
-            old = self._index_key(key)
+            old = self._records.get(key)
             if old is None:
                 raise NotFound(key)
-            day = max(now.date(), old[0])
-            if self.data_dir is not None:
-                self._commit(key, day, reason)
-            self._deleted[key] = (day, reason)
-            self._reindex(old, key)
+            entry = old[0]
+            day = max(now.date(), entry.datestamp)
+            entry = IndexEntry(day, entry.identifier, entry.sets, deleted=True)
+            self._write((entry, None, old[2], reason), old)
 
-    def _index_key(self, key: str) -> tuple[date, str] | None:
-        """Where ``key``'s entry sorts in the index, or None if it has none."""
-        if key in self._deleted:
-            return (self._deleted[key][0], key)
-        if key in self._records:
-            return (self._records[key][1], key)
-        return None
-
-    def _reindex(self, old: tuple[date, str] | None, key: str) -> None:
-        """Replace ``key``'s entry, found at ``old``, with its current one in
-        a copy of the index, and swap the copy in. Called under the lock."""
+    def _write(
+        self, record: _Record, old: _Record | None, text: str | None = None
+    ) -> None:
+        """Make ``record`` its id's current record in place of ``old``.
+        Commits its ``record`` row (on disk once this returns), then, when
+        ``text`` is given, replaces its abs file with it (tmp + fsync +
+        rename), then swaps in a copy of the index with its entry in place
+        of the old one. Called under the lock."""
+        entry, _, rel, reason = record
+        if self.data_dir is not None:
+            row = (entry.identifier, entry.datestamp.isoformat(), entry.deleted, reason)
+            try:
+                self._db.execute(_PUT_RECORD, row)
+            except sqlite3.Error as exc:
+                raise OSError(
+                    f"cannot write {self.data_dir / STORE_DB}: {exc}"
+                ) from exc
+            if text is not None:
+                path = self.data_dir / rel
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp = path.with_name(path.name + ".tmp")
+                write_durably(tmp, [text])
+                os.replace(tmp, path)
         entries = list(self._snapshot)
         if old is not None:
-            del entries[bisect_left(entries, old, key=_sort_key)]
-        insort(entries, self._entry_for(key), key=_sort_key)
+            del entries[bisect_left(entries, _sort_key(old[0]), key=_sort_key)]
+        insort(entries, entry, key=_sort_key)
+        self._records[entry.identifier] = record
         self._snapshot = entries
 
     # --- read paths ------------------------------------------------------
@@ -536,29 +540,28 @@ class Store:
         """Latest record, a deleted marker, or None for a never-assigned id.
         Deleted ids never yield metadata. Raises :class:`StoreError` when
         the record's abs file, parsed on first use, is gone or malformed."""
-        key = eid.without_version().local()
-        if key in self._deleted:
-            day, reason = self._deleted[key]
-            return StoredRecord(
-                id=eid.without_version(),
-                datestamp=day,
-                deleted=True,
-                deletion_reason=reason,
-            )
-        record = self._records.get(key)
+        record = self._records.get(eid.without_version().local())
         if record is None:
             return None
-        if record[0] is None:
-            record = self._parsed(key, record)
-        meta, day = record[0], record[1]
-        return StoredRecord(id=meta.id, datestamp=day, meta=meta)
+        if record[1] is None and not record[0].deleted:
+            record = self._parsed(record)
+        entry, meta = record[0], record[1]
+        if entry.deleted:
+            return StoredRecord(
+                id=eid.without_version(),
+                datestamp=entry.datestamp,
+                deleted=True,
+                deletion_reason=record[3],
+            )
+        return StoredRecord(id=meta.id, datestamp=entry.datestamp, meta=meta)
 
-    def _parsed(self, key: str, record: _Record) -> _Record:
+    def _parsed(self, record: _Record) -> _Record:
         """``record`` with its metadata, parsed from its abs file. The parse
         is kept only if no write replaced the record meanwhile; otherwise
         the newer record is returned."""
         assert self.data_dir is not None
-        path = os.path.join(self.data_dir, record[3])
+        key = record[0].identifier
+        path = os.path.join(self.data_dir, record[2])
         try:
             meta = parse_abs(_read(path))
         except (OSError, ValueError) as exc:
@@ -568,16 +571,8 @@ class Store:
         with self._lock:
             current = self._records[key]
             if current is record:
-                current = self._records[key] = (meta, *record[1:])
+                current = self._records[key] = (record[0], meta, *record[2:])
         return current
-
-    def _entry_for(self, key: str) -> IndexEntry:
-        record = self._records.get(key)
-        if key in self._deleted:
-            sets = record[2] if record is not None else self._sets(key, ())
-            return IndexEntry(self._deleted[key][0], key, sets, deleted=True)
-        assert record is not None
-        return IndexEntry(record[1], key, record[2])
 
     def scan(
         self,

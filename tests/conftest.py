@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import shutil
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from eprint_oai import RepositoryConfig, Store, load_taxonomy
 from eprint_oai.absfile import InternalMetadata, format_abs
 from eprint_oai.ids import EprintId
 from eprint_oai.protocol import ProtocolHandler
+from eprint_oai.store import STORE_DB
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CORPUS = ROOT / "corpus" / "demo"
@@ -33,9 +35,42 @@ def taxonomy():
     return load_taxonomy()
 
 
+def _tree(root: Path) -> dict[str, tuple[int, int]]:
+    """Size and ``mtime_ns`` of every file under ``root``, by relative path."""
+    tree = {}
+    for p in root.rglob("*"):
+        if p.is_file():
+            st = p.stat()
+            tree[str(p.relative_to(root))] = (st.st_size, st.st_mtime_ns)
+    return tree
+
+
+@pytest.fixture(scope="session", autouse=True)
+def corpus_unchanged():
+    """Tests work on copies: the session leaves ``corpus/`` as it found it."""
+    before = _tree(ROOT / "corpus")
+    yield
+    after = _tree(ROOT / "corpus")
+    if after != before:
+        changed = sorted(
+            name for name in before.keys() | after.keys()
+            if before.get(name) != after.get(name)
+        )
+        pytest.fail(f"the tests changed files under corpus/: {changed}")
+
+
 @pytest.fixture()
-def demo_store(taxonomy):
-    return Store(taxonomy, DEMO_CORPUS)
+def demo_dir(tmp_path_factory) -> Path:
+    """A copy of the demo corpus without its database, so that loading it
+    writes nothing under ``corpus/``."""
+    dest = tmp_path_factory.mktemp("demo") / "demo"
+    shutil.copytree(DEMO_CORPUS, dest, ignore=shutil.ignore_patterns(STORE_DB + "*"))
+    return dest
+
+
+@pytest.fixture()
+def demo_store(taxonomy, demo_dir):
+    return Store(taxonomy, demo_dir)
 
 
 @pytest.fixture()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import shutil
 import socket
 import subprocess
@@ -10,13 +11,12 @@ import sys
 import threading
 from contextlib import contextmanager
 from datetime import date
-from pathlib import Path
 from urllib.parse import urlencode, urlsplit
 from wsgiref.simple_server import make_server
 
 import pytest
 
-from conftest import FIXED_CLOCK, GOLDEN, ROOT, synth_corpus
+from conftest import DEMO_CORPUS, FIXED_CLOCK, GOLDEN, ROOT, synth_corpus
 from eprint_oai import cli, harvester
 from eprint_oai.config import RepositoryConfig
 from eprint_oai.protocol import PART_CHARS, ProtocolHandler
@@ -24,7 +24,8 @@ from eprint_oai.server import ThreadingWSGIServer, _QuietHandler, make_app
 from eprint_oai.ids import load_taxonomy, parse_internal_id
 from eprint_oai.store import STORE_DB, Store
 
-DEMO = Path(__file__).resolve().parent.parent / "corpus" / "demo"
+# an abs file to ingest; tests that open the demo store use ``demo_dir``
+DEMO_ABS = DEMO_CORPUS / "cs" / "0101" / "cs.DL.0101027.abs"
 
 
 def test_usage_error_exits_2(capsys):
@@ -40,9 +41,9 @@ def test_missing_data_dir_is_usage_error(capsys):
     assert "--data-dir is required" in capsys.readouterr().err
 
 
-def test_crosswalk_command(capsys):
+def test_crosswalk_command(capsys, demo_dir):
     rc = cli.main(
-        ["crosswalk", "--data-dir", str(DEMO), "cs.DL/0101027", "oai_dc"]
+        ["crosswalk", "--data-dir", str(demo_dir), "cs.DL/0101027", "oai_dc"]
     )
     out = capsys.readouterr().out
     assert rc == 0
@@ -54,36 +55,38 @@ def test_crosswalk_command(capsys):
     assert out == inner + "\n"
 
 
-def test_crosswalk_unknown_record(capsys):
+def test_crosswalk_unknown_record(capsys, demo_dir):
     rc = cli.main(
-        ["crosswalk", "--data-dir", str(DEMO), "hep-th/7001001", "oai_dc"]
+        ["crosswalk", "--data-dir", str(demo_dir), "hep-th/7001001", "oai_dc"]
     )
     assert rc == 1
     assert "not found" in capsys.readouterr().err
 
 
-def test_crosswalk_unsupported_format(capsys):
+def test_crosswalk_unsupported_format(capsys, demo_dir):
     rc = cli.main(
-        ["crosswalk", "--data-dir", str(DEMO), "cs.DL/0101027", "oai_marc"]
+        ["crosswalk", "--data-dir", str(demo_dir), "cs.DL/0101027", "oai_marc"]
     )
     assert rc == 1
     assert "unsupported" in capsys.readouterr().err
 
 
-def test_config_file_with_flag_override(tmp_path, capsys):
+def test_config_file_with_flag_override(tmp_path, capsys, demo_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"data_dir": "/nonexistent"}), encoding="utf-8")
     rc = cli.main(
-        ["--config", str(cfg), "crosswalk", "--data-dir", str(DEMO),
+        ["--config", str(cfg), "crosswalk", "--data-dir", str(demo_dir),
          "cs.DL/0101027", "oai_dc"]
     )
     assert rc == 0  # flag wins over the config file
 
 
-def test_config_file_sets_the_repository_identity(tmp_path):
+def test_config_file_sets_the_repository_identity(tmp_path, demo_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
-        json.dumps({"data_dir": str(DEMO), "abs_url_prefix": "https://example.org/a/"}),
+        json.dumps(
+            {"data_dir": str(demo_dir), "abs_url_prefix": "https://example.org/a/"}
+        ),
         encoding="utf-8",
     )
     done = subprocess.run(
@@ -112,11 +115,15 @@ def _usage_error(capsys, argv) -> str:
     [("scheme", "foo"), ("delimiter", "/"), ("protocol_version", "2.0"),
      ("identity_file", "id.json"), ("pagesize", 7)],
 )
-def test_config_file_with_unknown_key_is_usage_error(tmp_path, capsys, key, value):
+def test_config_file_with_unknown_key_is_usage_error(
+    tmp_path, capsys, key, value, demo_dir
+):
     """The oai-identifier syntax and the protocol version are constants, so
     a file cannot set them; nor can it set a key no setting has."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"data_dir": str(DEMO), key: value}), encoding="utf-8")
+    cfg.write_text(
+        json.dumps({"data_dir": str(demo_dir), key: value}), encoding="utf-8"
+    )
     err = _usage_error(capsys, ["--config", str(cfg), "crosswalk",
                                 "cs.DL/0101027", "oai_dc"])
     assert f"unknown config keys: ['{key}']" in err
@@ -151,19 +158,21 @@ def test_unusable_config_file_is_usage_error(tmp_path, capsys, content, message)
      ("taxonomy_file", 1, "a string or null"), ("eprints", [], "an object or null")],
 )
 def test_config_value_of_the_wrong_type_is_usage_error(
-    tmp_path, capsys, key, value, expected
+    tmp_path, capsys, key, value, expected, demo_dir
 ):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"data_dir": str(DEMO), key: value}), encoding="utf-8")
+    cfg.write_text(
+        json.dumps({"data_dir": str(demo_dir), key: value}), encoding="utf-8"
+    )
     err = _usage_error(capsys, ["--config", str(cfg), "crosswalk",
                                 "cs.DL/0101027", "oai_dc"])
     assert f"{key} must be {expected}, got {value!r}" in err
 
 
 @pytest.mark.parametrize("source", ["file", "flag"])
-def test_port_out_of_range_is_usage_error(tmp_path, capsys, source):
+def test_port_out_of_range_is_usage_error(tmp_path, capsys, source, demo_dir):
     cfg = tmp_path / "cfg.json"
-    settings = {"data_dir": str(DEMO)}
+    settings = {"data_dir": str(demo_dir)}
     if source == "file":
         settings["port"] = 70000
     cfg.write_text(json.dumps(settings), encoding="utf-8")
@@ -172,10 +181,12 @@ def test_port_out_of_range_is_usage_error(tmp_path, capsys, source):
     assert "port 70000 is not 0-65535" in err
 
 
-def test_sample_identifier_of_another_repository_is_usage_error(tmp_path, capsys):
+def test_sample_identifier_of_another_repository_is_usage_error(
+    tmp_path, capsys, demo_dir
+):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
-        json.dumps({"data_dir": str(DEMO), "repository_identifier": "demo"}),
+        json.dumps({"data_dir": str(demo_dir), "repository_identifier": "demo"}),
         encoding="utf-8",
     )
     err = _usage_error(capsys, ["--config", str(cfg), "crosswalk",
@@ -183,13 +194,17 @@ def test_sample_identifier_of_another_repository_is_usage_error(tmp_path, capsys
     assert "sample_identifier 'oai:arXiv:quant-ph/9901001'" in err
 
 
-def _invalid_store(capsys, argv) -> None:
+def _invalid_store(capsys, argv) -> str:
+    """Run the CLI expecting an ``invalid store`` failure; its stderr."""
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid store: ") and "Traceback" not in err
+    return err
 
 
-def test_serve_with_a_taxonomy_lacking_an_archive_fails_cleanly(tmp_path, capsys):
+def test_serve_with_a_taxonomy_lacking_an_archive_fails_cleanly(
+    tmp_path, capsys, demo_dir
+):
     table = tmp_path / "taxonomy.tsv"
     table.write_text(
         "".join(
@@ -200,8 +215,27 @@ def test_serve_with_a_taxonomy_lacking_an_archive_fails_cleanly(tmp_path, capsys
         ),
         encoding="utf-8",
     )
-    _invalid_store(capsys, ["serve", "--data-dir", str(DEMO),
+    _invalid_store(capsys, ["serve", "--data-dir", str(demo_dir),
                             "--taxonomy", str(table), "--port", "1"])
+
+
+def test_serve_with_a_group_token_holding_the_token_separator_fails_cleanly(
+    tmp_path, capsys, demo_dir
+):
+    """A set named ``phy_sics`` cannot be written into a resumptionToken,
+    whose fields "_" separates, so the taxonomy is refused when it loads."""
+    table = tmp_path / "taxonomy.tsv"
+    table.write_text(
+        re.sub(
+            r"^(group|archive\t[^\t]+)\tphysics\t", r"\1\tphy_sics\t",
+            (ROOT / "src/eprint_oai/data/taxonomy.tsv").read_text(encoding="utf-8"),
+            flags=re.M,
+        ),
+        encoding="utf-8",
+    )
+    err = _invalid_store(capsys, ["serve", "--data-dir", str(demo_dir),
+                                  "--taxonomy", str(table), "--port", "1"])
+    assert "group token may not contain '_': 'phy_sics'" in err
 
 
 def test_crosswalk_on_a_missing_store_fails_cleanly(tmp_path, capsys):
@@ -211,21 +245,21 @@ def test_crosswalk_on_a_missing_store_fails_cleanly(tmp_path, capsys):
 
 def test_ingest_into_a_store_that_cannot_be_opened_fails_cleanly(tmp_path, capsys):
     (tmp_path / "store").write_text("a file, not a directory\n", encoding="utf-8")
-    src = DEMO / "cs" / "0101" / "cs.DL.0101027.abs"
+    src = DEMO_ABS
     _invalid_store(capsys, ["ingest", "--data-dir", str(tmp_path / "store"), str(src)])
 
 
 @pytest.mark.parametrize(
     "argv",
     [["serve", "--port", "1"],
-     ["ingest", str(DEMO / "cs" / "0101" / "cs.DL.0101027.abs")]],
+     ["ingest", str(DEMO_ABS)]],
     ids=["serve", "ingest"],
 )
 def test_store_with_an_unfolded_change_log_fails_cleanly(tmp_path, capsys, argv):
     """An older store whose change log was never folded into its tables is
     refused, naming the log, rather than opened without those writes."""
     store = tmp_path / "store"
-    shutil.copytree(DEMO, store, ignore=shutil.ignore_patterns(STORE_DB + "*"))
+    shutil.copytree(DEMO_CORPUS, store, ignore=shutil.ignore_patterns(STORE_DB + "*"))
     (store / "changes.log").write_text("cs.DL/0101027\t2001-02-01\n", encoding="utf-8")
     assert cli.main([argv[0], "--data-dir", str(store), *argv[1:]]) == 1
     err = capsys.readouterr().err
@@ -256,7 +290,7 @@ def test_each_command_takes_only_the_flags_it_reads():
 
 def test_ingest_command(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CLOCK_ENV, "2001-02-03T04:05:06+00:00")
-    src = DEMO / "cs" / "0101" / "cs.DL.0101027.abs"
+    src = DEMO_ABS
     rc = cli.main(["ingest", "--data-dir", str(tmp_path / "store"), str(src)])
     assert rc == 0
     assert "1 ingested, 0 failed" in capsys.readouterr().out

@@ -2,20 +2,19 @@ from __future__ import annotations
 
 import io
 import logging
-import shutil
 import time
 import xml.etree.ElementTree as ET
 from urllib.parse import quote
 
 import pytest
 
-from conftest import DEMO_CORPUS, FIXED_CLOCK
+from conftest import FIXED_CLOCK
 from eprint_oai.config import RepositoryConfig
 from eprint_oai.flowcontrol import FlowPolicy
 from eprint_oai.harvester import WsgiTransport
 from eprint_oai.protocol import ProtocolHandler
 from eprint_oai.server import make_app
-from eprint_oai.store import STORE_DB, Store
+from eprint_oai.store import Store
 
 
 def get(app, query, addr="1.2.3.4"):
@@ -222,12 +221,11 @@ def test_control_characters_never_make_a_broken_200(demo_handler):
                 ET.fromstring(body)
 
 
-def test_store_failure_is_503_with_retry_after(taxonomy, tmp_path, caplog):
+def test_store_failure_is_503_with_retry_after(taxonomy, demo_dir, caplog):
     """A record whose abs file vanished or was corrupted after load is a
     503 with Retry-After, for GetRecord and for a ListRecords page holding
     it; the log names the file."""
-    data_dir = tmp_path / "demo"
-    shutil.copytree(DEMO_CORPUS, data_dir, ignore=shutil.ignore_patterns(STORE_DB + "*"))
+    data_dir = demo_dir
     # a load writes no row for a file changed in its own tick of the clock
     time.sleep(0.02)
     Store(taxonomy, data_dir)  # writes the rows, so the next load parses nothing

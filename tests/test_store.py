@@ -6,7 +6,6 @@ import logging
 import os
 import random
 import re
-import shutil
 import signal
 import sqlite3
 import subprocess
@@ -15,7 +14,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -23,14 +22,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eprint_oai.store as store_module
-from conftest import DEMO_CORPUS, ROOT, make_meta, synth_corpus
+from conftest import ROOT, make_meta, synth_corpus
 from eprint_oai.absfile import format_abs, parse_abs
-from eprint_oai.ids import EprintId, parse_internal_id
+from eprint_oai.ids import EprintId, SetSpec, parse_internal_id
 from eprint_oai.store import (
     DATESTAMP_TABLE,
     DELETED_TABLE,
     STORE_DB,
     DuplicateRecord,
+    IndexEntry,
     NotFound,
     Store,
 )
@@ -430,16 +430,6 @@ def test_readers_see_whole_snapshots_while_a_writer_runs(taxonomy, tmp_path):
     assert Store(taxonomy, tmp_path).scan() == store.scan()
 
 
-def _ingest_or_refuse(store, eid, data, received_at):
-    """Ingest a replacement of ``eid``, which the store refuses, naming the
-    record, when ``eid`` is deleted."""
-    if store.get(eid).deleted:
-        with pytest.raises(ValueError, match=re.escape(f"record {eid.local()} ")):
-            store.ingest(data, received_at)
-    else:
-        store.ingest(data, received_at)
-
-
 # --- crash safety ----------------------------------------------------------------
 
 
@@ -605,14 +595,12 @@ def parsed(monkeypatch):
 
 
 @pytest.fixture()
-def demo_copy(tmp_path):
+def demo_copy(demo_dir):
     """The demo corpus without its database, written a little before any
     load a test makes: some filesystems stamp file times by the clock tick,
     and a load writes no row for a file changed in its own tick."""
-    dest = tmp_path / "demo"
-    shutil.copytree(DEMO_CORPUS, dest, ignore=shutil.ignore_patterns(STORE_DB + "*"))
     time.sleep(0.02)
-    return dest
+    return demo_dir
 
 
 def _contents(store: Store):
@@ -633,7 +621,7 @@ def _full_parse(taxonomy, data_dir: Path) -> Store:
 def test_second_load_of_demo_corpus_parses_nothing(
     taxonomy, demo_copy, parsed, monkeypatch
 ):
-    Store(taxonomy, DEMO_CORPUS)  # writes the rows that are missing or stale
+    Store(taxonomy, demo_copy)  # writes the rows that are missing or stale
     opened: list[str] = []
     real_open = io.open
 
@@ -646,7 +634,7 @@ def test_second_load_of_demo_corpus_parses_nothing(
     with monkeypatch.context() as m:
         m.setattr(builtins, "open", recording_open)
         m.setattr(io, "open", recording_open)
-        store = Store(taxonomy, DEMO_CORPUS)
+        store = Store(taxonomy, demo_copy)
     assert parsed == [] and opened == []
     # each live record is parsed on first use, once
     contents = _contents(store)
@@ -654,7 +642,7 @@ def test_second_load_of_demo_corpus_parses_nothing(
     assert sorted(parsed) == sorted(live)
     assert _contents(store) == contents
     assert sorted(parsed) == sorted(live)
-    assert contents == _contents(Store(taxonomy, demo_copy))
+    assert contents == _contents(_full_parse(taxonomy, demo_copy))
 
 
 def _load_counts(caplog) -> list[dict[str, str]]:
@@ -967,43 +955,104 @@ def test_update_replaces_a_differently_named_abs_file(taxonomy, demo_copy):
 
 _TABLE_OPS = st.lists(
     st.tuples(
-        st.sampled_from(["new", "replace", "delete", "reload"]),
+        st.sampled_from(["new", "replace", "again", "delete", "reload"]),
         st.integers(0, 1000),  # which existing record
         st.integers(-2, 5),  # days since the last write; negative = early clock
     ),
     max_size=16,
 )
+# the cross-lists a replacement of a hep-th record draws, and its sets then
+_CROSSLISTS = [
+    (["math.DS"], {"physics", "math"}),
+    (["cs.DL", "q-alg"], {"physics", "cs", "math"}),
+    ([], {"physics"}),
+]
+
+
+@dataclass
+class _Modelled:
+    """What a store should hold for one id, worked out without the store."""
+
+    datestamp: date  # the latest day of the writes it took
+    text: str  # the abs text last ingested
+    sets: set[str]
+    reason: str | None = None  # of its deletion; None while live
+
+
+def _assert_holds(store: Store, model: dict[str, _Modelled]) -> None:
+    """``scan()`` and every ``get()`` of ``store`` give what ``model`` says."""
+    assert store.scan() == sorted(
+        (
+            IndexEntry(m.datestamp, ident, frozenset(map(SetSpec, m.sets)),
+                       m.reason is not None)
+            for ident, m in model.items()
+        ),
+        key=lambda e: (e.datestamp, e.identifier),
+    )
+    for ident, m in model.items():
+        rec = store.get(parse_internal_id(ident))
+        assert (rec.datestamp, rec.deleted, rec.deletion_reason) == (
+            m.datestamp, m.reason is not None, m.reason
+        )
+        text = None if rec.meta is None else format_abs(rec.meta)
+        assert text == (m.text if m.reason is None else None)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_TABLE_OPS)
 def test_table_load_equals_full_parse(taxonomy, ops):
-    """After random ingests, deletions and reloads, a load
+    """After random ingests, re-ingests, deletions and reloads, an on-disk
+    and an in-memory store both hold what a model of each id says: its
+    datestamp is the latest day of its writes, a deletion is for good, and
+    a re-ingest of unchanged content or of a deleted id is refused. A load
     through the table and a full parse give what the live store gives."""
     with tempfile.TemporaryDirectory() as tmp:
         data_dir = Path(tmp)
-        store = Store(taxonomy, data_dir)
+        stores = [Store(taxonomy, data_dir), Store(taxonomy)]
+        model: dict[str, _Modelled] = {}
         ids: list[EprintId] = []
         day = date(1999, 1, 1)
         for i, (op, pick, gap) in enumerate(ops):
             day += timedelta(days=gap)
             if op == "reload":
-                store = Store(taxonomy, data_dir)
-            elif op == "new" or not ids:
+                stores[0] = Store(taxonomy, data_dir)
+                continue
+            if op == "new" or not ids:
                 eid = EprintId("hep-th", 9901, len(ids) + 1)
-                store.ingest(format_abs(make_meta(eid, date(1999, 1, 1))), dt(day))
+                text = format_abs(make_meta(eid, date(1999, 1, 1)))
+                for store in stores:
+                    store.ingest(text, dt(day))
                 ids.append(eid)
-            elif op == "replace":
-                eid = ids[pick % len(ids)]
-                meta = make_meta(
-                    eid,
-                    date(1999, 1, 1),
-                    crosslists=[["math.DS"], ["cs.DL", "q-alg"], []][pick % 3],
-                    journal_ref=f"J. Ex. {i} (1999) 1",
-                )
-                _ingest_or_refuse(store, eid, format_abs(meta), dt(day))
-            else:
-                store.mark_deleted(ids[pick % len(ids)], f"reason {i}", dt(day))
-        expected = _contents(store)
+                model[eid.local()] = _Modelled(day, text, {"physics"})
+                continue
+            eid = ids[pick % len(ids)]
+            m = model[eid.local()]
+            if op == "delete":
+                for store in stores:
+                    store.mark_deleted(eid, f"reason {i}", dt(day))
+                m.datestamp, m.reason = max(m.datestamp, day), f"reason {i}"
+                continue
+            text, sets = m.text, m.sets
+            if op == "replace":
+                crosslists, sets = _CROSSLISTS[pick % 3]
+                meta = make_meta(eid, date(1999, 1, 1), crosslists=crosslists,
+                                 journal_ref=f"J. Ex. {i} (1999) 1")
+                text = format_abs(meta)
+            for store in stores:
+                if m.reason is not None:
+                    with pytest.raises(ValueError, match=f"record {eid} is deleted"):
+                        store.ingest(text, dt(day))
+                elif text == m.text:
+                    with pytest.raises(DuplicateRecord):
+                        store.ingest(text, dt(day))
+                else:
+                    store.ingest(text, dt(day))
+            if m.reason is None and text != m.text:
+                m.datestamp, m.text, m.sets = max(m.datestamp, day), text, sets
+            # the on-disk store is read only at the end, so that its writes
+            # meet records not yet parsed since a reload
+            _assert_holds(stores[1], model)
+        _assert_holds(stores[0], model)
+        expected = _contents(stores[0])
         assert _contents(Store(taxonomy, data_dir)) == expected
         assert _contents(_full_parse(taxonomy, data_dir)) == expected
