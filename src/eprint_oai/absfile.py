@@ -56,6 +56,11 @@ class InternalMetadata:
     report_no: str | None = None
     license: str | None = None
     submitter: str | None = None
+    # (the authors_raw it was made from, its parsed authors), set by the
+    # crosswalk on first use; a stale pair is never served (crosswalk._authors)
+    authors_memo: tuple | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.title.strip():

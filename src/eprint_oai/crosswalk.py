@@ -24,10 +24,17 @@ from .absfile import InternalMetadata
 from .authors import AuthorName, display_name, parse_authors
 from .ids import TaxonomyConfig, format_datestamp
 from .texmap import tex_to_utf8
-from .xmlwriter import block_element, open_tag
+from .xmlwriter import NOT_XML_CHAR_RE, open_tag
 
 class UnsupportedFormat(ValueError):
     """Requested metadataPrefix is not registered."""
+
+
+# a fragment's lines sit inside a response's <metadata> element
+_MARGIN = "    "
+_IN1 = _MARGIN + " "
+_IN2 = _MARGIN + "  "
+_IN3 = _MARGIN + "   "
 
 
 @dataclass(frozen=True)
@@ -39,23 +46,51 @@ class FormatDescriptor:
     render: Callable[
         [InternalMetadata, date, "FormatDescriptor", TaxonomyConfig, str], list[str]
     ] = field(compare=False, repr=False)
+    # the fragment's first line: the start tag of its root, which is named
+    # after the prefix, with the namespace and schema location
+    start_tag: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        tag = open_tag(self.prefix, self.namespace, self.schema, _MARGIN)
+        object.__setattr__(self, "start_tag", tag)
 
 
 # --- XML rendering -----------------------------------------------------------
 
-# a fragment's lines sit inside a response's <metadata> element
-_MARGIN = "    "
-_IN1 = _MARGIN + " "
-_IN2 = _MARGIN + "  "
-_IN3 = _MARGIN + "   "
+# the line boundaries str.splitlines() recognises, each alternative a
+# literal so that the search skips other text quickly
+_LINE_BREAK_RE = re.compile("\r\n?|\n|\v|\f|\x1c|\x1d|\x1e|\x85|\u2028|\u2029")
 
 
 def _line(name: str, text: str, indent: str = _IN1) -> str:
-    return block_element(name, text, indent, _MARGIN)
+    """One element of a fragment on one line, its text escaped; each line
+    break inside the text becomes a newline followed by the margin, so that
+    continuation lines keep the fragment's indentation, and every other
+    character XML forbids becomes U+FFFD. One call per line, as a record
+    renders about twenty of them in each format."""
+    if "&" in text or "<" in text or ">" in text or '"' in text:
+        text = (
+            text.replace("&", "&amp;")
+            .replace("<", "&lt;")
+            .replace(">", "&gt;")
+            .replace('"', "&quot;")
+        )
+    if not text.isprintable():
+        text = _LINE_BREAK_RE.sub("\n" + _MARGIN, text)
+        text = NOT_XML_CHAR_RE.sub("\ufffd", text)
+    return f"{indent}<{name}>{text}</{name}>"
 
 
-def _authors(meta: InternalMetadata) -> list[AuthorName]:
-    return parse_authors(tex_to_utf8(meta.authors_raw))
+def _authors(meta: InternalMetadata) -> tuple[AuthorName, ...]:
+    """The record's parsed authors, parsed on the first call for its current
+    ``authors_raw`` and kept on the record for every later format. Threads
+    that fill the memo at once compute equal tuples, so none needs a lock."""
+    memo = meta.authors_memo
+    if memo is None or memo[0] is not meta.authors_raw:
+        raw = meta.authors_raw
+        memo = (raw, tuple(parse_authors(tex_to_utf8(raw))))
+        meta.authors_memo = memo
+    return memo[1]
 
 
 def _render_dc(
@@ -66,7 +101,7 @@ def _render_dc(
     abs_url_prefix: str,
 ) -> list[str]:
     lines = [
-        open_tag("oai_dc", fmt.namespace, fmt.schema, _MARGIN),
+        fmt.start_tag,
         _line("title", tex_to_utf8(meta.title)),
     ]
     lines += [_line("creator", display_name(a)) for a in _authors(meta)]
@@ -92,7 +127,7 @@ def _render_rfc1807(
     abs_url_prefix: str,
 ) -> list[str]:
     lines = [
-        open_tag("oai_rfc1807", fmt.namespace, fmt.schema, _MARGIN),
+        fmt.start_tag,
         _line("bib-version", "CS-TR-v2.1"),
         _line("id", meta.id.local()),
         _line("entry", format_datestamp(datestamp)),
@@ -122,7 +157,7 @@ def _render_arxiv(
     """Structured test-bed format: parsed authors and per-version dates."""
     local = meta.id.local()
     lines = [
-        open_tag("arXiv", fmt.namespace, fmt.schema, _MARGIN),
+        fmt.start_tag,
         _line("id", local),
         _line("title", tex_to_utf8(meta.title)),
         _IN1 + "<authors>",
@@ -169,7 +204,7 @@ def _render_arxiv_old(
 ) -> list[str]:
     """Verbatim rendering: native field values untouched, TeX included."""
     lines = [
-        open_tag("arXivOld", fmt.namespace, fmt.schema, _MARGIN),
+        fmt.start_tag,
         _line("paper", meta.id.local()),
     ]
     for ver, d in meta.submission_dates:

@@ -16,6 +16,16 @@ the page's declared encoding. Only namespace bindings that element uses
 but inherits from the page are added to its start tag, so that it parses
 on its own.
 
+The end of that element is found without a Python call per element
+inside it. When its start tag declares namespace bindings, as every
+format of this provider's does, the element handlers are unset and only
+bindings are counted: the element's own, plus those each inner element
+opens and closes. The count falls to zero when the element's own bindings
+go out of scope, at its end tag (or, for an empty-element tag, at its
+start), and expat reports the byte offset of that tag. An element that
+declares no binding has its inner elements counted instead. Each HTTP body
+is read in one call.
+
 The transport is injected: a real HTTP client or an in-process loopback
 onto a WSGI app, so end-to-end runs need no network.
 """
@@ -56,9 +66,17 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransportResponse:
+    """One HTTP reply. Header names are lowercased on construction, so that
+    a lookup finds a header whatever case the provider, a proxy or HTTP/2
+    gave its name."""
+
     status: int
     headers: dict[str, str]
     body: bytes
+
+    def __post_init__(self) -> None:
+        lowered = {name.lower(): value for name, value in self.headers.items()}
+        object.__setattr__(self, "headers", lowered)
 
 
 class Transport(Protocol):
@@ -75,15 +93,20 @@ class HttpTransport:
         self.session = session or requests.Session()
 
     def request(self, params: list[tuple[str, str]]) -> TransportResponse:
+        """One GET, its body read in one call rather than in the 10 KB
+        chunks of ``Response.content``; a body cut short, like any other
+        failure of the connection, is a :class:`TransportFailure`."""
         import requests
+        from urllib3.exceptions import HTTPError
 
         try:
-            resp = self.session.get(self.base_url, params=params, timeout=60)
-        except requests.RequestException as exc:
+            resp = self.session.get(
+                self.base_url, params=params, timeout=60, stream=True
+            )
+            body = resp.raw.read(decode_content=True)
+        except (requests.RequestException, HTTPError) as exc:
             raise TransportFailure(str(exc)) from exc
-        return TransportResponse(
-            resp.status_code, dict(resp.headers), resp.content
-        )
+        return TransportResponse(resp.status_code, resp.headers, body)
 
 
 class WsgiTransport:
@@ -171,8 +194,9 @@ def _parse_page(body: bytes, verb: str) -> tuple[list[HarvestedRecord], str | No
     events. A record's metadata is the page's own bytes from the start tag
     of ``<metadata>``'s first child to the end of that child's end tag,
     decoded with the page's declared encoding; inside that child the
-    handlers only count depth. A namespace binding the child uses but an
-    ancestor declares is added to its start tag (:func:`_declare_inherited`).
+    handlers only count the bindings it opens, or, when it declares none,
+    its elements. A namespace binding the child uses but an ancestor
+    declares is added to its start tag (:func:`_declare_inherited`).
     """
     parser = expat.ParserCreate(namespace_separator="}")
     records: list[HarvestedRecord] = []
@@ -269,14 +293,24 @@ def _parse_page(body: bytes, verb: str) -> tuple[list[HarvestedRecord], str | No
         nonlocal start, depth, declared, inherited
         start = parser.CurrentByteIndex
         own = {prefix for prefix, _ in declared}
-        declared = []
         bindings = dict(in_scope[0])
         bindings.update(in_scope[1])
         bindings.update(in_scope[2])
         inherited = {p: u for p, u in bindings.items() if u and p not in own}
-        depth = 1
-        parser.StartElementHandler = inner_start
-        parser.EndElementHandler = inner_end
+        if declared:
+            # count open bindings instead of elements: expat then passes over
+            # the elements inside without calling Python, and the root ends
+            # when the last of its own bindings does
+            depth = len(declared)
+            parser.StartElementHandler = None
+            parser.EndElementHandler = None
+            parser.StartNamespaceDeclHandler = binding_start
+            parser.EndNamespaceDeclHandler = binding_end
+        else:
+            depth = 1
+            parser.StartElementHandler = inner_start
+            parser.EndElementHandler = inner_end
+        declared = []
 
     def inner_start(name, attrs):
         nonlocal depth
@@ -288,12 +322,25 @@ def _parse_page(body: bytes, verb: str) -> tuple[list[HarvestedRecord], str | No
         if not depth:
             fragment_end()
 
+    def binding_start(prefix, uri):
+        nonlocal depth
+        depth += 1
+
+    def binding_end(prefix):
+        nonlocal depth
+        depth -= 1
+        if not depth:
+            fragment_end()
+
     def fragment_end():
         nonlocal metadata, declared
-        # expat reports the end of an element at the "<" of its end tag, or,
-        # for an empty-element tag, just after that tag
+        # expat reports the end of an element at the "<" of its end tag; an
+        # empty-element tag at its own start when no element handler is set
+        # (binding_end), or else just after the tag (inner_end)
         end = parser.CurrentByteIndex
-        if not (
+        if end == start:
+            end = _TAG_END.match(body, start).end()
+        elif not (
             body[end - 2 : end] == b"/>" and _TAG_END.match(body, start).end() == end
         ):
             end = body.index(b">", end) + 1
@@ -302,6 +349,8 @@ def _parse_page(body: bytes, verb: str) -> tuple[list[HarvestedRecord], str | No
         declared = []  # made inside the fragment
         parser.StartElementHandler = element_start
         parser.EndElementHandler = element_end
+        parser.StartNamespaceDeclHandler = namespace
+        parser.EndNamespaceDeclHandler = None
 
     # the slicing above finds "<", "/" and ">" as single bytes, as they are
     # in UTF-8 and every other encoding expat reads except UTF-16
@@ -409,7 +458,7 @@ def _fetch_page(job, transport, params, sleep, report):
             attempts += 1
             if attempts > job.max_retries:
                 raise TransportFailure("too many 503 replies")
-            sleep(_retry_after_seconds(resp.headers.get("Retry-After", "1")))
+            sleep(_retry_after_seconds(resp.headers.get("retry-after", "1")))
             continue
         if resp.status != 200:
             raise ProtocolError(f"unexpected HTTP status {resp.status}")

@@ -318,10 +318,10 @@ class ProtocolHandler:
         self, ident: str, fmt: FormatDescriptor | None, prefix: str
     ) -> str:
         """The four-outcome record rendering shared by GetRecord and
-        ListRecords, as lines each ended by a newline: absent (no text),
-        deleted, header-only (``fmt`` None: no format has the requested
-        prefix), or header+metadata. ``prefix`` is this repository's
-        :func:`oai_prefix`."""
+        ListRecords, as one text of lines each ended by a newline: absent
+        (no text), deleted, header-only (``fmt`` None: no format has the
+        requested prefix), or header+metadata. ``prefix`` is this
+        repository's :func:`oai_prefix`."""
         try:
             eid = parse_oai_identifier(ident, self.config.repository_identifier)
         except MalformedIdentifier:
@@ -329,32 +329,27 @@ class ProtocolHandler:
         record = self.store.get(eid)
         if record is None:
             return ""
-        header = [
-            "   <header>",
-            element("identifier", prefix + eid.local(), "    "),
-            element("datestamp", format_datestamp(record.datestamp), "    "),
-            "   </header>",
-        ]
+        metadata = ""
         if record.deleted:
-            return _text(['  <record status="deleted">', *header, "  </record>"])
-        if fmt is None:
-            return _text(["  <record>", *header, "  </record>"])
-        fragment = to_format(
-            record.meta,
-            record.datestamp,
-            fmt.prefix,
-            self.taxonomy,
-            self.config.abs_url_prefix,
-        )
-        return _text(
-            [
-                "  <record>",
-                *header,
-                "   <metadata>",
-                *fragment,
-                "   </metadata>",
-                "  </record>",
-            ]
+            start = '  <record status="deleted">'
+        else:
+            start = "  <record>"
+            if fmt is not None:
+                fragment = "\n".join(
+                    to_format(
+                        record.meta,
+                        record.datestamp,
+                        fmt.prefix,
+                        self.taxonomy,
+                        self.config.abs_url_prefix,
+                    )
+                )
+                metadata = f"   <metadata>\n{fragment}\n   </metadata>\n"
+        return (
+            f"{start}\n   <header>\n"
+            f"    <identifier>{escape(prefix + eid.local())}</identifier>\n"
+            f"    <datestamp>{format_datestamp(record.datestamp)}</datestamp>\n"
+            f"   </header>\n{metadata}  </record>\n"
         )
 
     # --- list verbs -------------------------------------------------------

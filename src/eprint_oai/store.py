@@ -152,7 +152,7 @@ class StoredRecord:
     deletion_reason: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexEntry:
     datestamp: date
     identifier: str  # canonical internal id, no version suffix

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import sys
+import threading
 import xml.etree.ElementTree as ET
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 
 from conftest import make_meta, synth_corpus
+from eprint_oai import crosswalk
+from eprint_oai.absfile import format_abs
 from eprint_oai.config import RepositoryConfig
 from eprint_oai.crosswalk import (
     DEFAULT_FORMATS,
@@ -14,7 +19,9 @@ from eprint_oai.crosswalk import (
     detect_language,
     to_format,
 )
+from eprint_oai.harvester import HarvestJob, WsgiTransport, run
 from eprint_oai.ids import EprintId, parse_internal_id
+from eprint_oai.server import make_app
 from eprint_oai.store import Store
 
 
@@ -180,3 +187,99 @@ def test_unsupported_prefix(taxonomy):
     meta = make_meta(EprintId("hep-th", 9901, 1), date(1999, 1, 1))
     with pytest.raises(UnsupportedFormat):
         to_format(meta, date(1999, 1, 2), "oai_marc", taxonomy, ABS_URL_PREFIX)
+
+
+# --- parsed authors, kept on the record --------------------------------------
+
+
+def _creators(meta, taxonomy) -> list[str]:
+    return [text for tag, text in fields(meta, date(2001, 1, 3), "oai_dc", taxonomy)
+            if tag == "creator"]
+
+
+def test_four_format_sweep_parses_each_records_authors_once(
+    demo_handler, demo_store, monkeypatch
+):
+    parsed: list[str] = []
+    real = crosswalk.parse_authors
+
+    def counting(raw):
+        parsed.append(raw)
+        return real(raw)
+
+    monkeypatch.setattr(crosswalk, "parse_authors", counting)
+    transport = WsgiTransport(make_app(demo_handler))
+    for fmt in DEFAULT_FORMATS:
+        run(HarvestJob("ListRecords", metadata_prefix=fmt.prefix), transport)
+    live = [e for e in demo_store.scan() if not e.deleted]
+    assert len(parsed) == len(live)
+
+
+def test_ingest_that_changes_the_authors_renders_the_new_ones(taxonomy):
+    store = Store(taxonomy)
+    eid = EprintId("cs", 101, 1, subject_class="DL")
+    meta = make_meta(eid, date(2001, 1, 2))
+    store.ingest(format_abs(meta), datetime(2001, 1, 2))
+    assert _creators(store.get(eid).meta, taxonomy) == ["Author, Alice", "Builder, Bob"]
+    changed = dataclasses.replace(meta, authors_raw="Carol Coauthor")
+    store.ingest(format_abs(changed), datetime(2001, 1, 3))
+    assert _creators(store.get(eid).meta, taxonomy) == ["Coauthor, Carol"]
+
+
+def test_changed_author_line_is_parsed_again(taxonomy):
+    meta = make_meta(EprintId("cs", 101, 1, subject_class="DL"), date(2001, 1, 2))
+    assert _creators(meta, taxonomy) == ["Author, Alice", "Builder, Bob"]
+    meta.authors_raw = "Dana Drake"
+    assert _creators(meta, taxonomy) == ["Drake, Dana"]
+
+
+def test_replace_makes_the_memo_again(taxonomy):
+    meta = make_meta(EprintId("cs", 101, 1, subject_class="DL"), date(2001, 1, 2))
+    _creators(meta, taxonomy)
+    assert meta.authors_memo is not None
+    retitled = dataclasses.replace(meta, title="Another title")
+    assert retitled.authors_memo is None
+    assert _creators(retitled, taxonomy) == ["Author, Alice", "Builder, Bob"]
+    renamed = dataclasses.replace(meta, authors_raw="Erin Editor")
+    assert _creators(renamed, taxonomy) == ["Editor, Erin"]
+
+
+def test_memo_leaves_equality_and_repr_alone(taxonomy):
+    eid = EprintId("cs", 101, 1, subject_class="DL")
+    rendered = make_meta(eid, date(2001, 1, 2))
+    fresh = make_meta(eid, date(2001, 1, 2))
+    _creators(rendered, taxonomy)
+    assert rendered.authors_memo is not None and fresh.authors_memo is None
+    assert rendered == fresh
+    assert repr(rendered) == repr(fresh)
+    assert "memo" not in repr(rendered)
+
+
+def test_threads_filling_the_memo_at_once_render_alike(taxonomy):
+    """Server threads may render one record at once; each fill computes an
+    equal tuple, so every thread renders the same bytes, whichever fill
+    lands last."""
+    metas = [
+        make_meta(EprintId("cs", 101, n, subject_class="DL"), date(2001, 1, 2),
+                  authors_raw=f"A{n} One, B{n} Two (Inst {n}), C{n} Three")
+        for n in range(1, 41)
+    ]
+    want = [render(dataclasses.replace(m), date(2001, 1, 3), "arXiv", taxonomy)
+            for m in metas]
+    got: dict[int, list[str]] = {}
+
+    def work(k: int) -> None:
+        got[k] = [render(m, date(2001, 1, 3), "arXiv", taxonomy) for m in metas]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(rendered == want for rendered in got.values())

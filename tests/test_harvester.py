@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import xml.etree.ElementTree as ET
 from datetime import date, datetime, timezone
@@ -25,6 +27,7 @@ from eprint_oai.harvester import (
     HarvestState,
     HarvestStore,
     HarvestStoreError,
+    HttpTransport,
     ProtocolError,
     TransportFailure,
     TransportResponse,
@@ -211,6 +214,105 @@ def test_retry_budget_exhausted_raises_transport_failure():
         run(HarvestJob("ListIdentifiers", max_retries=2), Always503(),
             sleep=lambda s: None)
     assert str(info.value) == "too many 503 replies"
+
+
+@pytest.mark.parametrize("name", ["retry-after", "RETRY-AFTER", "Retry-After"])
+def test_retry_after_name_in_any_case_is_obeyed(name):
+    class Busy:
+        calls = 0
+
+        def request(self, params):
+            self.calls += 1
+            if self.calls == 1:
+                return TransportResponse(503, {name: "7"}, b"busy")
+            return TransportResponse(200, {}, EMPTY_LIST_IDENTIFIERS)
+
+    naps: list[float] = []
+    run(HarvestJob("ListIdentifiers"), Busy(), sleep=naps.append)
+    assert naps == [7.0]
+
+
+class CannedHttp:
+    """A loopback HTTP server that reads one request per connection and
+    answers the n-th connection with the n-th canned reply (the last one
+    for every connection after), then closes it."""
+
+    def __init__(self, replies: list[bytes]):
+        self.replies = replies
+        self.connections = 0
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self._sock.settimeout(0.1)
+        self.url = f"http://127.0.0.1:{self._sock.getsockname()[1]}/"
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._sock.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    request += chunk
+                reply = self.replies[min(self.connections, len(self.replies) - 1)]
+                self.connections += 1
+                conn.sendall(reply)
+
+    def close(self) -> None:
+        self._stop.set()
+        self._thread.join(timeout=5)
+        self._sock.close()
+
+
+@pytest.fixture()
+def canned_http():
+    servers: list[CannedHttp] = []
+
+    def start(replies: list[bytes]) -> CannedHttp:
+        servers.append(CannedHttp(replies))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+def _reply(status: str, headers: str, body: bytes, length: int | None = None) -> bytes:
+    length = len(body) if length is None else length
+    return (
+        f"HTTP/1.1 {status}\r\n{headers}Content-Length: {length}\r\n"
+        "Connection: close\r\n\r\n"
+    ).encode("ascii") + body
+
+
+def test_http_transport_reads_retry_after_sent_in_lowercase(canned_http):
+    server = canned_http([
+        _reply("503 Service Unavailable", "retry-after: 7\r\n", b"busy"),
+        _reply("200 OK", "Content-Type: text/xml\r\n", EMPTY_LIST_IDENTIFIERS),
+    ])
+    naps: list[float] = []
+    _, report = run(HarvestJob("ListIdentifiers"), HttpTransport(server.url),
+                    sleep=naps.append)
+    assert naps == [7.0] and report.retries_503 == 1 and report.pages == 1
+
+
+def test_http_transport_short_body_is_transport_failure(canned_http):
+    """A connection closed before the body's declared length arrives fails
+    like any other broken connection: retried, then a TransportFailure."""
+    short = _reply("200 OK", "", EMPTY_LIST_IDENTIFIERS[:40],
+                   length=len(EMPTY_LIST_IDENTIFIERS))
+    server = canned_http([short])
+    naps: list[float] = []
+    with pytest.raises(TransportFailure):
+        run(HarvestJob("ListIdentifiers", max_retries=2), HttpTransport(server.url),
+            sleep=naps.append)
+    assert naps == [1.0, 2.0] and server.connections == 3
 
 
 def test_garbage_body_is_protocol_error():
@@ -436,6 +538,68 @@ def test_fragment_bytes_end_where_the_element_ends(fragment):
     body = _page(_record(fragment + "\n") + _record(fragment, ident="oai:x:2"))
     records = assert_same_as_reference(body.encode("utf-8"), "ListRecords")
     assert [r.metadata for r in records] == [fragment, fragment]
+
+
+@pytest.mark.parametrize(
+    "fragment, kept",
+    [
+        # a root that undeclares the default namespace, with content and empty
+        ('<r xmlns=""><c>t</c></r>', None),
+        ('<r xmlns=""/>', None),
+        # nested elements that declare the root's prefix again; the default
+        # namespace <c> uses is inherited from the page
+        (
+            '<a:r xmlns:a="urn:a"><a:c xmlns:a="urn:b">t</a:c>'
+            '<c xmlns:a="urn:a"/></a:r>',
+            '<a:r xmlns="http://www.openarchives.org/OAI/1.0/OAI_ListRecords"'
+            ' xmlns:a="urn:a"><a:c xmlns:a="urn:b">t</a:c><c xmlns:a="urn:a"/></a:r>',
+        ),
+        # the root's expanded name inside it, under another prefix
+        ('<a:x xmlns:a="urn:x" xmlns:b="urn:x"><b:x>t</b:x></a:x>', None),
+        # elements named like the root inside it, empty and not
+        ('<x xmlns="urn:x"><x><x/></x><x>t</x></x>', None),
+        ('<x xmlns="urn:x"><x/></x>', None),
+        # an end tag of the root's name in a comment and in CDATA
+        ('<x xmlns="urn:x"><!-- </x> --><y><![CDATA[</x>]]></y></x>', None),
+        # a root that declares nothing: its element depth is counted
+        (
+            '<dc:r><dc:c xmlns:e="urn:e"><e:d/></dc:c></dc:r>',
+            '<dc:r xmlns:dc="urn:dc"><dc:c xmlns:e="urn:e"><e:d/></dc:c></dc:r>',
+        ),
+    ],
+    ids=["undeclared-default", "undeclared-default-empty", "redeclared-prefix",
+         "same-name-other-prefix", "same-name-nested", "same-name-empty",
+         "end-tag-in-comment-and-cdata", "inherited-prefix-depth-count"],
+)
+def test_fragment_end_found_by_counting_bindings(fragment, kept):
+    """A root that declares namespace bindings ends when the last of them
+    goes out of scope; its bytes are kept as sent, with only the bindings
+    it inherits added, and the records after it parse as before."""
+    body = _page(
+        _record(fragment + "\n") + _record(fragment, ident="oai:x:2"),
+        ' xmlns:dc="urn:dc"',
+    )
+    records = assert_same_as_reference(body.encode("utf-8"), "ListRecords")
+    assert [r.metadata for r in records] == [kept or fragment] * 2
+
+
+def test_fragments_of_both_kinds_in_one_page():
+    """After a fragment whose bindings were counted, the next fragment's
+    nested declarations are not counted against it, and the bindings of
+    the elements after it are seen again."""
+    counted = '<x xmlns="urn:x"><y xmlns:e="urn:e"><e:z/></y></x>'
+    by_depth = '<dc:r><dc:c xmlns:e="urn:e"><e:d/></dc:c><dc:t>t</dc:t></dc:r>'
+    body = _page(
+        _record(counted)
+        + _record(by_depth, ident="oai:x:2")
+        + _record(counted, ident="oai:x:3").replace(
+            "<metadata>", '<metadata xmlns:dc="urn:other">')
+        + _record(by_depth, ident="oai:x:4"),
+        ' xmlns:dc="urn:dc"',
+    )
+    records = assert_same_as_reference(body.encode("utf-8"), "ListRecords")
+    with_dc = by_depth.replace("<dc:r>", '<dc:r xmlns:dc="urn:dc">', 1)
+    assert [r.metadata for r in records] == [counted, with_dc, counted, with_dc]
 
 
 def test_empty_metadata_is_none():
