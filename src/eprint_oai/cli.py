@@ -187,7 +187,7 @@ def cmd_harvest(args: argparse.Namespace, config: CliConfig) -> int:
     try:
         with closing(harvester.HarvestStore(config.data_dir)) as store:
             if args.incremental:
-                state = harvester.HarvestState(args.state_file)
+                state = harvester.HarvestState(config.data_dir / "harvest_state.json")
                 key = harvester.HarvestState.key(args.target, args.set, args.prefix)
                 records, report = harvester.incremental(
                     state, key, job, now().date(), transport, store
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--until", type=_datestamp_arg)
     p.add_argument("--set")
     p.add_argument("--incremental", action="store_true")
-    p.add_argument("--state-file", dest="state_file", default="harvest_state.json")
     p.set_defaults(func=cmd_harvest)
 
     p = sub.add_parser("crosswalk", help="print one record in one format")

@@ -24,17 +24,15 @@ from .absfile import InternalMetadata
 from .authors import AuthorName, display_name, parse_authors
 from .ids import TaxonomyConfig, format_datestamp
 from .texmap import tex_to_utf8
-from .xmlwriter import NOT_XML_CHAR_RE, open_tag
+from .xmlwriter import MARGIN, element, open_tag
 
 class UnsupportedFormat(ValueError):
     """Requested metadataPrefix is not registered."""
 
 
-# a fragment's lines sit inside a response's <metadata> element
-_MARGIN = "    "
-_IN1 = _MARGIN + " "
-_IN2 = _MARGIN + "  "
-_IN3 = _MARGIN + "   "
+_IN1 = MARGIN + " "
+_IN2 = MARGIN + "  "
+_IN3 = MARGIN + "   "
 
 
 @dataclass(frozen=True)
@@ -51,34 +49,11 @@ class FormatDescriptor:
     start_tag: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        tag = open_tag(self.prefix, self.namespace, self.schema, _MARGIN)
+        tag = open_tag(self.prefix, self.namespace, self.schema, MARGIN)
         object.__setattr__(self, "start_tag", tag)
 
 
 # --- XML rendering -----------------------------------------------------------
-
-# the line boundaries str.splitlines() recognises, each alternative a
-# literal so that the search skips other text quickly
-_LINE_BREAK_RE = re.compile("\r\n?|\n|\v|\f|\x1c|\x1d|\x1e|\x85|\u2028|\u2029")
-
-
-def _line(name: str, text: str, indent: str = _IN1) -> str:
-    """One element of a fragment on one line, its text escaped; each line
-    break inside the text becomes a newline followed by the margin, so that
-    continuation lines keep the fragment's indentation, and every other
-    character XML forbids becomes U+FFFD. One call per line, as a record
-    renders about twenty of them in each format."""
-    if "&" in text or "<" in text or ">" in text or '"' in text:
-        text = (
-            text.replace("&", "&amp;")
-            .replace("<", "&lt;")
-            .replace(">", "&gt;")
-            .replace('"', "&quot;")
-        )
-    if not text.isprintable():
-        text = _LINE_BREAK_RE.sub("\n" + _MARGIN, text)
-        text = NOT_XML_CHAR_RE.sub("\ufffd", text)
-    return f"{indent}<{name}>{text}</{name}>"
 
 
 def _authors(meta: InternalMetadata) -> tuple[AuthorName, ...]:
@@ -102,19 +77,20 @@ def _render_dc(
 ) -> list[str]:
     lines = [
         fmt.start_tag,
-        _line("title", tex_to_utf8(meta.title)),
+        element("title", tex_to_utf8(meta.title), _IN1),
     ]
-    lines += [_line("creator", display_name(a)) for a in _authors(meta)]
+    lines += [element("creator", display_name(a), _IN1) for a in _authors(meta)]
     subject = taxonomy.subject_name(meta.id.archive, meta.id.subject_class)
-    lines.append(_line("subject", subject))
-    lines.append(_line("description", tex_to_utf8(meta.abstract)))
+    lines.append(element("subject", subject, _IN1))
+    lines.append(element("description", tex_to_utf8(meta.abstract), _IN1))
     if meta.comments:
-        lines.append(_line("description", "Comment: " + tex_to_utf8(meta.comments)))
+        comment = "Comment: " + tex_to_utf8(meta.comments)
+        lines.append(element("description", comment, _IN1))
     lines += [
-        _line("date", format_datestamp(datestamp)),
-        _line("type", "e-print"),
-        _line("identifier", abs_url_prefix + meta.id.local()),
-        _MARGIN + "</oai_dc>",
+        element("date", format_datestamp(datestamp), _IN1),
+        element("type", "e-print", _IN1),
+        element("identifier", abs_url_prefix + meta.id.local(), _IN1),
+        MARGIN + "</oai_dc>",
     ]
     return lines
 
@@ -128,22 +104,22 @@ def _render_rfc1807(
 ) -> list[str]:
     lines = [
         fmt.start_tag,
-        _line("bib-version", "CS-TR-v2.1"),
-        _line("id", meta.id.local()),
-        _line("entry", format_datestamp(datestamp)),
-        _line("title", tex_to_utf8(meta.title)),
+        element("bib-version", "CS-TR-v2.1", _IN1),
+        element("id", meta.id.local(), _IN1),
+        element("entry", format_datestamp(datestamp), _IN1),
+        element("title", tex_to_utf8(meta.title), _IN1),
     ]
-    lines += [_line("author", display_name(a)) for a in _authors(meta)]
-    lines.append(_line("date", format_datestamp(meta.submission_dates[0][1])))
-    lines.append(_line("abstract", tex_to_utf8(meta.abstract)))
+    lines += [element("author", display_name(a), _IN1) for a in _authors(meta)]
+    lines.append(element("date", format_datestamp(meta.submission_dates[0][1]), _IN1))
+    lines.append(element("abstract", tex_to_utf8(meta.abstract), _IN1))
     language = detect_language(meta.comments)
     if language:
-        lines.append(_line("language", language))
+        lines.append(element("language", language, _IN1))
     if meta.journal_ref:
-        lines.append(_line("other_access", tex_to_utf8(meta.journal_ref)))
+        lines.append(element("other_access", tex_to_utf8(meta.journal_ref), _IN1))
     if meta.report_no:
-        lines.append(_line("report", tex_to_utf8(meta.report_no)))
-    lines.append(_MARGIN + "</oai_rfc1807>")
+        lines.append(element("report", tex_to_utf8(meta.report_no), _IN1))
+    lines.append(MARGIN + "</oai_rfc1807>")
     return lines
 
 
@@ -158,40 +134,40 @@ def _render_arxiv(
     local = meta.id.local()
     lines = [
         fmt.start_tag,
-        _line("id", local),
-        _line("title", tex_to_utf8(meta.title)),
+        element("id", local, _IN1),
+        element("title", tex_to_utf8(meta.title), _IN1),
         _IN1 + "<authors>",
     ]
     for a in _authors(meta):
         lines.append(_IN2 + "<author>")
-        lines.append(_line("keyname", a.keyname, _IN3))
+        lines.append(element("keyname", a.keyname, _IN3))
         if a.forenames:
-            lines.append(_line("forenames", a.forenames, _IN3))
+            lines.append(element("forenames", a.forenames, _IN3))
         if a.prefix:
-            lines.append(_line("prefix", a.prefix, _IN3))
+            lines.append(element("prefix", a.prefix, _IN3))
         if a.suffix:
-            lines.append(_line("suffix", a.suffix, _IN3))
+            lines.append(element("suffix", a.suffix, _IN3))
         if a.affiliation:
-            lines.append(_line("affiliation", a.affiliation, _IN3))
+            lines.append(element("affiliation", a.affiliation, _IN3))
         lines.append(_IN2 + "</author>")
     lines.append(_IN1 + "</authors>")
-    lines.append(_line("primary-category", local.split("/")[0]))
-    lines += [_line("cross-list", ref) for ref in meta.crosslists]
+    lines.append(element("primary-category", local.split("/")[0], _IN1))
+    lines += [element("cross-list", ref, _IN1) for ref in meta.crosslists]
     if meta.comments:
-        lines.append(_line("comments", tex_to_utf8(meta.comments)))
+        lines.append(element("comments", tex_to_utf8(meta.comments), _IN1))
     if meta.journal_ref:
-        lines.append(_line("journal-ref", tex_to_utf8(meta.journal_ref)))
+        lines.append(element("journal-ref", tex_to_utf8(meta.journal_ref), _IN1))
     if meta.report_no:
-        lines.append(_line("report-no", tex_to_utf8(meta.report_no)))
+        lines.append(element("report-no", tex_to_utf8(meta.report_no), _IN1))
     if meta.license:
-        lines.append(_line("license", meta.license))
-    lines.append(_line("abstract", tex_to_utf8(meta.abstract)))
+        lines.append(element("license", meta.license, _IN1))
+    lines.append(element("abstract", tex_to_utf8(meta.abstract), _IN1))
     lines += [
         f'{_IN1}<version number="{ver}"><date>{format_datestamp(d)}</date></version>'
         for ver, d in meta.submission_dates
     ]
-    lines.append(_line("datestamp", format_datestamp(datestamp)))
-    lines.append(_MARGIN + "</arXiv>")
+    lines.append(element("datestamp", format_datestamp(datestamp), _IN1))
+    lines.append(MARGIN + "</arXiv>")
     return lines
 
 
@@ -205,25 +181,25 @@ def _render_arxiv_old(
     """Verbatim rendering: native field values untouched, TeX included."""
     lines = [
         fmt.start_tag,
-        _line("paper", meta.id.local()),
+        element("paper", meta.id.local(), _IN1),
     ]
     for ver, d in meta.submission_dates:
         key = "date" if ver == 1 else f"date-v{ver}"
-        lines.append(_line(key, format_datestamp(d)))
-    lines.append(_line("title", meta.title))
-    lines.append(_line("authors", meta.authors_raw))
+        lines.append(element(key, format_datestamp(d), _IN1))
+    lines.append(element("title", meta.title, _IN1))
+    lines.append(element("authors", meta.authors_raw, _IN1))
     if meta.comments:
-        lines.append(_line("comments", meta.comments))
+        lines.append(element("comments", meta.comments, _IN1))
     if meta.report_no:
-        lines.append(_line("report-no", meta.report_no))
+        lines.append(element("report-no", meta.report_no, _IN1))
     if meta.journal_ref:
-        lines.append(_line("journal-ref", meta.journal_ref))
+        lines.append(element("journal-ref", meta.journal_ref, _IN1))
     if meta.crosslists:
-        lines.append(_line("subj-class", ", ".join(meta.crosslists)))
+        lines.append(element("subj-class", ", ".join(meta.crosslists), _IN1))
     if meta.license:
-        lines.append(_line("license", meta.license))
-    lines.append(_line("abstract", meta.abstract))
-    lines.append(_MARGIN + "</arXivOld>")
+        lines.append(element("license", meta.license, _IN1))
+    lines.append(element("abstract", meta.abstract, _IN1))
+    lines.append(MARGIN + "</arXivOld>")
     return lines
 
 

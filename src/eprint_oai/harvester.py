@@ -588,9 +588,6 @@ class HarvestStore:
             )
         }
 
-    def __len__(self) -> int:
-        return self._db.execute("SELECT count(*) FROM entry").fetchone()[0]
-
     def close(self) -> None:
         self._db.close()
 

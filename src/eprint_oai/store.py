@@ -53,9 +53,9 @@ the store keeps after it at 10k records (4.2 MB kept); building the lists
 and dicts up front took 3.2x. SQLite's own memory, which tracemalloc does
 not see, is bounded by the page cache.
 
-A trusted record's abs file is parsed when :meth:`Store.get` first needs it
-and then kept; a file that has vanished or no longer parses by then raises
-:class:`StoreError`.
+A load keeps no parsed metadata, even of the files it parsed: each record's
+abs file is parsed when :meth:`Store.get` first needs it and then kept; a
+file that has vanished or no longer parses by then raises :class:`StoreError`.
 
 Every write, an ingest or a deletion, commits the record's row first, then
 replaces the abs file when it has new content (tmp + fsync + rename), then
@@ -329,16 +329,16 @@ class Store:
                 record = self._records.get(ident)
                 if record is not None:
                     # the walk's key, not the row's: one string per id is kept
-                    entry, meta, rel, _ = record
+                    entry, _, rel, _ = record
                     ident, sets = entry.identifier, entry.sets
                 elif gone:
-                    sets, meta, rel = self._sets(ident, ()), None, ""
+                    sets, rel = self._sets(ident, ()), ""
                 else:
                     continue  # a live record whose file is gone
                 deleted += gone
                 self._records[ident] = (
                     IndexEntry(_parse_day(day), ident, sets, bool(gone)),
-                    None if gone else meta, rel, reason,
+                    None, rel, reason,
                 )
         except BaseException:
             self._db.close()
@@ -382,7 +382,6 @@ class Store:
             rel = "/".join(place)
             has_row = row is not None and row[:3] == place
             if has_row and row[3:7] == stat:
-                meta = None
                 key, last, crosslists = row[7:]
                 last = _parse_day(last)
                 crosslists = tuple(crosslists.split(",")) if crosslists else ()
@@ -407,7 +406,7 @@ class Store:
             if key in self._records:
                 raise AbsParseError(f"{self.data_dir / rel}: duplicate record {key}")
             entry = IndexEntry(last, key, self._sets(key, crosslists))
-            self._records[key] = (entry, meta, rel, None)
+            self._records[key] = (entry, None, rel, None)
         if row is not None:
             gone += [row[:3], *(r[:3] for r in rows)]
         if put or gone:

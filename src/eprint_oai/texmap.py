@@ -1,10 +1,9 @@
 """TeX special-character macros to UTF-8, table driven.
 
-The table ships as ``data/tex_unicode.tsv`` (``<macro><TAB><char>``) and can
-be reloaded from a custom file. Accent macros are accepted with or without
-braces around the argument (``\\'e`` and ``\\'{e}`` are the same entry).
-Macros absent from the table pass through unchanged, so the conversion is
-idempotent.
+The table ships as ``data/tex_unicode.tsv`` (``<macro><TAB><char>``).
+Accent macros are accepted with or without braces around the argument
+(``\\'e`` and ``\\'{e}`` are the same entry). Macros absent from the table
+pass through unchanged, so the conversion is idempotent.
 """
 
 from __future__ import annotations
@@ -71,14 +70,8 @@ class TexTable:
         return _MACRO_RE.sub(self._replace, text)
 
 
-def load_table(path=None) -> TexTable:
-    if path is None:
-        text = (
-            resources.files("eprint_oai.data").joinpath("tex_unicode.tsv").read_text()
-        )
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+def load_table() -> TexTable:
+    text = resources.files("eprint_oai.data").joinpath("tex_unicode.tsv").read_text()
     mapping: dict[tuple[str, str | None], str] = {}
     for line in text.splitlines():
         if not line.strip() or line.lstrip().startswith("#"):
@@ -98,7 +91,7 @@ def default_table() -> TexTable:
     return _DEFAULT_TABLE
 
 
-def tex_to_utf8(text: str, table: TexTable | None = None) -> str:
+def tex_to_utf8(text: str) -> str:
     """Replace TeX accent macros and named glyphs per the mapping table.
     Unknown macros are preserved verbatim."""
-    return (table or default_table()).convert(text)
+    return default_table().convert(text)

@@ -9,7 +9,7 @@ import socket
 import subprocess
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from datetime import date
 from urllib.parse import urlencode, urlsplit
 from wsgiref.simple_server import make_server
@@ -283,7 +283,7 @@ def test_each_command_takes_only_the_flags_it_reads():
                   "--page-size", "--min-interval-list", "--min-interval-other"},
         "ingest": {"--data-dir", "--taxonomy"},
         "harvest": {"--data-dir", "--prefix", "--from", "--until", "--set",
-                    "--incremental", "--state-file"},
+                    "--incremental"},
         "crosswalk": {"--data-dir", "--taxonomy"},
     }
 
@@ -436,15 +436,29 @@ def test_importing_the_cli_leaves_the_harvester_unloaded():
 
 def test_harvest_incremental_state(tmp_path, capsys, live_server, monkeypatch):
     monkeypatch.setenv(cli.CLOCK_ENV, "2001-02-01T12:00:00+00:00")
-    state_file = tmp_path / "state.json"
     args = ["harvest", "--data-dir", str(tmp_path / "h"), live_server,
-            "--prefix", "oai_dc", "--incremental",
-            "--state-file", str(state_file)]
+            "--prefix", "oai_dc", "--incremental"]
     assert cli.main(args) == 0
-    state = json.loads(state_file.read_text())
+    state = json.loads((tmp_path / "h" / "harvest_state.json").read_text())
     assert list(state.values()) == ["2001-02-01"]
     # second run starts from the overlap window and still succeeds
     assert cli.main(args) == 0
+
+
+def test_incremental_harvests_into_two_directories_each_get_every_record(
+    tmp_path, capsys, live_server, monkeypatch, demo_store
+):
+    """Each harvest directory keeps its own incremental state, so a first
+    incremental harvest into a second directory from the same working
+    directory is a full harvest too."""
+    monkeypatch.setenv(cli.CLOCK_ENV, "2001-02-01T12:00:00+00:00")
+    monkeypatch.chdir(tmp_path)
+    for name in ("hA", "hB"):
+        assert cli.main(["harvest", "--data-dir", name, live_server,
+                         "--prefix", "oai_dc", "--incremental"]) == 0
+    for name in ("hA", "hB"):
+        with closing(harvester.HarvestStore(tmp_path / name)) as store:
+            assert len(store.latest()) == len(demo_store.scan()) == 13
 
 
 def test_harvest_unreachable_target(tmp_path, capsys, monkeypatch):
@@ -459,11 +473,12 @@ def test_harvest_unreachable_target(tmp_path, capsys, monkeypatch):
 
 
 def test_harvest_with_an_unusable_state_file_fails_cleanly(tmp_path, capsys):
-    state_file = tmp_path / "state.json"
+    state_file = tmp_path / "h" / "harvest_state.json"
+    state_file.parent.mkdir()
     state_file.write_text('{"k": "2001-13-45"}', encoding="utf-8")
     rc = cli.main(
         ["harvest", "--data-dir", str(tmp_path / "h"), "http://127.0.0.1:1/",
-         "--prefix", "oai_dc", "--incremental", "--state-file", str(state_file)]
+         "--prefix", "oai_dc", "--incremental"]
     )
     err = capsys.readouterr().err
     assert rc == 1

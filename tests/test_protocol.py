@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -10,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIXED_CLOCK, make_meta, synth_corpus
 from eprint_oai.absfile import AbsParseError, format_abs
-from eprint_oai.config import RepositoryConfig, repository_config
+from eprint_oai.config import (
+    EprintsDescription,
+    PolicyText,
+    RepositoryConfig,
+    repository_config,
+)
 from eprint_oai.crosswalk import DEFAULT_FORMATS
 from eprint_oai.ids import EprintId, load_taxonomy, parse_datestamp
 from eprint_oai.protocol import (
@@ -440,6 +446,78 @@ def test_characters_xml_forbids_in_abs_fields_never_break_a_body(taxonomy):
                 body_root(resp)
                 if fmt.prefix == "arXivOld" and char != "\t" and not line_break:
                     assert "\ufffd".encode() in resp.body, (hex(ord(char)), name)
+
+
+# every character XML forbids that a str can hold, and every line boundary
+# str.splitlines() recognises
+ODD_CHARS = [
+    *map(chr, range(32)), "\x85", "\u2028", "\u2029", "\ufffe", "\uffff", "\udc80"
+]
+
+
+@pytest.mark.parametrize("char", ODD_CHARS, ids=lambda c: f"U+{ord(c):04X}")
+def test_characters_xml_forbids_in_config_and_taxonomy_never_break_a_body(
+    taxonomy, char
+):
+    """The character in every text of the repository's configuration and in
+    a taxonomy group and display name: every 200 body parses, and the
+    repository name reads back with the character written as U+FFFD, or,
+    for a line break, as a newline and the margin."""
+    odd = f"a{char}b"
+    policy = PolicyText(odd, f"http://x/{odd}")
+    config = RepositoryConfig(
+        repository_name=odd,
+        base_url=f"http://x/oai{char}",
+        admin_email=odd,
+        repository_identifier=odd,
+        sample_identifier=f"oai:{odd}:quant-ph/9901001",
+        eprints=EprintsDescription(odd, policy, policy, policy),
+        abs_url_prefix=f"http://x/abs{char}/",
+        page_size=2,
+    )
+    taxonomy = replace(
+        taxonomy,
+        groups=(*taxonomy.groups, (f"odd{char}", odd)),
+        archive_display={**taxonomy.archive_display, "cs": odd},
+        subject_display={**taxonomy.subject_display, "cs.DL": odd},
+    )
+    store = Store(taxonomy)
+    for n in (1, 2, 3):
+        meta = make_meta(EprintId("cs", 101, n, subject_class="DL"), date(2001, 1, n))
+        store.ingest(format_abs(meta), FIXED_CLOCK)
+    handler = ProtocolHandler(store, config, clock=lambda: FIXED_CLOCK)
+    # a GetRecord argument may hold no character XML forbids, so that verb
+    # is asked of the repository under its usual identifier
+    getter = ProtocolHandler(
+        store,
+        replace(config, repository_identifier="arXiv",
+                sample_identifier="oai:arXiv:quant-ph/9901001"),
+        clock=lambda: FIXED_CLOCK,
+    )
+    requests = [
+        (handler, {"verb": "Identify"}),
+        (handler, {"verb": "ListSets"}),
+        (handler, {"verb": "ListMetadataFormats"}),
+        (handler, {"verb": "ListIdentifiers"}),
+        *((handler, {"verb": "ListRecords", "metadataPrefix": f.prefix})
+          for f in DEFAULT_FORMATS),
+        *((getter, {"verb": "GetRecord", "metadataPrefix": f.prefix,
+                    "identifier": "oai:arXiv:cs.DL/0101002"})
+          for f in DEFAULT_FORMATS),
+    ]
+    for who, args in requests:
+        body_root(call(who, **args))
+    name = body_root(call(handler, verb="Identify")).find(
+        f"{NS % 'Identify'}repositoryName"
+    ).text
+    forbidden = char not in "\t\n\r\x85\u2028\u2029"
+    if len(odd.splitlines()) > 1:
+        assert name == "a\n    b"
+    else:
+        assert name == ("a\ufffdb" if forbidden else odd)
+    # the HTML page of a refused request holds no character XML forbids
+    page = call(handler, verb="Identify", x=odd).body.decode()
+    assert (char in page) != forbidden, page
 
 
 def test_document_is_400_html(demo_handler):

@@ -690,8 +690,9 @@ def test_rows_merge_in_walk_order_where_archive_names_share_a_prefix(
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(format_abs(make_meta(eid, date(1992, 1, n))), encoding="utf-8")
     time.sleep(0.02)  # so that the first load writes a row for every file
-    expected = _contents(Store(taxonomy, tmp_path))
-    assert len(parsed) == 4
+    first = Store(taxonomy, tmp_path)
+    assert len(parsed) == 4  # the first load's parses, before any first use
+    expected = _contents(first)
     parsed.clear()
     store = Store(taxonomy, tmp_path)
     assert parsed == []
@@ -722,6 +723,20 @@ def _write_tree(data_dir: Path, n: int) -> None:
             deleted.append(f"{eid.local()}\t{day + timedelta(days=9)}\tgone\n")
     (data_dir / DATESTAMP_TABLE).write_text("".join(stamps), encoding="utf-8")
     (data_dir / DELETED_TABLE).write_text("".join(deleted), encoding="utf-8")
+
+
+def test_first_load_keeps_no_parsed_record(taxonomy, tmp_path, parsed):
+    """A load with no database parses every file to make its row, and keeps
+    none of what it parsed: each live record is parsed again on first use,
+    as after a load through the database."""
+    _write_tree(tmp_path, 200)
+    store = Store(taxonomy, tmp_path)
+    assert len(parsed) == 200
+    parsed.clear()
+    entries, records = _contents(store)
+    live = sorted(e.identifier for e in entries if not e.deleted)
+    assert sorted(parsed) == live and len(live) == 196
+    assert all(r.meta is not None for r in records if not r.deleted)
 
 
 def test_load_of_a_consistent_store_holds_little_beyond_the_store(taxonomy, tmp_path):

@@ -9,7 +9,6 @@ from eprint_oai.texmap import (
     _MACRO_RE,
     TexTable,
     default_table,
-    load_table,
     tex_to_utf8,
 )
 
@@ -54,13 +53,6 @@ def test_unknown_macro_passes_through():
 
 def test_plain_text_unchanged():
     assert tex_to_utf8("10 pages, 3 figures") == "10 pages, 3 figures"
-
-
-def test_custom_table(tmp_path):
-    p = tmp_path / "t.tsv"
-    p.write_text("\\'e\té\n", encoding="utf-8")
-    table = load_table(p)
-    assert table.convert(r"caf\'e \`a") == "café \\`a"
 
 
 def test_table_size():
