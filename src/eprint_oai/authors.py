@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
+from functools import cache
 from typing import NamedTuple
+
+from .ids import table_rows
 
 
 class AuthorName(NamedTuple):
@@ -39,14 +41,11 @@ class NameLexicon:
     suffixes: frozenset[str]  # as written
 
 
-def load_lexicon() -> NameLexicon:
-    """Load the prefix/suffix lexicon (tab-separated ``kind<TAB>token``)."""
-    text = resources.files("eprint_oai.data").joinpath("name_lexicon.tsv").read_text()
+@cache
+def default_lexicon() -> NameLexicon:
+    """The bundled prefix/suffix lexicon (``kind<TAB>token``)."""
     prefixes, suffixes = set(), set()
-    for line in text.splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        kind, token = line.split("\t")
+    for _, (kind, token) in table_rows("name_lexicon.tsv"):
         if kind == "prefix":
             prefixes.add(token.lower())
         elif kind == "suffix":
@@ -54,16 +53,6 @@ def load_lexicon() -> NameLexicon:
         else:
             raise ValueError(f"unknown lexicon entry kind {kind!r}")
     return NameLexicon(frozenset(prefixes), frozenset(suffixes))
-
-
-_DEFAULT_LEXICON: NameLexicon | None = None
-
-
-def default_lexicon() -> NameLexicon:
-    global _DEFAULT_LEXICON
-    if _DEFAULT_LEXICON is None:
-        _DEFAULT_LEXICON = load_lexicon()
-    return _DEFAULT_LEXICON
 
 
 # the only text that matters to the top-level split: parentheses, commas

@@ -1,10 +1,18 @@
-"""Repository identity and policy configuration."""
+"""Repository identity and policy configuration.
+
+The repository identifier is checked when the configuration is made
+(:func:`~eprint_oai.ids.check_advertised`): it is written into every
+oai identifier and must come back unchanged in a harvester's arguments.
+The other texts are names, addresses and descriptions, which are written
+through :mod:`~eprint_oai.xmlwriter`'s one rule: a line break continues at
+the margin and a character XML forbids becomes U+FFFD.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .ids import parse_oai_identifier
+from .ids import check_advertised, parse_oai_identifier
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,7 @@ class RepositoryConfig:
         ):
             if not getattr(self, name):
                 raise ValueError(f"Identify-mandatory config field empty: {name}")
+        check_advertised("repository_identifier", self.repository_identifier)
         if self.page_size < 1:
             raise ValueError("page_size must be positive")
         # Identify may advertise only an identifier this repository answers to

@@ -17,12 +17,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from importlib import resources
+from functools import cache
 from typing import Callable
 
 from .absfile import InternalMetadata
 from .authors import AuthorName, display_name, parse_authors
-from .ids import TaxonomyConfig, format_datestamp
+from .ids import TaxonomyConfig, format_datestamp, table_rows
 from .texmap import tex_to_utf8
 from .xmlwriter import MARGIN, element, open_tag
 
@@ -239,19 +239,13 @@ def find_format(prefix: str) -> FormatDescriptor | None:
 
 # --- language detection -----------------------------------------------------
 
-_LANGUAGE_TABLE: dict[str, str] | None = None
 _LANGUAGE_RE = re.compile(r"\b[Ii]n\s+([A-Z][a-z]+)")
 
 
-def load_languages() -> dict[str, str]:
-    text = resources.files("eprint_oai.data").joinpath("languages.tsv").read_text()
-    table = {}
-    for line in text.splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        name, code = line.split("\t")
-        table[name.lower()] = code
-    return table
+@cache
+def _languages() -> dict[str, str]:
+    """Lowercase language name -> ISO-639 code, from the bundled table."""
+    return {name.lower(): code for _, (name, code) in table_rows("languages.tsv")}
 
 
 def detect_language(comments: str | None) -> str | None:
@@ -259,11 +253,8 @@ def detect_language(comments: str | None) -> str | None:
     the ISO-639 code, or None."""
     if not comments:
         return None
-    global _LANGUAGE_TABLE
-    if _LANGUAGE_TABLE is None:
-        _LANGUAGE_TABLE = load_languages()
     for m in _LANGUAGE_RE.finditer(comments):
-        code = _LANGUAGE_TABLE.get(m.group(1).lower())
+        code = _languages().get(m.group(1).lower())
         if code is not None:
             return code
     return None

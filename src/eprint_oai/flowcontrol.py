@@ -6,6 +6,7 @@ longer interval for the list verbs since those drive datestamp searches.
 Early requests get a 503 with the exact remaining wait in Retry-After; a
 client that sleeps the advertised delay is never blocked. Rejected
 requests do not touch the ledger, so they cannot extend the wait.
+:meth:`ClientLedger.admit` answers with that wait, 0.0 when it admits.
 """
 
 from __future__ import annotations
@@ -27,22 +28,6 @@ class FlowPolicy:
                 "min_interval_other >= 0"
             )
 
-    def interval_for(self, verb_class: str) -> float:
-        if verb_class == "list":
-            return self.min_interval_list
-        if verb_class == "other":
-            return self.min_interval_other
-        raise ValueError(f"verb_class must be 'list' or 'other': {verb_class!r}")
-
-
-@dataclass(frozen=True)
-class Decision:
-    allowed: bool
-    retry_after: float = 0.0
-
-
-ALLOW = Decision(allowed=True)
-
 
 @dataclass
 class ClientLedger:
@@ -59,9 +44,12 @@ class ClientLedger:
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def admit(
-        self, client_key: str, verb_class: str, now: float, policy: FlowPolicy
-    ) -> Decision:
-        interval = policy.interval_for(verb_class)
+        self, client_key: str, is_list: bool, now: float, policy: FlowPolicy
+    ) -> float:
+        """Seconds ``client_key`` must still wait before a list verb
+        (``is_list``) or another verb is answered; 0.0 admits the request
+        and records it."""
+        interval = policy.min_interval_list if is_list else policy.min_interval_other
         with self._lock:
             last_times = self._last
             while last_times:
@@ -73,10 +61,10 @@ class ClientLedger:
             if last is not None:
                 remaining = interval - (now - last)
                 if remaining > 0:
-                    return Decision(allowed=False, retry_after=remaining)
+                    return remaining
                 last_times.move_to_end(client_key)
             last_times[client_key] = now
-            return ALLOW
+            return 0.0
 
     def __len__(self) -> int:
         return len(self._last)

@@ -1,13 +1,14 @@
 """Incremental harvesting client.
 
 Follows resumptionTokens verbatim until a token-free page arrives, sleeps
-the advertised Retry-After on 503 replies, waits 1, 2, 4 ... s (capped)
-after transport failures, and keeps the newest entry per identifier in
-one SQLite database, ``harvest.sqlite``, where each upsert is one atomic,
-durable transaction (:class:`HarvestStore`). Incremental runs overlap the
-previous harvest by one day, so updates made later on the day of the last
-harvest are re-fetched rather than missed; double-harvested records simply
-overwrite identically.
+the advertised Retry-After on 503 replies, waits 1, 2, 4, 8 and 16 s
+after transport failures (a page is retried :data:`MAX_RETRIES` times),
+and keeps the newest entry per identifier in one SQLite database,
+``harvest.sqlite``, where each upsert is one atomic, durable transaction
+(:class:`HarvestStore`). Incremental runs overlap the previous harvest by
+one day, so updates made later on the day of the last harvest are
+re-fetched rather than missed; double-harvested records simply overwrite
+identically.
 
 Each page is read in one expat pass, with no tree built. A record's
 metadata is kept as the provider sent it: the bytes of the element inside
@@ -47,9 +48,10 @@ from .durable import replace_durably
 from .ids import format_datestamp, parse_datestamp
 from .xmlwriter import escape
 
-# longest wait, in seconds, between attempts after transport failures; the
-# waits double from 1 s up to it
-BACKOFF_CAP_S = 60.0
+# retries of one page, after a transport failure or a 503 reply, before
+# the harvest fails; the waits after transport failures double from 1 s,
+# so they add up to 31 s
+MAX_RETRIES = 5
 # longest Retry-After, in seconds, the harvester obeys: one day, the period
 # of an incremental harvest. A longer wait, a negative one or one that is not
 # finite is a ProtocolError rather than a sleep.
@@ -144,7 +146,6 @@ class HarvestJob:
     from_: date | None = None
     until: date | None = None
     set_spec: str | None = None
-    max_retries: int = 5
 
     def __post_init__(self):
         if self.verb not in ("ListIdentifiers", "ListRecords"):
@@ -204,9 +205,10 @@ def _parse_page(body: bytes, verb: str) -> tuple[list[HarvestedRecord], str | No
     encoding = "utf-8"
     path: list[str] = []  # local names of the open elements outside fragments
     declared: list[tuple[str, str]] = []  # bindings the next element declares
-    # bindings declared by the open elements at depths 0-2, the ancestors
-    # a fragment has
-    in_scope: list[list[tuple[str, str]]] = [[], [], []]
+    # the bindings in scope at each of the open elements at depths 0-2, the
+    # ancestors a fragment has; an element that declares none shares its
+    # parent's dict
+    in_scope: list[dict[str, str]] = [{}, {}, {}]
     text: list[str] | None = None  # character data being collected
     rooted = False  # whether the root element has started
     ident, stamp, deleted, metadata = "", None, False, None
@@ -231,7 +233,8 @@ def _parse_page(body: bytes, verb: str) -> tuple[list[HarvestedRecord], str | No
         local = name.rpartition("}")[2]
         level = len(path)
         if level < 3:
-            in_scope[level] = declared
+            outer = in_scope[level - 1] if level else {}
+            in_scope[level] = outer | dict(declared) if declared else outer
         declared = []
         if level == 0:
             rooted = True
@@ -293,10 +296,7 @@ def _parse_page(body: bytes, verb: str) -> tuple[list[HarvestedRecord], str | No
         nonlocal start, depth, declared, inherited
         start = parser.CurrentByteIndex
         own = {prefix for prefix, _ in declared}
-        bindings = dict(in_scope[0])
-        bindings.update(in_scope[1])
-        bindings.update(in_scope[2])
-        inherited = {p: u for p, u in bindings.items() if u and p not in own}
+        inherited = {p: u for p, u in in_scope[2].items() if u and p not in own}
         if declared:
             # count open bindings instead of elements: expat then passes over
             # the elements inside without calling Python, and the root ends
@@ -421,8 +421,9 @@ def run(
     """Run one harvest to completion, following tokens verbatim.
 
     503 replies are obeyed by sleeping the advertised Retry-After and
-    retrying the same logical request; each page has ``max_retries``
-    attempts before the run fails with :class:`TransportFailure`.
+    retrying the same logical request; each page is retried
+    :data:`MAX_RETRIES` times before the run fails with
+    :class:`TransportFailure`.
     """
     report = HarvestReport()
     records: list[HarvestedRecord] = []
@@ -448,15 +449,15 @@ def _fetch_page(job, transport, params, sleep, report):
             resp = transport.request(params)
         except TransportFailure as exc:
             attempts += 1
-            if attempts > job.max_retries:
+            if attempts > MAX_RETRIES:
                 raise
-            sleep(min(2.0**failures, BACKOFF_CAP_S))
+            sleep(2.0**failures)
             failures += 1
             continue
         if resp.status == 503:
             report.retries_503 += 1
             attempts += 1
-            if attempts > job.max_retries:
+            if attempts > MAX_RETRIES:
                 raise TransportFailure("too many 503 replies")
             sleep(_retry_after_seconds(resp.headers.get("retry-after", "1")))
             continue

@@ -1,9 +1,14 @@
-"""Identifier grammar, datestamps and set membership.
+"""Identifier grammar, datestamps, set membership and the bundled tables.
 
 E-print identifiers have the internal form ``arch-ive[.SC]/YYMMNNN[vN]``
 and the harvesting-protocol form ``oai:<repository>:arch-ive[.SC]/YYMMNNN``.
 Only the latest version of an e-print is exposed through the protocol, so
 the OAI form never carries a version suffix.
+
+A set is its taxonomy group token, a plain string. That token and the
+repository identifier are written into responses as they are and must come
+back unchanged in a harvester's arguments, so both are checked when they
+load (:func:`check_advertised`) rather than altered when they are written.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from importlib import resources
+from typing import Iterator
 
 
 class MalformedIdentifier(ValueError):
@@ -157,6 +163,21 @@ def parse_archive_ref(text: str) -> tuple[str, str | None]:
     return m.group("archive"), m.group("sc")
 
 
+# an identifier this repository advertises and answers to, a set token or
+# the repository identifier: RFC 2396's unreserved characters, the class of
+# OAI-PMH 2.0's setSpec grammar; none needs escaping in XML or in a URL
+_ADVERTISED_RE = re.compile(r"[A-Za-z0-9\-_.!~*'()]+")
+
+
+def check_advertised(what: str, text: str) -> None:
+    """Raise ValueError unless ``text`` may be advertised as an identifier:
+    one or more of ``A-Z a-z 0-9 - _ . ! ~ * ' ( )``."""
+    if not _ADVERTISED_RE.fullmatch(text):
+        raise ValueError(
+            f"{what} may hold only A-Z a-z 0-9 - _ . ! ~ * ' ( ): {text!r}"
+        )
+
+
 # --- datestamps ------------------------------------------------------------
 
 def format_datestamp(d: date) -> str:
@@ -174,21 +195,6 @@ def parse_datestamp(text: str) -> date:
 
 
 # --- sets and taxonomy -----------------------------------------------------
-
-
-@dataclass(frozen=True, order=True)
-class SetSpec:
-    """A harvesting set: one subject group."""
-
-    group: str
-
-    def __post_init__(self) -> None:
-        group = self.group
-        if not group or ":" in group or any(c.isspace() for c in group):
-            raise ValueError(f"bad setSpec: {group!r}")
-
-    def __str__(self) -> str:
-        return self.group
 
 
 @dataclass(frozen=True)
@@ -213,6 +219,7 @@ class TaxonomyConfig:
             # "_" separates a resumptionToken's fields, set among them
             if "_" in token:
                 raise ValueError(f"group token may not contain '_': {token!r}")
+            check_advertised("group token", token)
         known = set(tokens)
         for arch, grp in self.archive_group.items():
             if grp not in known:
@@ -238,14 +245,28 @@ def sets_for(
     primary: EprintId,
     crosslists: list[str],
     taxonomy: TaxonomyConfig,
-) -> frozenset[SetSpec]:
-    """Sets a record belongs to: the groups of its primary archive and of
-    every cross-listed archive, deduplicated."""
+) -> frozenset[str]:
+    """Sets a record belongs to: the group tokens of its primary archive and
+    of every cross-listed archive, deduplicated."""
     groups = {taxonomy.group_of(primary.archive)}
     for ref in crosslists:
         archive, _sc = parse_archive_ref(ref)
         groups.add(taxonomy.group_of(archive))
-    return frozenset(SetSpec(g) for g in groups)
+    return frozenset(groups)
+
+
+def table_rows(name: str, path=None) -> Iterator[tuple[int, list[str]]]:
+    """Each line of a tab-separated table as its number and its fields;
+    blank lines and ``#`` comments are skipped. The table is the bundled
+    ``data/<name>`` unless a ``path`` is given."""
+    if path is None:
+        text = resources.files("eprint_oai.data").joinpath(name).read_text()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, line.split("\t")
 
 
 def load_taxonomy(path=None) -> TaxonomyConfig:
@@ -260,23 +281,12 @@ def load_taxonomy(path=None) -> TaxonomyConfig:
     Blank lines and ``#`` comments are ignored. Without a path the bundled
     default table is used.
     """
-    if path is None:
-        text = (
-            resources.files("eprint_oai.data").joinpath("taxonomy.tsv").read_text()
-        )
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
     groups: list[tuple[str, str]] = []
     archive_group: dict[str, str] = {}
     archive_display: dict[str, str] = {}
     mandatory: set[str] = set()
     subject_display: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
+    for lineno, fields in table_rows("taxonomy.tsv", path):
         kind = fields[0]
         try:
             if kind == "group":

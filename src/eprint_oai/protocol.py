@@ -76,7 +76,9 @@ class ResumptionToken:
     Serialized as the four fields joined by "_" in order (from, until, set,
     format tag), empty fields rendered empty: ``1992-05-01___`` resumes a
     ListIdentifiers scan or a header-only ListRecords one,
-    ``1992-05-01___dc`` an ``oai_dc`` ListRecords one.
+    ``1992-05-01___dc`` an ``oai_dc`` ListRecords one. No field holds
+    "_": a set token cannot (:class:`~eprint_oai.ids.TaxonomyConfig`), nor
+    can a format tag.
     """
 
     next_from: date
@@ -85,16 +87,12 @@ class ResumptionToken:
     format_tag: str | None = None
 
     def encode(self) -> str:
-        parts = [
+        return "_".join([
             format_datestamp(self.next_from),
             format_datestamp(self.until) if self.until else "",
             self.set_spec or "",
             self.format_tag or "",
-        ]
-        for p in parts[2:]:
-            if "_" in p:
-                raise ValueError(f"token field may not contain '_': {p!r}")
-        return "_".join(parts)
+        ])
 
     @classmethod
     def decode(cls, text: str) -> "ResumptionToken":

@@ -84,16 +84,15 @@ def make_app(
     def _admit(environ: dict, verb: str) -> VerbResponse | None:
         if policy is None:
             return None
-        verb_class = "list" if verb in LIST_VERBS else "other"
         client = remote_addr_key(environ)
-        decision = ledger.admit(client, verb_class, monotonic(), policy)
-        if decision.allowed:
+        wait = ledger.admit(client, verb in LIST_VERBS, monotonic(), policy)
+        if not wait:
             return None
         return VerbResponse(
             503,
             "text/plain; charset=utf-8",
-            [f"Retry after {decision.retry_after:.3f} seconds\n".encode()],
-            retry_after=decision.retry_after,
+            [f"Retry after {wait:.3f} seconds\n".encode()],
+            retry_after=wait,
         )
 
     return app

@@ -94,7 +94,6 @@ from .absfile import AbsParseError, InternalMetadata, format_abs, parse_abs
 from .durable import write_durably
 from .ids import (
     EprintId,
-    SetSpec,
     TaxonomyConfig,
     parse_datestamp,
     parse_internal_id,
@@ -156,7 +155,7 @@ class StoredRecord:
 class IndexEntry:
     datestamp: date
     identifier: str  # canonical internal id, no version suffix
-    sets: frozenset[SetSpec] = frozenset()
+    sets: frozenset[str] = frozenset()  # the taxonomy's group tokens
     deleted: bool = False
 
 
@@ -265,7 +264,7 @@ class Store:
         # canonical id -> record, deleted ones included
         self._records: dict[str, _Record] = {}
         # (archive, cross-lists) -> sets, so equal inputs share one frozenset
-        self._set_memo: dict[tuple[str, tuple[str, ...]], frozenset[SetSpec]] = {}
+        self._set_memo: dict[tuple[str, tuple[str, ...]], frozenset[str]] = {}
         # the records' index entries in (datestamp, identifier) order
         self._snapshot: list[IndexEntry] = []
         if self.data_dir is not None:
@@ -430,7 +429,7 @@ class Store:
                 )
         return trusted, parsed, len(gone)
 
-    def _sets(self, key: str, crosslists: tuple[str, ...]) -> frozenset[SetSpec]:
+    def _sets(self, key: str, crosslists: tuple[str, ...]) -> frozenset[str]:
         """The sets of record ``key`` with these cross-lists; they depend on
         its archive, so a memo per (archive, cross-lists) serves them."""
         memo = (key.partition("/")[0].partition(".")[0], crosslists)
@@ -577,7 +576,7 @@ class Store:
         self,
         from_: date | None = None,
         until: date | None = None,
-        set_: SetSpec | str | None = None,
+        set_: str | None = None,
     ) -> list[IndexEntry]:
         """Index entries with from <= datestamp <= until (both inclusive),
         optionally filtered by set, in (datestamp, identifier) order.
@@ -594,6 +593,4 @@ class Store:
         window = entries[lo:hi]
         if set_ is None:
             return window
-        if isinstance(set_, str):
-            set_ = SetSpec(set_)
         return [e for e in window if set_ in e.sets]

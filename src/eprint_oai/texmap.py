@@ -9,7 +9,9 @@ pass through unchanged, so the conversion is idempotent.
 from __future__ import annotations
 
 import re
-from importlib import resources
+from functools import cache
+
+from .ids import table_rows
 
 # \X{a} or \Xa for one-character accent macros; \word{a} or \word for named
 _MACRO_RE = re.compile(
@@ -70,25 +72,13 @@ class TexTable:
         return _MACRO_RE.sub(self._replace, text)
 
 
-def load_table() -> TexTable:
-    text = resources.files("eprint_oai.data").joinpath("tex_unicode.tsv").read_text()
+@cache
+def default_table() -> TexTable:
+    """The bundled table (``<macro><TAB><char>``)."""
     mapping: dict[tuple[str, str | None], str] = {}
-    for line in text.splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        macro, char = line.split("\t")
+    for _, (macro, char) in table_rows("tex_unicode.tsv"):
         mapping[_normalise_key(macro)] = char
     return TexTable(mapping)
-
-
-_DEFAULT_TABLE: TexTable | None = None
-
-
-def default_table() -> TexTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = load_table()
-    return _DEFAULT_TABLE
 
 
 def tex_to_utf8(text: str) -> str:

@@ -2,22 +2,19 @@ from __future__ import annotations
 
 import random
 import shutil
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import pytest
 
-from eprint_oai import RepositoryConfig, Store, load_taxonomy
+from eprint_oai import Store, load_taxonomy
 from eprint_oai.absfile import InternalMetadata, format_abs
 from eprint_oai.ids import EprintId
-from eprint_oai.protocol import ProtocolHandler
 from eprint_oai.store import STORE_DB
+from golden_requests import FIXED_CLOCK, GOLDEN, golden_handler
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CORPUS = ROOT / "corpus" / "demo"
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-FIXED_CLOCK = datetime(2001, 1, 22, 10, 1, 27, tzinfo=timezone.utc)
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_RESULTS: list[str] = []
@@ -75,9 +72,7 @@ def demo_store(taxonomy, demo_dir):
 
 @pytest.fixture()
 def demo_handler(demo_store):
-    return ProtocolHandler(
-        demo_store, RepositoryConfig(page_size=7), clock=lambda: FIXED_CLOCK
-    )
+    return golden_handler(demo_store)
 
 
 def make_meta(eid: EprintId, day: date, crosslists=(), **overrides) -> InternalMetadata:

@@ -34,6 +34,7 @@ from eprint_oai.protocol import ProtocolHandler
 from eprint_oai.server import make_app
 from eprint_oai.store import Store
 from eprint_oai.texmap import tex_to_utf8
+from golden_requests import REQUESTS
 from xmlcompare import structurally_equal
 
 
@@ -73,33 +74,10 @@ def test_criterion_1_golden_fidelity(demo_handler):
     """Canonical verb responses match the recorded fixtures byte for byte
     (the fixed clock makes responseDate equal too). Budget: 5s."""
     started = time.monotonic()
-    getrecord_cs_dl = {
-        f"getrecord_csdl_{prefix}.xml": [
-            ("verb", "GetRecord"),
-            ("identifier", "oai:arXiv:cs.DL/0101027"),
-            ("metadataPrefix", prefix),
-        ]
-        for prefix in ("oai_dc", "oai_rfc1807", "arXiv", "arXivOld")
-    }
-    requests = {
-        "identify.xml": [("verb", "Identify")],
-        "listsets.xml": [("verb", "ListSets")],
-        "listmetadataformats.xml": [("verb", "ListMetadataFormats")],
-        **getrecord_cs_dl,
-        "listrecords_page1_oai_dc.xml": [
-            ("verb", "ListRecords"),
-            ("metadataPrefix", "oai_dc"),
-        ],
-        "listrecords_page1_arXiv.xml": [
-            ("verb", "ListRecords"),
-            ("metadataPrefix", "arXiv"),
-        ],
-        "listidentifiers_page1.xml": [("verb", "ListIdentifiers")],
-    }
     failures = []
-    if sorted(requests) != sorted(p.name for p in GOLDEN.glob("*.xml")):
+    if sorted(REQUESTS) != sorted(p.name for p in GOLDEN.glob("*.xml")):
         failures.append("fixture set differs from the requests checked")
-    for name, params in requests.items():
+    for name, params in REQUESTS.items():
         resp = demo_handler.handle(params)
         if resp.http_status != 200:
             failures.append(f"{name}: HTTP {resp.http_status}")

@@ -135,9 +135,12 @@ def test_config_file_with_unknown_key_is_usage_error(
      ("[1]", "does not hold a JSON object"),
      ('{"data_dir": ".", "page_size": 0}', "page_size must be positive"),
      ('{"data_dir": ".", "eprints": {}}', "missing key 'content'"),
-     ('{"data_dir": 5}', "invalid configuration")],
+     ('{"data_dir": 5}', "invalid configuration"),
+     ('{"data_dir": ".", "repository_identifier": "my repo", '
+      '"sample_identifier": "oai:my repo:quant-ph/9901001"}',
+      "repository_identifier may hold only A-Z a-z 0-9 - _ . ! ~ * ' ( ): 'my repo'")],
     ids=["missing", "not-json", "not-an-object", "bad-value", "bad-eprints",
-         "bad-path"],
+         "bad-path", "bad-identifier"],
 )
 def test_unusable_config_file_is_usage_error(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"
@@ -236,6 +239,34 @@ def test_serve_with_a_group_token_holding_the_token_separator_fails_cleanly(
     err = _invalid_store(capsys, ["serve", "--data-dir", str(demo_dir),
                                   "--taxonomy", str(table), "--port", "1"])
     assert "group token may not contain '_': 'phy_sics'" in err
+
+
+@pytest.mark.parametrize(
+    "edit, token",
+    [
+        # a group no archive uses: ListSets would advertise "new group", and
+        # a ListIdentifiers asking for it could not be answered
+        (lambda text: text + "group\tnew group\tNew group\n", "new group"),
+        # ListSets would write the control character as U+FFFD, so that a
+        # harvester could never ask for the math set
+        (lambda text: re.sub(r"^(group|archive\t[^\t]+)\tmath\t", "\\1\tmath\x07\t",
+                             text, flags=re.M), "math\x07"),
+    ],
+    ids=["unused-token-with-a-space", "token-with-a-control-character"],
+)
+@pytest.mark.parametrize("command", ["ingest", "crosswalk"])
+def test_a_group_token_a_harvester_could_not_ask_for_fails_cleanly(
+    tmp_path, capsys, demo_dir, edit, token, command
+):
+    table = tmp_path / "taxonomy.tsv"
+    table.write_text(
+        edit((ROOT / "src/eprint_oai/data/taxonomy.tsv").read_text(encoding="utf-8")),
+        encoding="utf-8",
+    )
+    args = [str(DEMO_ABS)] if command == "ingest" else ["cs.DL/0101027", "oai_dc"]
+    err = _invalid_store(capsys, [command, "--data-dir", str(demo_dir),
+                                  "--taxonomy", str(table), *args])
+    assert f"group token may hold only A-Z a-z 0-9 - _ . ! ~ * ' ( ): {token!r}" in err
 
 
 def test_crosswalk_on_a_missing_store_fails_cleanly(tmp_path, capsys):
@@ -462,8 +493,8 @@ def test_incremental_harvests_into_two_directories_each_get_every_record(
 
 
 def test_harvest_unreachable_target(tmp_path, capsys, monkeypatch):
-    # every retry still happens, without the real 1+2+4+8+16 s of backoff
-    monkeypatch.setattr(harvester, "BACKOFF_CAP_S", 0)
+    # no retry, so none of the real 1+2+4+8+16 s of backoff
+    monkeypatch.setattr(harvester, "MAX_RETRIES", 0)
     rc = cli.main(
         ["harvest", "--data-dir", str(tmp_path / "h"),
          "http://127.0.0.1:1/", "--prefix", "oai_dc"]

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from eprint_oai.flowcontrol import ClientLedger, Decision, FlowPolicy
+from eprint_oai.flowcontrol import ClientLedger, FlowPolicy
 
 
 @pytest.fixture()
@@ -29,63 +29,60 @@ def test_policy_ordering_enforced():
         FlowPolicy(min_interval_list=1.0, min_interval_other=-0.1)
 
 
+def _interval(policy: FlowPolicy, is_list: bool) -> float:
+    return policy.min_interval_list if is_list else policy.min_interval_other
+
+
 def test_first_request_always_admitted(policy):
     ledger = ClientLedger()
-    assert ledger.admit("a", "list", 0.0, policy).allowed
+    assert ledger.admit("a", True, 0.0, policy) == 0.0
 
 
 def test_premature_retry_rejected_with_remaining_wait(policy):
     ledger = ClientLedger()
-    ledger.admit("a", "list", 0.0, policy)
-    d = ledger.admit("a", "list", 4.0, policy)
-    assert not d.allowed
-    assert d.retry_after == pytest.approx(6.0)
+    ledger.admit("a", True, 0.0, policy)
+    assert ledger.admit("a", True, 4.0, policy) == pytest.approx(6.0)
 
 
 def test_wait_not_extended_by_rejection(policy):
     # compliance guarantee: sleeping the advertised delay always succeeds
     ledger = ClientLedger()
-    ledger.admit("a", "list", 0.0, policy)
-    d = ledger.admit("a", "list", 4.0, policy)
-    assert not d.allowed
-    assert ledger.admit("a", "list", 4.0 + d.retry_after, policy).allowed
+    ledger.admit("a", True, 0.0, policy)
+    wait = ledger.admit("a", True, 4.0, policy)
+    assert wait > 0
+    assert ledger.admit("a", True, 4.0 + wait, policy) == 0.0
 
 
 def test_list_and_other_intervals_differ(policy):
     ledger = ClientLedger()
-    ledger.admit("a", "other", 0.0, policy)
-    assert ledger.admit("a", "other", 1.0, policy).allowed
+    ledger.admit("a", False, 0.0, policy)
+    assert ledger.admit("a", False, 1.0, policy) == 0.0
     ledger2 = ClientLedger()
-    ledger2.admit("a", "list", 0.0, policy)
-    assert not ledger2.admit("a", "list", 1.0, policy).allowed
+    ledger2.admit("a", True, 0.0, policy)
+    assert ledger2.admit("a", True, 1.0, policy) > 0
 
 
 def test_clients_independent(policy):
     ledger = ClientLedger()
-    ledger.admit("a", "list", 0.0, policy)
-    assert ledger.admit("b", "list", 0.0, policy).allowed
-
-
-def test_bad_verb_class(policy):
-    with pytest.raises(ValueError):
-        policy.interval_for("weird")
+    ledger.admit("a", True, 0.0, policy)
+    assert ledger.admit("b", True, 0.0, policy) == 0.0
 
 
 @given(
     st.lists(st.floats(0.001, 5.0), min_size=1, max_size=60),
-    st.sampled_from(["list", "other"]),
+    st.booleans(),
 )
-def test_compliant_client_never_rejected(gaps, verb_class):
+def test_compliant_client_never_rejected(gaps, is_list):
     """A client that always waits max(advertised retry, 0) between requests
     is never refused."""
     policy = FlowPolicy(min_interval_list=3.0, min_interval_other=1.0)
     ledger = ClientLedger()
     now = 0.0
-    assert ledger.admit("c", verb_class, now, policy).allowed
+    assert ledger.admit("c", is_list, now, policy) == 0.0
     for gap in gaps:
         # margin absorbs float rounding; the HTTP layer ceils Retry-After
-        now += max(gap, policy.interval_for(verb_class)) + 1e-6
-        assert ledger.admit("c", verb_class, now, policy).allowed
+        now += max(gap, _interval(policy, is_list)) + 1e-6
+        assert ledger.admit("c", is_list, now, policy) == 0.0
 
 
 @given(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=60))
@@ -96,14 +93,14 @@ def test_retry_after_is_exact_remaining_wait(gaps):
     last_allowed = None
     for gap in gaps:
         now += gap
-        d = ledger.admit("c", "list", now, policy)
-        if d.allowed:
+        wait = ledger.admit("c", True, now, policy)
+        if wait == 0.0:
             last_allowed = now
         else:
             assert last_allowed is not None
             expected = policy.min_interval_list - (now - last_allowed)
-            assert d.retry_after == pytest.approx(expected)
-            assert d.retry_after > 0
+            assert wait == pytest.approx(expected)
+            assert wait > 0
 
 
 @given(
@@ -112,7 +109,7 @@ def test_retry_after_is_exact_remaining_wait(gaps):
     st.lists(
         st.tuples(
             st.sampled_from("abcdef"),
-            st.sampled_from(["list", "other"]),
+            st.booleans(),
             st.floats(0.0, 8.0),
         ),
         max_size=80,
@@ -126,17 +123,14 @@ def test_ledger_drops_stale_clients_without_changing_decisions(other, extra, sch
     ledger = ClientLedger()
     last: dict[str, float] = {}  # the unpruned reference
     now = 0.0
-    for client, verb_class, gap in schedule:
+    for client, is_list, gap in schedule:
         now += gap
-        remaining = None
+        expected = 0.0
         if client in last:
-            remaining = policy.interval_for(verb_class) - (now - last[client])
-        if remaining is not None and remaining > 0:
-            expected = Decision(allowed=False, retry_after=remaining)
-        else:
-            expected = Decision(allowed=True)
+            expected = max(_interval(policy, is_list) - (now - last[client]), 0.0)
+        if not expected:
             last[client] = now
-        assert ledger.admit(client, verb_class, now, policy) == expected
+        assert ledger.admit(client, is_list, now, policy) == expected
         active = {c for c, t in last.items() if now - t < policy.min_interval_list}
         assert len(ledger) == len(active | {client})
 
@@ -161,9 +155,7 @@ def test_shared_ledger_admits_each_client_once_per_interval():
                 barrier.wait()
                 order = rng.sample(clients, len(clients))
                 now = r * 10.0
-                allowed = [
-                    c for c in order if ledger.admit(c, "list", now, policy).allowed
-                ]
+                allowed = [c for c in order if not ledger.admit(c, True, now, policy)]
                 with counter_lock:
                     admitted[r].update(allowed)
         except BaseException:

@@ -175,7 +175,7 @@ def test_run_with_real_sleep_reports_bad_retry_after(value):
             return TransportResponse(503, {"Retry-After": value}, b"busy")
 
     with pytest.raises(ProtocolError):
-        run(HarvestJob("ListIdentifiers", max_retries=1), Busy(), sleep=time.sleep)
+        run(HarvestJob("ListIdentifiers"), Busy(), sleep=time.sleep)
 
 
 def test_retry_after_http_date_obeyed():
@@ -211,8 +211,7 @@ def test_retry_budget_exhausted_raises_transport_failure():
             return TransportResponse(503, {"Retry-After": "1"}, b"busy")
 
     with pytest.raises(TransportFailure) as info:
-        run(HarvestJob("ListIdentifiers", max_retries=2), Always503(),
-            sleep=lambda s: None)
+        run(HarvestJob("ListIdentifiers"), Always503(), sleep=lambda s: None)
     assert str(info.value) == "too many 503 replies"
 
 
@@ -310,9 +309,9 @@ def test_http_transport_short_body_is_transport_failure(canned_http):
     server = canned_http([short])
     naps: list[float] = []
     with pytest.raises(TransportFailure):
-        run(HarvestJob("ListIdentifiers", max_retries=2), HttpTransport(server.url),
+        run(HarvestJob("ListIdentifiers"), HttpTransport(server.url),
             sleep=naps.append)
-    assert naps == [1.0, 2.0] and server.connections == 3
+    assert naps == [1.0, 2.0, 4.0, 8.0, 16.0] and server.connections == 6
 
 
 def test_garbage_body_is_protocol_error():
@@ -738,7 +737,7 @@ def test_incremental_failure_leaves_state_untouched(taxonomy):
 
     with pytest.raises(TransportFailure):
         incremental(
-            state, key, HarvestJob("ListIdentifiers", max_retries=0),
+            state, key, HarvestJob("ListIdentifiers"),
             date(2001, 2, 1), Fails(), sleep=lambda s: None,
         )
     assert state.last_completed(key) == date(2001, 1, 1)
@@ -759,15 +758,19 @@ def test_transport_failures_back_off_exponentially():
     assert naps == [1, 2, 4]
 
 
-def test_transport_backoff_is_capped():
+def test_transport_failures_spend_the_whole_retry_budget():
     class Down:
+        calls = 0
+
         def request(self, params):
+            self.calls += 1
             raise TransportFailure("down")
 
+    down = Down()
     naps: list[float] = []
-    with pytest.raises(TransportFailure):
-        run(HarvestJob("ListIdentifiers", max_retries=8), Down(), sleep=naps.append)
-    assert naps == [1, 2, 4, 8, 16, 32, 60, 60]
+    with pytest.raises(TransportFailure, match="down"):
+        run(HarvestJob("ListIdentifiers"), down, sleep=naps.append)
+    assert naps == [1, 2, 4, 8, 16] and down.calls == 6
 
 
 # --- local persistence -------------------------------------------------------

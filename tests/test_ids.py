@@ -7,7 +7,6 @@ from eprint_oai.ids import (
     EprintId,
     MalformedIdentifier,
     SerialOverflow,
-    SetSpec,
     UnknownArchive,
     WrongRepository,
     format_datestamp,
@@ -137,17 +136,17 @@ def test_oai_identifier_version_invariant(eid):
 
 def test_sets_for_same_group(taxonomy):
     out = sets_for(parse_internal_id("astro-ph/9204001"), ["hep-ph"], taxonomy)
-    assert out == frozenset({SetSpec("physics")})
+    assert out == frozenset({"physics"})
 
 
 def test_sets_for_cross_group(taxonomy):
     out = sets_for(parse_internal_id("astro-ph/9204001"), ["math.SG"], taxonomy)
-    assert out == frozenset({SetSpec("physics"), SetSpec("math")})
+    assert out == frozenset({"physics", "math"})
 
 
 def test_sets_for_no_crosslists(taxonomy):
     out = sets_for(parse_internal_id("cs.DL/0101027"), [], taxonomy)
-    assert out == frozenset({SetSpec("cs")})
+    assert out == frozenset({"cs"})
 
 
 def test_sets_for_unknown_archive(taxonomy):

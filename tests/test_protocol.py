@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from datetime import date
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import FIXED_CLOCK, make_meta, synth_corpus
 from eprint_oai.absfile import AbsParseError, format_abs
@@ -183,9 +184,6 @@ def test_repository_config_refuses_a_sample_it_would_not_answer_to():
                    "oai:arXiv:hep-th/9901001v2", "oai/arXiv/hep-th/9901001"):
         with pytest.raises(ValueError, match="sample_identifier"):
             RepositoryConfig(sample_identifier=sample)
-    with pytest.raises(ValueError, match="sample_identifier"):
-        RepositoryConfig(repository_identifier="a:b",
-                         sample_identifier="oai:a:b:hep-th/9901001")
 
 
 def test_list_sets_order(demo_handler):
@@ -459,25 +457,24 @@ ODD_CHARS = [
 def test_characters_xml_forbids_in_config_and_taxonomy_never_break_a_body(
     taxonomy, char
 ):
-    """The character in every text of the repository's configuration and in
-    a taxonomy group and display name: every 200 body parses, and the
-    repository name reads back with the character written as U+FFFD, or,
-    for a line break, as a newline and the margin."""
+    """The character in every name and text of the repository's
+    configuration and in a taxonomy group name and in display names: every
+    200 body parses, and the repository name reads back with the character
+    written as U+FFFD, or, for a line break, as a newline and the margin.
+    (Identifiers are refused instead; see the test after this one.)"""
     odd = f"a{char}b"
     policy = PolicyText(odd, f"http://x/{odd}")
     config = RepositoryConfig(
         repository_name=odd,
         base_url=f"http://x/oai{char}",
         admin_email=odd,
-        repository_identifier=odd,
-        sample_identifier=f"oai:{odd}:quant-ph/9901001",
         eprints=EprintsDescription(odd, policy, policy, policy),
         abs_url_prefix=f"http://x/abs{char}/",
         page_size=2,
     )
     taxonomy = replace(
         taxonomy,
-        groups=(*taxonomy.groups, (f"odd{char}", odd)),
+        groups=(*taxonomy.groups, ("odd", odd)),
         archive_display={**taxonomy.archive_display, "cs": odd},
         subject_display={**taxonomy.subject_display, "cs.DL": odd},
     )
@@ -486,27 +483,17 @@ def test_characters_xml_forbids_in_config_and_taxonomy_never_break_a_body(
         meta = make_meta(EprintId("cs", 101, n, subject_class="DL"), date(2001, 1, n))
         store.ingest(format_abs(meta), FIXED_CLOCK)
     handler = ProtocolHandler(store, config, clock=lambda: FIXED_CLOCK)
-    # a GetRecord argument may hold no character XML forbids, so that verb
-    # is asked of the repository under its usual identifier
-    getter = ProtocolHandler(
-        store,
-        replace(config, repository_identifier="arXiv",
-                sample_identifier="oai:arXiv:quant-ph/9901001"),
-        clock=lambda: FIXED_CLOCK,
-    )
     requests = [
-        (handler, {"verb": "Identify"}),
-        (handler, {"verb": "ListSets"}),
-        (handler, {"verb": "ListMetadataFormats"}),
-        (handler, {"verb": "ListIdentifiers"}),
-        *((handler, {"verb": "ListRecords", "metadataPrefix": f.prefix})
-          for f in DEFAULT_FORMATS),
-        *((getter, {"verb": "GetRecord", "metadataPrefix": f.prefix,
-                    "identifier": "oai:arXiv:cs.DL/0101002"})
-          for f in DEFAULT_FORMATS),
+        {"verb": "Identify"},
+        {"verb": "ListSets"},
+        {"verb": "ListMetadataFormats"},
+        {"verb": "ListIdentifiers"},
+        *({"verb": "ListRecords", "metadataPrefix": f.prefix} for f in DEFAULT_FORMATS),
+        *({"verb": "GetRecord", "metadataPrefix": f.prefix,
+           "identifier": "oai:arXiv:cs.DL/0101002"} for f in DEFAULT_FORMATS),
     ]
-    for who, args in requests:
-        body_root(call(who, **args))
+    for args in requests:
+        body_root(call(handler, **args))
     name = body_root(call(handler, verb="Identify")).find(
         f"{NS % 'Identify'}repositoryName"
     ).text
@@ -518,6 +505,86 @@ def test_characters_xml_forbids_in_config_and_taxonomy_never_break_a_body(
     # the HTML page of a refused request holds no character XML forbids
     page = call(handler, verb="Identify", x=odd).body.decode()
     assert (char in page) != forbidden, page
+
+
+@pytest.mark.parametrize(
+    "text", [*(f"a{char}b" for char in ODD_CHARS), "", "a:b", "a b", "a/b", "é"],
+    ids=repr,
+)
+def test_identifiers_that_would_not_come_back_unchanged_are_refused(taxonomy, text):
+    """A repository identifier or group token is written into responses as
+    it is and must come back in a harvester's arguments, so one holding a
+    character outside A-Z a-z 0-9 - _ . ! ~ * ' ( ) is refused when it
+    loads."""
+    with pytest.raises(ValueError, match="repository_identifier"):
+        RepositoryConfig(repository_identifier=text,
+                         sample_identifier=f"oai:{text}:hep-th/9901001")
+    with pytest.raises(ValueError, match="group token"):
+        replace(taxonomy, groups=(*taxonomy.groups, (text, "Odd")))
+
+
+# the characters a set token may hold, and characters it may not: controls,
+# the oai delimiter, the token separator, white space, URL delimiters and
+# non-ASCII, each drawn often
+_TOKEN_CHARS = st.one_of(
+    st.sampled_from("aZ09-.!~*'()"),
+    st.sampled_from(":_ \t\n\r\x00\x07\x1f\x85\u2028\ufffe/?&=%#<\"é€"),
+    st.characters(),
+)
+# OAI-PMH 2.0's setSpec characters (RFC 2396's unreserved) without "_"
+_SET_TOKEN_RE = re.compile(r"[A-Za-z0-9\-.!~*'()]+")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(_TOKEN_CHARS, max_size=6))
+def test_a_group_token_is_refused_or_round_trips(taxonomy, token):
+    """A taxonomy whose math group has this token either is refused, just
+    when the token holds a character outside the setSpec class or "_", or
+    round-trips: ListSets advertises it, the setSpec read back through
+    expat equals it, ListIdentifiers for the read-back set answers 200 with
+    the set's records, and at one record a page each resumptionToken
+    resumes with a 200."""
+    assume(token not in {t for t, _ in taxonomy.groups if t != "math"})
+    try:
+        odd = replace(
+            taxonomy,
+            groups=tuple((token if t == "math" else t, n) for t, n in taxonomy.groups),
+            archive_group={a: token if g == "math" else g
+                           for a, g in taxonomy.archive_group.items()},
+        )
+    except ValueError:
+        assert not _SET_TOKEN_RE.fullmatch(token)
+        return
+    assert _SET_TOKEN_RE.fullmatch(token)
+    store = Store(odd)
+    records = [  # (id, cross-lists, whether it is in the set)
+        (EprintId("math", 101, 1, subject_class="AG"), [], True),
+        (EprintId("cs", 101, 2, subject_class="DL"), [], False),
+        (EprintId("hep-th", 101, 3), ["math.SG"], True),
+        (EprintId("alg-geom", 101, 4), [], True),
+    ]
+    for day, (eid, crosslists, _) in enumerate(records, start=1):
+        meta = make_meta(eid, date(2001, 1, day), crosslists)
+        store.ingest(format_abs(meta), FIXED_CLOCK.replace(day=day))
+    handler = ProtocolHandler(store, RepositoryConfig(page_size=1),
+                              clock=lambda: FIXED_CLOCK)
+    ns = NS % "ListSets"
+    advertised = {
+        s.findtext(f"{ns}setName"): s.findtext(f"{ns}setSpec")
+        for s in body_root(call(handler, verb="ListSets")).findall(f"{ns}set")
+    }
+    spec = advertised["Mathematics"]
+    assert spec == token
+    ns = NS % "ListIdentifiers"
+    got, args = [], {"verb": "ListIdentifiers", "set": spec}
+    while True:
+        root = body_root(call(handler, **args))
+        got += [e.text for e in root.findall(f"{ns}identifier")]
+        resume = root.findtext(f"{ns}resumptionToken")
+        if resume is None:
+            break
+        args = {"verb": "ListIdentifiers", "resumptionToken": resume}
+    assert got == [f"oai:arXiv:{eid.local()}" for eid, _, inside in records if inside]
 
 
 def test_document_is_400_html(demo_handler):

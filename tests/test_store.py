@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import eprint_oai.store as store_module
 from conftest import ROOT, make_meta, synth_corpus
 from eprint_oai.absfile import format_abs, parse_abs
-from eprint_oai.ids import EprintId, SetSpec, parse_internal_id
+from eprint_oai.ids import EprintId, parse_internal_id
 from eprint_oai.store import (
     DATESTAMP_TABLE,
     DELETED_TABLE,
@@ -998,7 +998,7 @@ def _assert_holds(store: Store, model: dict[str, _Modelled]) -> None:
     """``scan()`` and every ``get()`` of ``store`` give what ``model`` says."""
     assert store.scan() == sorted(
         (
-            IndexEntry(m.datestamp, ident, frozenset(map(SetSpec, m.sets)),
+            IndexEntry(m.datestamp, ident, frozenset(m.sets),
                        m.reason is not None)
             for ident, m in model.items()
         ),
