@@ -187,11 +187,11 @@ def cmd_harvest(args: argparse.Namespace, config: CliConfig) -> int:
     try:
         with closing(harvester.HarvestStore(config.data_dir)) as store:
             if args.incremental:
-                state = harvester.HarvestState(config.data_dir / "harvest_state.json")
                 key = harvester.HarvestState.key(args.target, args.set, args.prefix)
-                records, report = harvester.incremental(
-                    state, key, job, now().date(), transport, store
-                )
+                with closing(harvester.HarvestState(store.path)) as state:
+                    records, report = harvester.incremental(
+                        state, key, job, now().date(), transport, store
+                    )
             else:
                 records, report = harvester.run(job, transport)
                 store.upsert(records)

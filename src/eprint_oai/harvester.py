@@ -5,7 +5,9 @@ the advertised Retry-After on 503 replies, waits 1, 2, 4, 8 and 16 s
 after transport failures (a page is retried :data:`MAX_RETRIES` times),
 and keeps the newest entry per identifier in one SQLite database,
 ``harvest.sqlite``, where each upsert is one atomic, durable transaction
-(:class:`HarvestStore`). Incremental runs overlap the previous harvest by
+(:class:`HarvestStore`). The same database holds the day each incremental
+harvest last completed (:class:`HarvestState`), so a harvest directory
+holds no other file. Incremental runs overlap the previous harvest by
 one day, so updates made later on the day of the last harvest are
 re-fetched rather than missed; double-harvested records simply overwrite
 identically.
@@ -34,7 +36,6 @@ onto a WSGI app, so end-to-end runs need no network.
 from __future__ import annotations
 
 import io
-import json
 import re
 import sqlite3
 import time
@@ -44,7 +45,6 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable, Protocol
 
-from .durable import replace_durably
 from .ids import format_datestamp, parse_datestamp
 from .xmlwriter import escape
 
@@ -510,6 +510,27 @@ _UPSERT = (
     "SET datestamp = excluded.datestamp, deleted = excluded.deleted, "
     "metadata = excluded.metadata"
 )
+# a completed date never moves backward; days compare as YYYY-MM-DD text
+_ADVANCE = (
+    "INSERT INTO state VALUES (?, ?) ON CONFLICT (key) DO UPDATE "
+    "SET day = max(day, excluded.day)"
+)
+
+
+def _connect(path: Path, schema: str) -> sqlite3.Connection:
+    """The database at ``path``, its directory and the table of ``schema``
+    made if missing, under a rollback journal with ``synchronous=EXTRA``: a
+    commit fsyncs the file, then the directory once the journal is deleted,
+    so it survives a power loss once it returns. Raises
+    :class:`HarvestStoreError` naming the file."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        db = sqlite3.connect(path)
+        db.execute("PRAGMA synchronous=EXTRA")
+        db.execute(schema)
+    except (OSError, sqlite3.Error) as exc:
+        raise HarvestStoreError(f"cannot use {path}: {exc}") from exc
+    return db
 
 
 class HarvestStore:
@@ -518,20 +539,19 @@ class HarvestStore:
     ``harvest.sqlite`` in the harvest directory holds one table keyed by
     identifier, with the record's datestamp (``YYYY-MM-DD`` or NULL), its
     deletion flag and its metadata (the provider's XML fragment or NULL).
-    Each :meth:`upsert` is one transaction of inserts that replace a known
-    identifier's entry, under SQLite's defaults (rollback journal,
-    ``synchronous=FULL``): once it returns the records are written and
-    fsynced, and a process killed or an error raised partway leaves every
-    entry as it was. (FULL does not fsync the directory after the journal
-    is deleted, so a power loss just after a commit may still undo it,
-    whole.) Upserts are idempotent: re-fetching an identical record changes
-    nothing observable. Text must be valid Unicode; the page parser only
-    yields decoded text.
+    Each :meth:`upsert` is one durable transaction of inserts that replace a
+    known identifier's entry (see :func:`_connect`): once it returns the
+    records are on disk, and a process killed or an error raised partway
+    leaves every entry as it was. Upserts are idempotent: re-fetching an
+    identical record changes nothing observable. Text must be valid
+    Unicode; the page parser only yields decoded text.
 
     A directory that holds files of the older journal format
     (``journal.jsonl``, ``latest.json``) but no database is refused rather
-    than opened empty: a saved :class:`HarvestState` would then make the
-    next incremental run skip every record harvested before.
+    than opened empty: the saved completed dates would then make the next
+    incremental run skip every record harvested before. So is one that
+    holds an older harvester's ``harvest_state.json``, whose dates would be
+    dropped unseen.
     """
 
     def __init__(self, directory: str | Path):
@@ -544,15 +564,18 @@ class HarvestStore:
                 "store format and no harvest.sqlite; harvest into a new "
                 "directory"
             )
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            self._db = sqlite3.connect(self.path)
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS entry (identifier TEXT PRIMARY KEY, "
-                "datestamp TEXT, deleted INTEGER NOT NULL, metadata TEXT)"
+        old_state = directory / "harvest_state.json"
+        if old_state.exists():
+            raise HarvestStoreError(
+                f"{old_state} is an older harvester's state file, "
+                "which is not imported; remove it to make the next "
+                "incremental harvest a full one"
             )
-        except (OSError, sqlite3.Error) as exc:
-            raise HarvestStoreError(f"cannot use {self.path}: {exc}") from exc
+        self._db = _connect(
+            self.path,
+            "CREATE TABLE IF NOT EXISTS entry (identifier TEXT PRIMARY KEY, "
+            "datestamp TEXT, deleted INTEGER NOT NULL, metadata TEXT)",
+        )
 
     def upsert(self, records: list[HarvestedRecord]) -> None:
         rows = (
@@ -594,54 +617,50 @@ class HarvestStore:
 
 
 class HarvestState:
-    """Per (baseURL, set, prefix) date of the last completed harvest,
-    persisted as JSON. Dates never move backward."""
+    """Per (baseURL, set, prefix) date of the last completed harvest, in
+    table ``state`` of the database at ``path`` (in memory when None), each
+    :meth:`advance` one durable transaction. Dates never move backward. A
+    day that is not ``YYYY-MM-DD`` is refused on open, since a guessed date
+    could skip records or fetch them all."""
 
     def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
-        self._state: dict[str, date] = {}
-        if self.path is not None and self.path.exists():
-            self._state = _read_state(self.path)
+        self.path = Path(path if path is not None else ":memory:")
+        self._db = _connect(
+            self.path,
+            "CREATE TABLE IF NOT EXISTS state (key TEXT PRIMARY KEY, "
+            "day TEXT NOT NULL)",
+        )
+        try:
+            for key, day in self._db.execute("SELECT key, day FROM state"):
+                try:
+                    parse_datestamp(day)
+                except (TypeError, ValueError):
+                    raise HarvestStoreError(
+                        f"harvest state in {self.path}: {key!r} is not a "
+                        f"YYYY-MM-DD date: {day!r}"
+                    ) from None
+        except sqlite3.Error as exc:
+            raise HarvestStoreError(f"cannot use {self.path}: {exc}") from exc
 
     @staticmethod
     def key(base_url: str, set_spec: str | None, prefix: str | None) -> str:
         return "\t".join([base_url, set_spec or "", prefix or ""])
 
     def last_completed(self, key: str) -> date | None:
-        return self._state.get(key)
+        row = self._db.execute(
+            "SELECT day FROM state WHERE key = ?", (key,)
+        ).fetchone()
+        return parse_datestamp(row[0]) if row else None
 
     def advance(self, key: str, day: date) -> None:
-        prior = self.last_completed(key)
-        if prior is not None and day < prior:
-            return
-        self._state[key] = day
-        if self.path is not None:
-            saved = {k: format_datestamp(v) for k, v in self._state.items()}
-            text = json.dumps(saved, indent=1, sort_keys=True)
-            replace_durably(self.path, [text])
-
-
-def _read_state(path: Path) -> dict[str, date]:
-    """The dates a state file holds: a JSON object of ``YYYY-MM-DD``
-    strings. Anything else raises :class:`HarvestStoreError` naming the
-    file, since a guessed date could skip records or fetch them all."""
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise HarvestStoreError(f"unusable harvest state file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise HarvestStoreError(
-            f"harvest state file {path} does not hold a JSON object"
-        )
-    state = {}
-    for key, day in raw.items():
         try:
-            state[key] = parse_datestamp(day)
-        except (TypeError, ValueError):
-            raise HarvestStoreError(
-                f"harvest state file {path}: {key!r} is not a YYYY-MM-DD date: {day!r}"
-            ) from None
-    return state
+            with self._db:  # commits, or rolls back on any exception
+                self._db.execute(_ADVANCE, (key, format_datestamp(day)))
+        except sqlite3.Error as exc:
+            raise HarvestStoreError(f"cannot write {self.path}: {exc}") from exc
+
+    def close(self) -> None:
+        self._db.close()
 
 
 def incremental(
@@ -655,8 +674,9 @@ def incremental(
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[list[HarvestedRecord], HarvestReport]:
     """One incremental harvest: from = last completed date minus the
-    overlap, or a full harvest when never run. State advances to ``today``
-    only when the run completes; failures leave it untouched.
+    overlap, or a full harvest when never run. State advances to ``today``,
+    or to the job's ``until`` when that is earlier, only when the run
+    completes; failures leave it untouched.
 
     ``overlap_days=1`` is the safe default; ``overlap_days=-1`` starts the
     day after the last harvest, which loses same-day late updates (kept
@@ -669,5 +689,5 @@ def incremental(
     records, report = run(job, transport, sleep=sleep)
     if store is not None:
         store.upsert(records)
-    state.advance(state_key, today)
+    state.advance(state_key, min(today, job.until or today))
     return records, report

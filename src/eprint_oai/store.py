@@ -19,8 +19,9 @@ transaction, on disk once it commits, and a process killed at any point
 leaves every table as it was before or after a transaction. Its page cache
 is held to :data:`CACHE_KIB`, since a load reads each page once.
 
-A directory with no database gets one on first open. The records of the
-older tables, ``datestamps.tab`` (``<id> TAB <YYYY-MM-DD>``) and
+A directory with no database gets one on first open, by one process at a
+time (:meth:`Store._open`). The records of the older tables,
+``datestamps.tab`` (``<id> TAB <YYYY-MM-DD>``) and
 ``deleted.tab`` (``<id> TAB <YYYY-MM-DD> TAB <reason>``), are imported into
 it in the transaction that makes it, and those files are not read again. A
 directory whose older ``changes.log`` still holds writes that were never
@@ -77,6 +78,7 @@ test suites use for large synthetic corpora.
 
 from __future__ import annotations
 
+import fcntl
 import logging
 import os
 import sqlite3
@@ -88,10 +90,9 @@ from datetime import date, datetime
 from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .absfile import AbsParseError, InternalMetadata, format_abs, parse_abs
-from .durable import write_durably
 from .ids import (
     EprintId,
     TaxonomyConfig,
@@ -221,6 +222,16 @@ def _fs_now(path: Path) -> int:
     return os.stat(path).st_ctime_ns
 
 
+def write_durably(path: Path, parts: Iterable[str]) -> None:
+    """Write the UTF-8 text of ``parts`` to ``path`` as they come, so a large
+    file needs no copy of itself in memory, and fsync it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for part in parts:
+            fh.write(part)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
 def _made(db: sqlite3.Connection) -> bool:
     """Whether the store's tables exist in ``db``."""
     return db.execute(
@@ -274,28 +285,32 @@ class Store:
 
     def _open(self) -> sqlite3.Connection:
         """The store's database, made on first use from the older tables.
-        Raises ``ValueError`` naming the file when it cannot be used."""
+        Raises ``ValueError`` naming the file when it cannot be used.
+        Openers take turns under an exclusive ``flock`` of the directory:
+        two that switch one new file to WAL at once deadlock, and SQLite
+        fails one of them at once, whatever its busy timeout."""
         assert self.data_dir is not None
         path = self.data_dir / STORE_DB
+        turn = os.open(self.data_dir, os.O_RDONLY)
         try:
+            fcntl.flock(turn, fcntl.LOCK_EX)
             db = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+            try:
+                db.execute("PRAGMA journal_mode=WAL")
+                db.execute("PRAGMA synchronous=FULL")
+                db.execute(f"PRAGMA cache_size=-{CACHE_KIB}")
+                if not _made(db):
+                    with db:  # commits, or rolls back on any exception
+                        db.execute("BEGIN IMMEDIATE")
+                        if not _made(db):  # no other process made it meanwhile
+                            self._make(db)
+            except BaseException:
+                db.close()
+                raise
         except sqlite3.Error as exc:
             raise ValueError(f"cannot use {path}: {exc}") from exc
-        try:
-            db.execute("PRAGMA journal_mode=WAL")
-            db.execute("PRAGMA synchronous=FULL")
-            db.execute(f"PRAGMA cache_size=-{CACHE_KIB}")
-            if not _made(db):
-                with db:  # commits, or rolls back on any exception
-                    db.execute("BEGIN IMMEDIATE")
-                    if not _made(db):  # no other process made it meanwhile
-                        self._make(db)
-        except sqlite3.Error as exc:
-            db.close()
-            raise ValueError(f"cannot use {path}: {exc}") from exc
-        except BaseException:
-            db.close()
-            raise
+        finally:
+            os.close(turn)  # releases the flock
         return db
 
     def _make(self, db: sqlite3.Connection) -> None:

@@ -6,6 +6,7 @@ import random
 import re
 import shutil
 import socket
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -467,13 +468,18 @@ def test_importing_the_cli_leaves_the_harvester_unloaded():
 
 def test_harvest_incremental_state(tmp_path, capsys, live_server, monkeypatch):
     monkeypatch.setenv(cli.CLOCK_ENV, "2001-02-01T12:00:00+00:00")
+    requests = _record_requests(monkeypatch)
     args = ["harvest", "--data-dir", str(tmp_path / "h"), live_server,
             "--prefix", "oai_dc", "--incremental"]
     assert cli.main(args) == 0
-    state = json.loads((tmp_path / "h" / "harvest_state.json").read_text())
-    assert list(state.values()) == ["2001-02-01"]
+    with closing(sqlite3.connect(tmp_path / "h" / "harvest.sqlite")) as db:
+        days = db.execute("SELECT day FROM state").fetchall()
+    assert days == [("2001-02-01",)]
     # second run starts from the overlap window and still succeeds
+    requests.clear()
     assert cli.main(args) == 0
+    assert ("from", "2001-01-31") in requests[0]
+    assert [p.name for p in (tmp_path / "h").iterdir()] == ["harvest.sqlite"]
 
 
 def test_incremental_harvests_into_two_directories_each_get_every_record(
@@ -503,18 +509,39 @@ def test_harvest_unreachable_target(tmp_path, capsys, monkeypatch):
     assert "harvest failed" in capsys.readouterr().err
 
 
-def test_harvest_with_an_unusable_state_file_fails_cleanly(tmp_path, capsys):
+def _record_requests(monkeypatch) -> list[list[tuple[str, str]]]:
+    """The params of each request the harvest command sends, in order."""
+    requests: list[list[tuple[str, str]]] = []
+    send = harvester.HttpTransport.request
+
+    def request(self, params):
+        requests.append(params)
+        return send(self, params)
+
+    monkeypatch.setattr(harvester.HttpTransport, "request", request)
+    return requests
+
+
+def test_harvest_with_an_unusable_state_file_fails_cleanly(
+    tmp_path, capsys, monkeypatch
+):
+    """An older harvester's state file is refused before any request,
+    whether or not the harvest is incremental."""
+    requests = _record_requests(monkeypatch)
     state_file = tmp_path / "h" / "harvest_state.json"
     state_file.parent.mkdir()
-    state_file.write_text('{"k": "2001-13-45"}', encoding="utf-8")
-    rc = cli.main(
-        ["harvest", "--data-dir", str(tmp_path / "h"), "http://127.0.0.1:1/",
-         "--prefix", "oai_dc", "--incremental"]
-    )
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("harvest failed: ") and str(state_file) in err
-    assert "Traceback" not in err
+    state_file.write_text('{"k": "2001-01-20"}', encoding="utf-8")
+    for incremental in ([], ["--incremental"]):
+        rc = cli.main(
+            ["harvest", "--data-dir", str(tmp_path / "h"), "http://127.0.0.1:1/",
+             "--prefix", "oai_dc", *incremental]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("harvest failed: ") and str(state_file) in err
+        assert "Traceback" not in err
+    assert requests == []
+    assert [p.name for p in state_file.parent.iterdir()] == [state_file.name]
 
 
 @pytest.mark.parametrize("flag", ["--from", "--until"])

@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import socket
-import stat
+import sqlite3
 import subprocess
 import sys
 import tempfile
 import threading
 import time
 import xml.etree.ElementTree as ET
+from contextlib import closing
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -662,7 +664,7 @@ def test_harvest_store_roundtrip(tmp_path, transport):
 
 
 def test_harvest_state_never_moves_backward(tmp_path):
-    path = tmp_path / "state.json"
+    path = tmp_path / "harvest.sqlite"
     state = HarvestState(path)
     key = HarvestState.key("http://x/oai1", None, "oai_dc")
     assert state.last_completed(key) is None
@@ -673,17 +675,25 @@ def test_harvest_state_never_moves_backward(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content, message",
-    [("{not json", "unusable harvest state file"),
-     ("[]", "does not hold a JSON object"),
-     ('{"k": "2001-13-45"}', "'k' is not a YYYY-MM-DD date: '2001-13-45'"),
-     ('{"k": 20010120}', "'k' is not a YYYY-MM-DD date: 20010120")],
-    ids=["not-json", "not-an-object", "bad-date", "not-a-string"],
+    "table, day, message",
+    [(None, None, "not a database"),
+     ("state (key, other)", None, "no such column: day"),
+     ("state (key, day)", "2001-13-45", "'k' is not a YYYY-MM-DD date: '2001-13-45'"),
+     ("state (key, day)", 20010120, "'k' is not a YYYY-MM-DD date: 20010120"),
+     ("state (key, day)", "2001-1-4", "'k' is not a YYYY-MM-DD date: '2001-1-4'"),
+     ("state (key, day)", None, "'k' is not a YYYY-MM-DD date: None")],
+    ids=["not-a-database", "wrong-table", "bad-date", "not-a-string",
+         "unpadded", "null"],
 )
-def test_unusable_state_file_is_refused_on_open(tmp_path, content, message):
-    path = tmp_path / "state.json"
-    path.write_text(content, encoding="utf-8")
-    with pytest.raises(HarvestStoreError, match=message) as info:
+def test_unusable_state_file_is_refused_on_open(tmp_path, table, day, message):
+    path = tmp_path / "harvest.sqlite"
+    if table is None:
+        path.write_bytes(b"not a database\n" * 100)
+    else:
+        with closing(sqlite3.connect(path)) as db, db:
+            db.execute(f"CREATE TABLE {table}")
+            db.execute("INSERT INTO state VALUES ('k', ?)", (day,))
+    with pytest.raises(HarvestStoreError, match=re.escape(message)) as info:
         HarvestState(path)
     assert str(path) in str(info.value)
 
@@ -724,6 +734,49 @@ def test_incremental_overlap_catches_same_day_update(taxonomy, tmp_path):
 
     assert simulate(overlap_days=1) is True
     assert simulate(overlap_days=-1) is False
+
+
+def test_incremental_bounded_by_until_loses_no_record(transport, demo_store):
+    """A run bounded by ``until`` completes ``until``, not the day it ran,
+    so the next run, bounded or not, starts from there."""
+    state = HarvestState()
+    key = HarvestState.key("loopback", None, "oai_dc")
+    today, until = date(2001, 2, 1), date(1995, 1, 1)
+    bounded = HarvestJob("ListRecords", metadata_prefix="oai_dc", until=until)
+    records, _ = incremental(state, key, bounded, today, transport)
+    assert len(records) == 8 and state.last_completed(key) == until
+    # the same bound again: from (the overlap) is not after until
+    records, _ = incremental(state, key, bounded, today, transport)
+    assert {r.datestamp for r in records} <= {date(1994, 12, 31), until}
+    assert state.last_completed(key) == until
+    later = sorted(
+        f"oai:arXiv:{e.identifier}" for e in demo_store.scan()
+        if e.datestamp > until
+    )
+    assert len(later) == 5
+    unbounded = HarvestJob("ListRecords", metadata_prefix="oai_dc")
+    records, _ = incremental(state, key, unbounded, today, transport)
+    assert later == sorted(
+        r.identifier for r in records if r.datestamp > until
+    )
+    assert state.last_completed(key) == today
+
+
+def test_failing_upsert_leaves_state_untouched(transport):
+    state = HarvestState()
+    key = "k"
+    state.advance(key, date(2001, 1, 1))
+
+    class Unwritable:
+        def upsert(self, records):
+            raise HarvestStoreError("cannot write harvest.sqlite: disk full")
+
+    with pytest.raises(HarvestStoreError, match="disk full"):
+        incremental(
+            state, key, HarvestJob("ListIdentifiers"),
+            date(2001, 2, 1), transport, Unwritable(), sleep=lambda s: None,
+        )
+    assert state.last_completed(key) == date(2001, 1, 1)
 
 
 def test_incremental_failure_leaves_state_untouched(taxonomy):
@@ -1005,40 +1058,43 @@ def test_file_that_is_not_a_database_is_refused(tmp_path):
         HarvestStore(tmp_path)
 
 
-def test_upserts_commit_with_full_sync(tmp_path):
-    """SQLite's defaults: a rollback journal, fsynced at each commit."""
+def test_harvester_databases_commit_with_extra_sync(tmp_path):
+    """A rollback journal, with each commit fsynced, and the directory too
+    once the journal is deleted."""
     store = HarvestStore(tmp_path)
-    assert store._db.execute("PRAGMA synchronous").fetchone() == (2,)  # FULL
-    assert store._db.execute("PRAGMA journal_mode").fetchone() == ("delete",)
+    state = HarvestState(store.path)
+    for db in (store._db, state._db):
+        assert db.execute("PRAGMA synchronous").fetchone() == (3,)  # EXTRA
+        assert db.execute("PRAGMA journal_mode").fetchone() == ("delete",)
 
 
-def _record_durability(monkeypatch, watched: Path) -> list[tuple[str, int]]:
-    """Log each fsync of a file or directory and each rename, with the size
-    ``watched`` had at that moment."""
-    events: list[tuple[str, int]] = []
-    real_fsync, real_replace = os.fsync, os.replace
+# a child that advances one harvest state, says so, then waits to be killed
+_ADVANCE_CHILD = """
+import sys, time
+from datetime import date
+from eprint_oai.harvester import HarvestState
 
-    def size() -> int:
-        return watched.stat().st_size if watched.exists() else -1
-
-    def fsync(fd):
-        kind = "fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file"
-        events.append((kind, size()))
-        real_fsync(fd)
-
-    def replace(src, dst, **kwargs):
-        events.append(("rename", size()))
-        real_replace(src, dst, **kwargs)
-
-    monkeypatch.setattr(os, "fsync", fsync)
-    monkeypatch.setattr(os, "replace", replace)
-    return events
+HarvestState(sys.argv[1]).advance("k", date(2001, 1, 20))
+print("after", flush=True)
+time.sleep(60)
+"""
 
 
-def test_harvest_state_advance_is_durable(tmp_path, monkeypatch):
-    path = tmp_path / "state.json"
-    state = HarvestState(path)
-    events = _record_durability(monkeypatch, path)
-    state.advance("k", date(2001, 1, 20))
-    assert [kind for kind, _ in events] == ["fsync file", "rename", "fsync dir"]
+def test_harvest_state_advance_is_durable(tmp_path):
+    """A harvester SIGKILLed right after an advance returns leaves the new
+    day in the database."""
+    path = tmp_path / "harvest.sqlite"
+    HarvestState(path).advance("k", date(2001, 1, 10))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with subprocess.Popen(
+        [sys.executable, "-c", _ADVANCE_CHILD, str(path)],
+        env=env, stdout=subprocess.PIPE, text=True,
+    ) as child:
+        try:
+            assert child.stdout.readline() == "after\n"
+        finally:
+            child.kill()
+            child.wait(timeout=10)
+    assert child.returncode == -signal.SIGKILL
+    assert not (tmp_path / "harvest.sqlite-journal").exists()
     assert HarvestState(path).last_completed("k") == date(2001, 1, 20)

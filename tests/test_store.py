@@ -932,6 +932,52 @@ def test_concurrent_loads_leave_a_whole_table(taxonomy, demo_copy, parsed):
     assert _contents(store) == _contents(_full_parse(taxonomy, demo_copy))
 
 
+# opens one new, empty store from two processes at once, many times, and
+# prints each failure
+_OPEN_RACE = """
+import multiprocessing as mp, sys
+from pathlib import Path
+from eprint_oai import Store, load_taxonomy
+
+def open_store(directory, barrier, out):
+    taxonomy = load_taxonomy()
+    barrier.wait()
+    try:
+        Store(taxonomy, directory)
+        out.put(None)
+    except Exception as exc:
+        out.put(repr(exc))
+
+if __name__ == "__main__":
+    ctx = mp.get_context("fork")
+    for i in range(int(sys.argv[2])):
+        directory = Path(sys.argv[1]) / str(i)
+        directory.mkdir()
+        barrier, out = ctx.Barrier(2), ctx.Queue()
+        procs = [ctx.Process(target=open_store, args=(directory, barrier, out))
+                 for _ in range(2)]
+        for proc in procs:
+            proc.start()
+        for _ in procs:
+            failure = out.get(timeout=30)
+            if failure:
+                print(failure)
+        for proc in procs:
+            proc.join()
+"""
+
+
+def test_two_processes_making_one_store_both_open_it(tmp_path):
+    """Both of two processes that find no database and make it at the same
+    moment get the store: neither fails with 'database is locked'."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _OPEN_RACE, str(tmp_path), "40"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout == ""
+
+
 def test_first_use_parse_never_overwrites_a_newer_ingest(
     taxonomy, demo_copy, monkeypatch
 ):
