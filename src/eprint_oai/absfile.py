@@ -41,7 +41,7 @@ class AbsParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass
+@dataclass(slots=True)
 class InternalMetadata:
     """Native metadata for one e-print (latest version)."""
 

@@ -211,21 +211,21 @@ def cmd_harvest(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_crosswalk(args: argparse.Namespace, config: CliConfig) -> int:
-    store = config.open_store()
-    try:
-        eid = parse_internal_id(args.id)
-    except ValueError as exc:
-        raise CommandFailed(str(exc)) from None
-    record = store.get(eid)
-    if record is None or record.deleted:
-        raise CommandFailed(f"not found: {args.id}")
-    try:
-        lines = to_format(
-            record.meta, record.datestamp, args.prefix, store.taxonomy,
-            config.repository.abs_url_prefix,
-        )
-    except UnsupportedFormat:
-        raise CommandFailed(f"unsupported format: {args.prefix}") from None
+    with closing(config.open_store()) as store:
+        try:
+            eid = parse_internal_id(args.id)
+        except ValueError as exc:
+            raise CommandFailed(str(exc)) from None
+        record = store.get(eid)
+        if record is None or record.deleted:
+            raise CommandFailed(f"not found: {args.id}")
+        try:
+            lines = to_format(
+                record.meta, record.datestamp, args.prefix, store.taxonomy,
+                config.repository.abs_url_prefix,
+            )
+        except UnsupportedFormat:
+            raise CommandFailed(f"unsupported format: {args.prefix}") from None
     print("\n".join(lines))
     return 0
 

@@ -676,7 +676,9 @@ def incremental(
     """One incremental harvest: from = last completed date minus the
     overlap, or a full harvest when never run. State advances to ``today``,
     or to the job's ``until`` when that is earlier, only when the run
-    completes; failures leave it untouched.
+    completes; failures leave it untouched. A job whose ``until`` is before
+    that ``from`` asks for nothing newer than what was harvested: it sends
+    no request, returns no records and leaves the state as it is.
 
     ``overlap_days=1`` is the safe default; ``overlap_days=-1`` starts the
     day after the last harvest, which loses same-day late updates (kept
@@ -686,6 +688,8 @@ def incremental(
     job = job_template
     if last is not None:
         job = replace(job_template, from_=last - timedelta(days=overlap_days))
+        if job.until is not None and job.until < job.from_:
+            return [], HarvestReport()
     records, report = run(job, transport, sleep=sleep)
     if store is not None:
         store.upsert(records)

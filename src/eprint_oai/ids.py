@@ -52,7 +52,7 @@ _ARCHIVE_NAME_RE = re.compile(_ARCHIVE)
 _SUBJECT_CLASS_RE = re.compile(r"[A-Z]{2}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class EprintId:
     """Structured internal identifier for one e-print."""
 

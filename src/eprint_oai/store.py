@@ -49,8 +49,8 @@ INFO line, ``store.load``, with its records, deleted records, rows trusted,
 files parsed, rows dropped and seconds.
 
 A load's transient is small next to what the store keeps. When every row is
-trusted, tracemalloc's peak during ``Store(...)`` is about 1.04x the heap
-the store keeps after it at 10k records (4.2 MB kept); building the lists
+trusted, tracemalloc's peak during ``Store(...)`` is about 1.07x the heap
+the store keeps after it at 10k records (2.6 MB kept); building the lists
 and dicts up front took 3.2x. SQLite's own memory, which tracemalloc does
 not see, is bounded by the page cache.
 
@@ -67,9 +67,12 @@ a power loss soon after an ingest returns can undo the rename while the row
 keeps the new datestamp (README, "Store layout").
 
 Each record is one value of one dict: its index entry, which the sorted
-index holds too, its metadata, abs path and deletion reason. Loading builds
-the index; after that, each write replaces its record's one entry in a copy
-and swaps the copy in, so readers always see a consistent pre- or
+index holds too, its metadata, abs path and deletion reason. The path is
+kept only when the file is not where the store names it (:func:`_rel_path`),
+as when another tool named it; every use of a path goes through
+:func:`_path_of`. Records with equal sets share one frozenset. Loading
+builds the index; after that, each write replaces its record's one entry in
+a copy and swaps the copy in, so readers always see a consistent pre- or
 post-write snapshot.
 
 The store may also run purely in memory (``data_dir=None``), which the
@@ -161,8 +164,9 @@ class IndexEntry:
 
 
 # (the record's index entry, its metadata or None until first use and
-# whenever deleted, its abs path relative to the data dir or "" when it has
-# no file, its deletion reason or None); replaced whole, never mutated
+# whenever deleted, its abs path relative to the data dir when that is not
+# _rel_path(id), else "" (as when a deleted record has no file), its
+# deletion reason or None); replaced whole, never mutated
 _Record = tuple[IndexEntry, InternalMetadata | None, str, str | None]
 # (inode, size, mtime_ns, ctime_ns) of an abs file
 _Stat = tuple[int, int, int, int]
@@ -179,10 +183,17 @@ _identifier = attrgetter("identifier")
 _parse_day = lru_cache(maxsize=4096)(parse_datestamp)
 
 
-def _rel_path(eid: EprintId) -> str:
-    # the filename is the canonical id with "/" -> ".", so subject-classed
-    # ids stay unambiguous (e.g. math/9204/math.DS.9204240.abs)
-    return f"{eid.archive}/{eid.yymm:04d}/{eid.local().replace('/', '.')}.abs"
+def _rel_path(key: str) -> str:
+    """Where the store names record ``key``'s abs file, relative to the data
+    dir: the canonical id with "/" -> ".", so subject-classed ids stay
+    unambiguous (e.g. math/9204/math.DS.9204240.abs)."""
+    head, _, serial = key.partition("/")
+    return f"{head.partition('.')[0]}/{serial[:4]}/{head}.{serial}.abs"
+
+
+def _path_of(record: _Record) -> str:
+    """The abs path of ``record``'s file, relative to the data dir."""
+    return record[2] or _rel_path(record[0].identifier)
 
 
 def _read(path: str) -> bytes:
@@ -274,8 +285,10 @@ class Store:
         self._lock = threading.Lock()
         # canonical id -> record, deleted ones included
         self._records: dict[str, _Record] = {}
-        # (archive, cross-lists) -> sets, so equal inputs share one frozenset
-        self._set_memo: dict[tuple[str, tuple[str, ...]], frozenset[str]] = {}
+        # (archive, comma-separated cross-lists) -> sets
+        self._set_memo: dict[tuple[str, str], frozenset[str]] = {}
+        # each distinct sets value, so that equal sets share one frozenset
+        self._set_values: dict[frozenset[str], frozenset[str]] = {}
         # the records' index entries in (datestamp, identifier) order
         self._snapshot: list[IndexEntry] = []
         if self.data_dir is not None:
@@ -346,7 +359,7 @@ class Store:
                     entry, _, rel, _ = record
                     ident, sets = entry.identifier, entry.sets
                 elif gone:
-                    sets, rel = self._sets(ident, ()), ""
+                    sets, rel = self._sets(ident, ""), ""
                 else:
                     continue  # a live record whose file is gone
                 deleted += gone
@@ -398,7 +411,6 @@ class Store:
             if has_row and row[3:7] == stat:
                 key, last, crosslists = row[7:]
                 last = _parse_day(last)
-                crosslists = tuple(crosslists.split(",")) if crosslists else ()
                 trusted += 1
             else:
                 if has_row:
@@ -406,21 +418,21 @@ class Store:
                 meta = parse_abs(_read(os.path.join(root, rel)))
                 key = meta.id.local()
                 last = meta.submission_dates[-1][1]
-                crosslists = tuple(meta.crosslists)
+                crosslists = ",".join(meta.crosslists)
                 parsed += 1
                 # a file changed in the load's own tick may change again
                 # after its stat, and a name with undecodable bytes is no
                 # text a row can hold: both are parsed by the next load
                 if stat[3] < begun and rel.isprintable():
-                    put.append(
-                        (*place, *stat, key, last.isoformat(), ",".join(crosslists))
-                    )
+                    put.append((*place, *stat, key, last.isoformat(), crosslists))
             if has_row:
                 row = next(rows, None)
             if key in self._records:
                 raise AbsParseError(f"{self.data_dir / rel}: duplicate record {key}")
             entry = IndexEntry(last, key, self._sets(key, crosslists))
-            self._records[key] = (entry, None, rel, None)
+            # a file where the store names it keeps no path of its own
+            kept = "" if rel == _rel_path(key) else rel
+            self._records[key] = (entry, None, kept, None)
         if row is not None:
             gone += [row[:3], *(r[:3] for r in rows)]
         if put or gone:
@@ -444,14 +456,16 @@ class Store:
                 )
         return trusted, parsed, len(gone)
 
-    def _sets(self, key: str, crosslists: tuple[str, ...]) -> frozenset[str]:
-        """The sets of record ``key`` with these cross-lists; they depend on
-        its archive, so a memo per (archive, cross-lists) serves them."""
+    def _sets(self, key: str, crosslists: str) -> frozenset[str]:
+        """The sets of record ``key`` with these comma-separated cross-lists;
+        they depend on its archive, so a memo per (archive, cross-lists)
+        serves them. Equal sets are one shared frozenset."""
         memo = (key.partition("/")[0].partition(".")[0], crosslists)
         sets = self._set_memo.get(memo)
         if sets is None:
-            sets = sets_for(parse_internal_id(key), list(crosslists), self.taxonomy)
-            self._set_memo[memo] = sets
+            refs = crosslists.split(",") if crosslists else []
+            sets = sets_for(parse_internal_id(key), refs, self.taxonomy)
+            sets = self._set_memo[memo] = self._set_values.setdefault(sets, sets)
         return sets
 
     def close(self) -> None:
@@ -484,7 +498,7 @@ class Store:
         with self._lock:
             old = self._records.get(key)
             if old is None:
-                rel = _rel_path(meta.id)
+                rel = ""  # at _rel_path(key)
             else:
                 if old[0].deleted:
                     raise ValueError(
@@ -497,7 +511,7 @@ class Store:
                 # an update replaces the file the record came from, whatever
                 # its name, so that no second file holds the same record
                 rel = old[2]
-            entry = IndexEntry(day, key, self._sets(key, tuple(meta.crosslists)))
+            entry = IndexEntry(day, key, self._sets(key, ",".join(meta.crosslists)))
             self._write((entry, meta, rel, None), old, text)
         return StoredRecord(id=meta.id, datestamp=day, meta=meta)
 
@@ -525,7 +539,7 @@ class Store:
         ``text`` is given, replaces its abs file with it (tmp + fsync +
         rename), then swaps in a copy of the index with its entry in place
         of the old one. Called under the lock."""
-        entry, _, rel, reason = record
+        entry, _, _, reason = record
         if self.data_dir is not None:
             row = (entry.identifier, entry.datestamp.isoformat(), entry.deleted, reason)
             try:
@@ -535,7 +549,7 @@ class Store:
                     f"cannot write {self.data_dir / STORE_DB}: {exc}"
                 ) from exc
             if text is not None:
-                path = self.data_dir / rel
+                path = self.data_dir / _path_of(record)
                 path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_name(path.name + ".tmp")
                 write_durably(tmp, [text])
@@ -574,7 +588,7 @@ class Store:
         the newer record is returned."""
         assert self.data_dir is not None
         key = record[0].identifier
-        path = os.path.join(self.data_dir, record[2])
+        path = os.path.join(self.data_dir, _path_of(record))
         try:
             meta = parse_abs(_read(path))
         except (OSError, ValueError) as exc:

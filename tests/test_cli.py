@@ -72,6 +72,25 @@ def test_crosswalk_unsupported_format(capsys, demo_dir):
     assert "unsupported" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "ident, prefix, rc",
+    [("cs.DL/0101027", "oai_dc", 0), ("hep-th/7001001", "oai_dc", 1),
+     ("cs.DL/0101027", "oai_marc", 1), ("cs.DL/01010", "oai_dc", 1)],
+    ids=["found", "unknown", "unsupported", "malformed"],
+)
+def test_crosswalk_closes_its_store(capsys, demo_dir, monkeypatch, ident, prefix, rc):
+    closed: list[Store] = []
+    real_close = Store.close
+
+    def close(store):
+        closed.append(store)
+        real_close(store)
+
+    monkeypatch.setattr(Store, "close", close)
+    assert cli.main(["crosswalk", "--data-dir", str(demo_dir), ident, prefix]) == rc
+    assert len(closed) == 1
+
+
 def test_config_file_with_flag_override(tmp_path, capsys, demo_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"data_dir": "/nonexistent"}), encoding="utf-8")

@@ -13,6 +13,7 @@ import threading
 import time
 import xml.etree.ElementTree as ET
 from contextlib import closing
+from dataclasses import replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -760,6 +761,34 @@ def test_incremental_bounded_by_until_loses_no_record(transport, demo_store):
         r.identifier for r in records if r.datestamp > until
     )
     assert state.last_completed(key) == today
+
+
+def test_incremental_until_before_the_overlap_asks_for_nothing(transport):
+    """A run whose ``until`` is before the saved day minus the overlap would
+    send ``from`` > ``until``, which the provider refuses: it sends nothing,
+    returns nothing and keeps the saved day, and the next run without
+    ``until`` still starts from that day minus the overlap."""
+    asked: list[dict[str, str]] = []
+
+    class Recording:
+        def request(self, params):
+            asked.append(dict(params))
+            return transport.request(params)
+
+    state = HarvestState()
+    key = HarvestState.key("loopback", None, "oai_dc")
+    today = date(2001, 2, 1)
+    job = HarvestJob("ListRecords", metadata_prefix="oai_dc")
+    records, _ = incremental(state, key, job, today, Recording())
+    assert len(records) == 13 and state.last_completed(key) == today
+    asked.clear()
+    early = replace(job, until=date(1995, 1, 1))
+    records, report = incremental(state, key, early, today, Recording())
+    assert (records, report.pages, asked) == ([], 0, [])
+    assert state.last_completed(key) == today
+    incremental(state, key, job, date(2001, 2, 3), Recording())
+    assert asked[0]["from"] == "2001-01-31" and "until" not in asked[0]
+    assert state.last_completed(key) == date(2001, 2, 3)
 
 
 def test_failing_upsert_leaves_state_untouched(transport):
