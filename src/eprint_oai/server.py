@@ -1,4 +1,5 @@
-"""WSGI application binding the protocol handler and flow control.
+"""WSGI application binding the protocol handler and flow control, and the
+HTTP server that runs it.
 
 Accepts GET and POST (form-encoded) with identical argument semantics.
 Throttled requests, and requests the store cannot answer because a
@@ -6,17 +7,24 @@ record's abs file has vanished or no longer parses, are answered with 503
 and a Retry-After header in seconds. The same app object serves both a
 real HTTP socket and the in-process loopback transport used by the
 harvester tests.
+
+The server reads one HTTP/1.x request a connection, within fixed caps and
+a read timeout, and answers it as HTTP/1.0 through ``wsgiref.handlers``;
+any request it cannot read is answered 400.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import math
+import re
+import socketserver
+import sys
 import time
 from typing import Callable, Iterable
-from urllib.parse import parse_qsl
-from socketserver import ThreadingMixIn
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
+from urllib.parse import parse_qsl, unquote
+from wsgiref.handlers import SimpleHandler
 
 from .flowcontrol import ClientLedger, FlowPolicy
 from .protocol import LIST_VERBS, ProtocolHandler, VerbResponse
@@ -29,6 +37,17 @@ log = logging.getLogger("eprint_oai.server")
 STORE_RETRY_AFTER_S = 60
 
 _STATUS_LINE = {200: "200 OK", 400: "400 Bad Request", 503: "503 Service Unavailable"}
+
+# What one connection may send. The longest legal request is a verb and at
+# most four short arguments, far below every cap.
+MAX_LINE = 8192  # bytes in the request line or in one header line
+MAX_HEADERS = 100  # header lines, http.client's own limit
+MAX_BODY = 65536  # bytes in a POST body
+READ_TIMEOUT_S = 10.0  # socket timeout while the request is read
+
+_TOKEN = r"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
+_REQUEST_LINE_RE = re.compile(rf"({_TOKEN}) ([^\x00-\x20\x7f]+) (HTTP/1\.[0-9])")
+_HEADER_LINE_RE = re.compile(rf"({_TOKEN}):(.*)")
 
 
 def remote_addr_key(environ: dict) -> str:
@@ -49,8 +68,8 @@ def make_app(
         verb = ""
         try:
             params = _request_params(environ)
-        except UnicodeDecodeError:
-            response = handler.bad_request("request body is not valid UTF-8", [])
+        except ValueError as exc:
+            response = handler.bad_request(str(exc), [])
         else:
             verb = next((v for k, v in params if k == "verb"), "")
             response = _admit(environ, verb)
@@ -98,31 +117,141 @@ def make_app(
     return app
 
 
+def _content_length(environ: dict) -> int:
+    """The announced body length; 0 when it is missing, not a number or
+    negative (``read(-1)`` on a socket would read to EOF)."""
+    try:
+        return max(int(environ.get("CONTENT_LENGTH") or 0), 0)
+    except ValueError:
+        return 0
+
+
 def _request_params(environ: dict) -> list[tuple[str, str]]:
+    """The request's arguments; ``ValueError`` says why a POST body is
+    refused. A body over ``MAX_BODY`` is refused without reading it."""
     if environ.get("REQUEST_METHOD", "GET").upper() == "POST":
+        length = _content_length(environ)
+        if length > MAX_BODY:
+            raise ValueError(f"request body over {MAX_BODY} bytes")
+        body = environ["wsgi.input"].read(length) if length else b""
         try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        # a negative length would read the socket to EOF
-        body = environ["wsgi.input"].read(length) if length > 0 else b""
-        return parse_qsl(body.decode("utf-8"), keep_blank_values=True)
+            text = body.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError("request body is not valid UTF-8") from None
+        return parse_qsl(text, keep_blank_values=True)
     return parse_qsl(environ.get("QUERY_STRING", ""), keep_blank_values=True)
 
 
-class _QuietHandler(WSGIRequestHandler):
-    def log_message(self, fmt, *args):  # request logging happens in the app
-        pass
+class _BadRequest(Exception):
+    """A request the server cannot read; the message says why."""
 
 
-class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
+def _line(raw: bytes) -> str:
+    """One request or header line without its line break, as latin-1."""
+    if len(raw) > MAX_LINE:
+        raise _BadRequest(f"line over {MAX_LINE} bytes")
+    if not raw.endswith(b"\n"):
+        raise _BadRequest("request ends before its header does")
+    return raw.decode("latin-1").removesuffix("\n").removesuffix("\r")
+
+
+class _QuietHandler(socketserver.StreamRequestHandler):
+    """One request a connection: the request line, the header and a POST
+    body are read under ``timeout``, then the app's answer is written as
+    HTTP/1.0 and the connection closes."""
+
+    timeout = READ_TIMEOUT_S
+
+    def handle(self) -> None:
+        client = self.client_address[0]
+        try:
+            request = self._read_request()
+        except TimeoutError:
+            log.info("client=%s timeout", client)
+            return
+        except _BadRequest as exc:
+            log.info("client=%s status=400 %s", client, exc)
+            body = f"Bad request: {exc}\n".encode()
+            self.wfile.write(
+                b"HTTP/1.0 400 Bad Request\r\n"
+                b"Content-Type: text/plain; charset=utf-8\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+            )
+            return
+        if request is None:  # closed without sending a request
+            return
+        environ, body = request
+        self.connection.settimeout(None)
+        SimpleHandler(io.BytesIO(body), self.wfile, sys.stderr, environ).run(
+            self.server.get_app()
+        )
+
+    def _read_request(self) -> tuple[dict, bytes] | None:
+        """The WSGI environ, without its ``wsgi.*`` keys, and the body."""
+        raw = self.rfile.readline(MAX_LINE + 1)
+        if not raw:
+            return None
+        match = _REQUEST_LINE_RE.fullmatch(_line(raw))
+        if match is None:
+            raise _BadRequest("malformed request line")
+        method, target, version = match.groups()
+        path, _, query = target.partition("?")
+        host, port = self.server.server_address[:2]
+        environ = {
+            "REQUEST_METHOD": method,
+            "SCRIPT_NAME": "",
+            "PATH_INFO": unquote(path, "latin-1"),
+            "QUERY_STRING": query,
+            "SERVER_NAME": host,
+            "SERVER_PORT": str(port),
+            "SERVER_PROTOCOL": version,
+            "REMOTE_ADDR": self.client_address[0],
+        }
+        for _ in range(MAX_HEADERS + 1):
+            text = _line(self.rfile.readline(MAX_LINE + 1))
+            if not text:
+                break
+            match = _HEADER_LINE_RE.fullmatch(text)
+            if match is None:  # no colon, or folded onto the line before
+                raise _BadRequest("malformed header line")
+            name, value = match.groups()
+            if "_" in name:  # it would read as the same key as its "-" twin
+                continue
+            key = name.upper().replace("-", "_")
+            if key not in ("CONTENT_TYPE", "CONTENT_LENGTH"):
+                key = "HTTP_" + key
+            value = value.strip(" \t")
+            environ[key] = f"{environ[key]},{value}" if key in environ else value
+        else:
+            raise _BadRequest(f"over {MAX_HEADERS} header lines")
+        length = _content_length(environ)
+        if method.upper() != "POST" or length > MAX_BODY:
+            return environ, b""  # the app refuses an over-cap body unread
+        return environ, self.rfile.read(length)
+
+
+class ThreadingWSGIServer(socketserver.ThreadingTCPServer):
+    """One daemon thread a connection, each running the app set by
+    ``set_app``."""
+
     daemon_threads = True
+    allow_reuse_address = True
+    application = None
+
+    def server_bind(self) -> None:
+        super().server_bind()
+        self.server_port = self.server_address[1]
+
+    def set_app(self, app) -> None:
+        self.application = app
+
+    def get_app(self):
+        return self.application
 
 
 def serve(app, host: str = "127.0.0.1", port: int = 8080) -> None:
     """Run the app on a blocking threaded HTTP server."""
-    with make_server(
-        host, port, app, server_class=ThreadingWSGIServer, handler_class=_QuietHandler
-    ) as httpd:
+    with ThreadingWSGIServer((host, port), _QuietHandler) as httpd:
+        httpd.set_app(app)
         log.info("listening on http://%s:%d/", host, port)
         httpd.serve_forever()

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import random
 import re
 import shutil
+import signal
 import socket
 import sqlite3
 import subprocess
 import sys
 import threading
+import time
 from contextlib import closing, contextmanager
 from datetime import date
 from urllib.parse import urlencode, urlsplit
@@ -21,7 +24,7 @@ from conftest import DEMO_CORPUS, FIXED_CLOCK, GOLDEN, ROOT, synth_corpus
 from eprint_oai import cli, harvester
 from eprint_oai.config import RepositoryConfig
 from eprint_oai.protocol import PART_CHARS, ProtocolHandler
-from eprint_oai.server import ThreadingWSGIServer, _QuietHandler, make_app
+from eprint_oai.server import MAX_BODY, ThreadingWSGIServer, _QuietHandler, make_app
 from eprint_oai.ids import load_taxonomy, parse_internal_id
 from eprint_oai.store import STORE_DB, Store
 
@@ -375,7 +378,10 @@ def serving(app):
         "127.0.0.1", 0, app,
         server_class=ThreadingWSGIServer, handler_class=_QuietHandler,
     )
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # a short poll, so that shutdown() returns at once
+    thread = threading.Thread(
+        target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{httpd.server_port}/"
@@ -411,6 +417,144 @@ def _http_get(url: str, params: list[tuple[str, str]]) -> tuple[dict, bytes]:
     lines = head.decode("latin-1").split("\r\n")
     headers = dict(line.split(": ", 1) for line in lines[1:])
     return headers, body
+
+
+def _raw_exchange(url: str, request: bytes, end: bool = False) -> bytes:
+    """``request`` sent as it is on a new connection, followed by EOF when
+    ``end``: every byte received until the server closed it. A server that
+    answers before reading the whole request may reset the connection after
+    its answer."""
+    parts = urlsplit(url)
+    received = []
+    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+        try:
+            sock.sendall(request)
+            if end:
+                sock.shutdown(socket.SHUT_WR)
+            while chunk := sock.recv(65536):
+                received.append(chunk)
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+    return b"".join(received)
+
+
+def _headers(n: int) -> bytes:
+    return b"".join(b"X-Header-%d: %d\r\n" % (i, i) for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        b"GET /?verb=Identify\r\n\r\n",
+        b"GET /?verb=Identify HTTP/2.0\r\n\r\n",
+        b"GET /?verb=Identify HTTP/x\r\n\r\n",
+        b"GET /?verb=Identify HTTP/1.0x\r\n\r\n",
+        b"\x16\x03\x01\x00\xa5\x01\x00\x00\xa1\x03\x03\x8f\xff\r\n\r\n",
+        b"GET /?verb=Identify&x=" + b"a" * 70_000 + b" HTTP/1.0\r\n\r\n",
+        b"GET /?verb=Identify HTTP/1.0\r\nX-Long: " + b"a" * 9000 + b"\r\n\r\n",
+        b"GET /?verb=Identify HTTP/1.0\r\n" + _headers(150) + b"\r\n",
+        b"GET /?verb=Identify HTTP/1.0\r\n" + _headers(101) + b"\r\n",
+        b"GET /?verb=Identify HTTP/1.0\r\nX-A: 1\r\n  folded\r\n\r\n",
+        b"GET /?verb=Identify HTTP/1.0\r\nNo colon here\r\n\r\n",
+        b"GET /?verb=Identify HTTP/1.0\r\nHost : x\r\n\r\n",
+        b"GET /?verb=Identify HTTP/1.0\r\nHost: x\r\n",
+    ],
+    ids=["http-0.9", "http-2.0", "http-x", "http-1.0x", "binary", "long-request-line",
+         "long-header-line", "150-headers", "101-headers", "folded-header",
+         "header-without-colon", "space-before-colon", "no-end-of-header"],
+)
+def test_malformed_request_gets_a_400_with_a_status_line(live_server, request_bytes):
+    """Whatever the bytes, the answer is a status line and a whole body;
+    ``http.server`` answered some of these 414, 431 or 505, or with a body
+    and no status line, and took the folded and colonless headers."""
+    received = _raw_exchange(live_server, request_bytes, end=True)
+    head, _, body = received.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0] == "HTTP/1.0 400 Bad Request"
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    assert int(headers["Content-Length"]) == len(body) > 0
+
+
+def test_well_formed_get_and_post_get_the_handlers_page(live_server, served_handler):
+    """Bare line breaks, repeated headers and many of them are answered
+    as ``http.server`` answered them."""
+    params = [("verb", "ListRecords"), ("metadataPrefix", "oai_dc")]
+    query = urlencode(params).encode("ascii")
+    page = served_handler.handle(params).body
+    requests = [
+        b"GET /?" + query + b" HTTP/1.1\r\nHost: x\r\n" + _headers(98) + b"\r\n",
+        b"GET /?" + query + b" HTTP/1.0\nX-A: 1\nX-A: 2\nX_A: 3\n\n",
+        b"POST / HTTP/1.0\r\nContent-Type: application/x-www-form-urlencoded\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(query), query),
+    ]
+    for request in requests:
+        received = _raw_exchange(live_server, request)
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 200 OK\r\n")
+        assert body == page
+
+
+def test_the_environ_is_built_as_wsgiref_builds_it():
+    """Also at the header cap: 100 header lines are read."""
+    seen = []
+
+    def app(environ, start_response):
+        seen.append(environ)
+        start_response("200 OK", [("Content-Type", "text/plain")])
+        return [b"ok"]
+
+    with serving(app) as url:
+        _raw_exchange(
+            url,
+            b"POST /a%20b?x=1?y HTTP/1.1\r\nContent-Type: text/plain\r\n"
+            b"Content-Length: 3\r\nX-Bench-Request: 7\r\nX-A: 1\r\nX-A:  2 \r\n"
+            b"X_A: 3\r\n" + _headers(94) + b"\r\nabc",
+        )
+    environ = seen[0]
+    assert {k: environ[k] for k in (
+        "REQUEST_METHOD", "PATH_INFO", "QUERY_STRING", "SERVER_PROTOCOL",
+        "CONTENT_TYPE", "CONTENT_LENGTH", "HTTP_X_BENCH_REQUEST", "HTTP_X_A",
+        "REMOTE_ADDR",
+    )} == {
+        "REQUEST_METHOD": "POST", "PATH_INFO": "/a b", "QUERY_STRING": "x=1?y",
+        "SERVER_PROTOCOL": "HTTP/1.1", "CONTENT_TYPE": "text/plain",
+        "CONTENT_LENGTH": "3", "HTTP_X_BENCH_REQUEST": "7", "HTTP_X_A": "1,2",
+        "REMOTE_ADDR": "127.0.0.1",
+    }
+    assert environ["wsgi.input"].read() == b"abc"
+
+
+def test_idle_and_half_sent_connections_are_closed(
+    live_server, monkeypatch, caplog, capsys
+):
+    """Neither holds its thread past the read timeout; each is logged once,
+    with no traceback."""
+    monkeypatch.setattr(_QuietHandler, "timeout", 0.2)
+    parts = urlsplit(live_server)
+    before = threading.active_count()
+    with caplog.at_level(logging.INFO, logger="eprint_oai.server"):
+        for sent in (b"", b"GET /?verb=Identify HTTP/1.0\r\nHost: x"):
+            with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+                sock.sendall(sent)
+                assert sock.recv(1) == b""  # closed by the server, unanswered
+        deadline = time.monotonic() + 5
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert threading.active_count() <= before
+    assert [r.getMessage() for r in caplog.records] == ["client=127.0.0.1 timeout"] * 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_oversized_post_is_refused_at_once(live_server):
+    """ROADMAP item 12's request: a long body announced, 13 bytes sent."""
+    request = (
+        b"POST / HTTP/1.0\r\nContent-Length: 100000000\r\n\r\nverb=Identify"
+    )
+    started = time.monotonic()
+    received = _raw_exchange(live_server, request)
+    assert time.monotonic() - started < 1
+    assert received.startswith(b"HTTP/1.0 400 Bad Request\r\n")
+    assert f"request body over {MAX_BODY} bytes".encode() in received
 
 
 class TestPageOfManyParts:
@@ -483,6 +627,68 @@ def test_importing_the_cli_leaves_the_harvester_unloaded():
         timeout=60, check=True,
     )
     assert out.stdout == "False\n"
+
+
+def test_importing_the_cli_loads_no_client_or_tls_modules():
+    """``serve`` opens no outbound or TLS connection, so it does not pay for
+    loading what one needs."""
+    code = (
+        "import sys, eprint_oai.cli; "
+        "print(sorted({'ssl', 'http.client', 'http.server', 'email'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert out.stdout == "[]\n"
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_serve_command_over_a_socket(tmp_path, demo_dir, demo_handler):
+    """``eprint-oai serve`` in its own process answers with the in-process
+    handler's bytes, and SIGINT ends it."""
+    port = _free_port()
+    log_path = tmp_path / "serve.log"
+    with log_path.open("wb") as log_file:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eprint_oai.cli", "serve",
+             "--data-dir", str(demo_dir), "--port", str(port),
+             "--page-size", "7",
+             "--min-interval-list", "0", "--min-interval-other", "0"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                     **{cli.CLOCK_ENV: FIXED_CLOCK.isoformat()}),
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=log_file,
+        )
+    try:
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                socket.create_connection(("127.0.0.1", port), timeout=1).close()
+                break
+            except OSError:
+                assert proc.poll() is None, log_path.read_text()
+                assert time.monotonic() < deadline, "serve did not listen"
+                time.sleep(0.02)
+        url = f"http://127.0.0.1:{port}/"
+        for params in ([("verb", "Identify")],
+                       [("verb", "ListRecords"), ("metadataPrefix", "oai_dc")]):
+            headers, body = _http_get(url, params)
+            assert body == demo_handler.handle(params).body
+            assert int(headers["Content-Length"]) == len(body)
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=5)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert "Traceback" not in log_path.read_text()
 
 
 def test_harvest_incremental_state(tmp_path, capsys, live_server, monkeypatch):

@@ -182,10 +182,11 @@ class _RecordingInput(io.BytesIO):
         return super().read(size)
 
 
-@pytest.mark.parametrize("length", ["-1", "-20", "abc"])
+@pytest.mark.parametrize("length", ["-1", "-20", "abc", "100000000"])
 def test_unusable_content_length_reads_nothing(demo_handler, length):
     """A negative length is no length: ``read(-1)`` on a socket would wait
-    for EOF, holding a server thread and buffering an unbounded body."""
+    for EOF, holding a server thread and buffering an unbounded body. A
+    length over ``MAX_BODY`` is refused before any read."""
     body = _RecordingInput(b"verb=Identify")
     environ = {
         "REQUEST_METHOD": "POST",
