@@ -423,10 +423,12 @@ def run(
     503 replies are obeyed by sleeping the advertised Retry-After and
     retrying the same logical request; each page is retried
     :data:`MAX_RETRIES` times before the run fails with
-    :class:`TransportFailure`.
+    :class:`TransportFailure`. A token that repeats within the run would
+    make it loop, so it fails with :class:`ProtocolError` instead.
     """
     report = HarvestReport()
     records: list[HarvestedRecord] = []
+    seen: set[str] = set()
     started = time.monotonic()
     params = job.initial_params()
     while True:
@@ -437,6 +439,9 @@ def run(
         report.deleted += sum(1 for r in page if r.deleted)
         if token is None:
             break
+        if token in seen:
+            raise ProtocolError(f"resumptionToken {token!r} repeated")
+        seen.add(token)
         params = [("verb", job.verb), ("resumptionToken", token)]
     report.elapsed = time.monotonic() - started
     return records, report

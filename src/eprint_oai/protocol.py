@@ -28,6 +28,7 @@ from .ids import (
     format_datestamp,
     oai_prefix,
     parse_datestamp,
+    parse_internal_id,
     parse_oai_identifier,
 )
 from .store import IndexEntry, Store
@@ -76,36 +77,46 @@ class ResumptionToken:
     Serialized as the four fields joined by "_" in order (from, until, set,
     format tag), empty fields rendered empty: ``1992-05-01___`` resumes a
     ListIdentifiers scan or a header-only ListRecords one,
-    ``1992-05-01___dc`` an ``oai_dc`` ListRecords one. No field holds
-    "_": a set token cannot (:class:`~eprint_oai.ids.TaxonomyConfig`), nor
-    can a format tag.
+    ``1992-05-01___dc`` an ``oai_dc`` ListRecords one. Such a token
+    resumes at the start of day ``from``. A page that ends inside a day
+    adds a fifth field, the canonical id of its last record, and the next
+    page resumes past that record on day ``from``. No field holds "_": a
+    set token cannot (:class:`~eprint_oai.ids.TaxonomyConfig`), nor can a
+    format tag or a canonical id.
     """
 
     next_from: date
     until: date | None = None
     set_spec: str | None = None
     format_tag: str | None = None
+    after: str | None = None  # the canonical id the page ended with
 
     def encode(self) -> str:
-        return "_".join([
+        fields = [
             format_datestamp(self.next_from),
             format_datestamp(self.until) if self.until else "",
             self.set_spec or "",
             self.format_tag or "",
-        ])
+        ]
+        if self.after is not None:
+            fields.append(self.after)
+        return "_".join(fields)
 
     @classmethod
     def decode(cls, text: str) -> "ResumptionToken":
         parts = text.split("_")
-        if len(parts) != 4:
+        if len(parts) not in (4, 5):
             raise MalformedRequest(f"bad resumptionToken: {text!r}")
-        frm, until, set_spec, tag = parts
+        frm, until, set_spec, tag, *after = parts
         try:
+            if after and parse_internal_id(after[0]).local() != after[0]:
+                raise ValueError("not a canonical identifier")
             return cls(
                 next_from=parse_datestamp(frm),
                 until=parse_datestamp(until) if until else None,
                 set_spec=set_spec or None,
                 format_tag=tag or None,
+                after=after[0] if after else None,
             )
         except ValueError as exc:
             raise MalformedRequest(f"bad resumptionToken: {text!r}") from exc
@@ -172,22 +183,6 @@ def parse_request(params: Sequence[tuple[str, str]]) -> OaiRequest:
             if name not in seen:
                 raise MalformedRequest(f"{verb} requires {name}")
     return OaiRequest(verb=verb, arguments=seen, params=tuple(params))
-
-
-def _paginate(
-    entries: list[IndexEntry], page_size: int
-) -> tuple[list[IndexEntry], date | None]:
-    """First page of at least ``page_size`` entries, extended to the end of
-    a datestamp so date-granular tokens never split a day, plus the
-    datestamp of the first unreturned entry (None when complete)."""
-    if len(entries) <= page_size:
-        return entries, None
-    cut = page_size
-    while cut < len(entries) and entries[cut].datestamp == entries[cut - 1].datestamp:
-        cut += 1
-    if cut == len(entries):
-        return entries, None
-    return entries[:cut], entries[cut].datestamp
 
 
 def _text(lines: list[str]) -> str:
@@ -355,13 +350,17 @@ class ProtocolHandler:
     def _list_window(
         self, request: OaiRequest
     ) -> tuple[list[IndexEntry], ResumptionToken | None, FormatDescriptor | None]:
-        """Resolve arguments or token into a scan window and a format (None
-        for header-only), paginate, and build the continuation token for
-        the next page."""
+        """Resolve arguments or token into a scan window, a cursor and a
+        format (None for header-only); read one page of at most
+        ``page_size`` entries, and build the continuation token for the
+        next page."""
         args = request.arguments
+        after = None
         if "resumptionToken" in args:
             token = ResumptionToken.decode(args["resumptionToken"])
             from_, until, set_spec = token.next_from, token.until, token.set_spec
+            if token.after is not None:
+                after = (token.next_from, token.after)
             fmt = _format_for_tag(token.format_tag)
         else:
             try:
@@ -377,12 +376,21 @@ class ProtocolHandler:
             raise MalformedRequest(f"unknown set: {set_spec!r}")
         if from_ is not None and until is not None and from_ > until:
             raise MalformedRequest(f"bad range: from {from_} > until {until}")
-        entries = self.store.scan(from_, until, set_spec)
-        page, next_from = _paginate(entries, self.config.page_size)
-        next_token = None
-        if next_from is not None:
-            next_token = ResumptionToken(next_from, until, set_spec, _token_tag(fmt))
-        return page, next_token, fmt
+        size = self.config.page_size
+        # one entry past the page says whether, and where, a next page starts
+        page = self.store.scan(from_, until, set_spec, after=after, limit=size + 1)
+        if len(page) <= size:
+            return page, None, fmt
+        last, first_unreturned = page[size - 1], page[size]
+        del page[size:]
+        tag = _token_tag(fmt)
+        if first_unreturned.datestamp > last.datestamp:
+            token = ResumptionToken(first_unreturned.datestamp, until, set_spec, tag)
+        else:
+            token = ResumptionToken(
+                last.datestamp, until, set_spec, tag, last.identifier
+            )
+        return page, token, fmt
 
     def list_identifiers(self, request: OaiRequest) -> VerbResponse:
         page, token, _ = self._list_window(request)

@@ -9,8 +9,10 @@ real HTTP socket and the in-process loopback transport used by the
 harvester tests.
 
 The server reads one HTTP/1.x request a connection, within fixed caps and
-a read timeout, and answers it as HTTP/1.0 through ``wsgiref.handlers``;
-any request it cannot read is answered 400.
+by one deadline for the whole request, and answers it as HTTP/1.0 through
+``wsgiref.handlers``; any request it cannot read is answered 400. A
+``HEAD`` request gets the status line and headers of the matching ``GET``,
+``Content-Length`` included, and no body.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import io
 import logging
 import math
 import re
+import socket
 import socketserver
 import sys
 import time
@@ -43,7 +46,11 @@ _STATUS_LINE = {200: "200 OK", 400: "400 Bad Request", 503: "503 Service Unavail
 MAX_LINE = 8192  # bytes in the request line or in one header line
 MAX_HEADERS = 100  # header lines, http.client's own limit
 MAX_BODY = 65536  # bytes in a POST body
-READ_TIMEOUT_S = 10.0  # socket timeout while the request is read
+READ_TIMEOUT_S = 10.0  # the time a client has to send its whole request
+# bytes one recv may take: a request refused early is drained in large
+# pieces, since bytes left unread at close make the kernel reset the
+# connection, which can discard the 400 before the client reads it
+RECV_BYTES = 65536
 
 _TOKEN = r"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
 _REQUEST_LINE_RE = re.compile(rf"({_TOKEN}) ([^\x00-\x20\x7f]+) (HTTP/1\.[0-9])")
@@ -98,6 +105,8 @@ def make_app(
             response.http_status,
             (time.perf_counter() - started) * 1000,
         )
+        if environ.get("REQUEST_METHOD", "GET").upper() == "HEAD":
+            return []  # the GET's headers, Content-Length included, no body
         return response.parts
 
     def _admit(environ: dict, verb: str) -> VerbResponse | None:
@@ -155,17 +164,62 @@ def _line(raw: bytes) -> str:
     return raw.decode("latin-1").removesuffix("\n").removesuffix("\r")
 
 
+class _Deadline:
+    """A request's bytes from ``sock``, read by one deadline ``seconds``
+    from now: each recv waits at most the time left, so a client that sends
+    a byte at a time loses its connection when the deadline passes
+    (``TimeoutError``), not only when it pauses."""
+
+    def __init__(self, sock: socket.socket, seconds: float):
+        self._sock = sock
+        self._deadline = time.monotonic() + seconds
+        self._buffer = bytearray()
+
+    def _fill(self) -> bool:
+        """Receive more bytes; False at the end of the stream."""
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError
+        self._sock.settimeout(left)
+        chunk = self._sock.recv(RECV_BYTES)
+        self._buffer += chunk
+        return bool(chunk)
+
+    def _take(self, n: int) -> bytes:
+        data = bytes(self._buffer[:n])
+        del self._buffer[:n]
+        return data
+
+    def readline(self, limit: int) -> bytes:
+        """The bytes up to and including the next line break, at most
+        ``limit`` of them; fewer at the end of the stream."""
+        while True:
+            end = self._buffer.find(b"\n", 0, limit)
+            if end >= 0:
+                return self._take(end + 1)
+            if len(self._buffer) >= limit or not self._fill():
+                return self._take(limit)
+
+    def read(self, n: int) -> bytes:
+        """``n`` bytes; fewer at the end of the stream."""
+        while len(self._buffer) < n and self._fill():
+            pass
+        return self._take(n)
+
+
 class _QuietHandler(socketserver.StreamRequestHandler):
     """One request a connection: the request line, the header and a POST
-    body are read under ``timeout``, then the app's answer is written as
-    HTTP/1.0 and the connection closes."""
+    body are read by a deadline ``timeout`` seconds after the connection
+    is taken up, then the app's answer is written as HTTP/1.0 and the
+    connection closes."""
 
     timeout = READ_TIMEOUT_S
+    rbufsize = 0  # the request is read through _Deadline, never rfile
 
     def handle(self) -> None:
         client = self.client_address[0]
         try:
-            request = self._read_request()
+            request = self._read_request(_Deadline(self.connection, self.timeout))
         except TimeoutError:
             log.info("client=%s timeout", client)
             return
@@ -186,9 +240,9 @@ class _QuietHandler(socketserver.StreamRequestHandler):
             self.server.get_app()
         )
 
-    def _read_request(self) -> tuple[dict, bytes] | None:
+    def _read_request(self, source: _Deadline) -> tuple[dict, bytes] | None:
         """The WSGI environ, without its ``wsgi.*`` keys, and the body."""
-        raw = self.rfile.readline(MAX_LINE + 1)
+        raw = source.readline(MAX_LINE + 1)
         if not raw:
             return None
         match = _REQUEST_LINE_RE.fullmatch(_line(raw))
@@ -208,7 +262,7 @@ class _QuietHandler(socketserver.StreamRequestHandler):
             "REMOTE_ADDR": self.client_address[0],
         }
         for _ in range(MAX_HEADERS + 1):
-            text = _line(self.rfile.readline(MAX_LINE + 1))
+            text = _line(source.readline(MAX_LINE + 1))
             if not text:
                 break
             match = _HEADER_LINE_RE.fullmatch(text)
@@ -227,7 +281,7 @@ class _QuietHandler(socketserver.StreamRequestHandler):
         length = _content_length(environ)
         if method.upper() != "POST" or length > MAX_BODY:
             return environ, b""  # the app refuses an over-cap body unread
-        return environ, self.rfile.read(length)
+        return environ, source.read(length)
 
 
 class ThreadingWSGIServer(socketserver.ThreadingTCPServer):

@@ -66,14 +66,17 @@ under an old datestamp. The directory is not fsynced after the rename, so
 a power loss soon after an ingest returns can undo the rename while the row
 keeps the new datestamp (README, "Store layout").
 
-Each record is one value of one dict: its index entry, which the sorted
-index holds too, its metadata, abs path and deletion reason. The path is
-kept only when the file is not where the store names it (:func:`_rel_path`),
-as when another tool named it; every use of a path goes through
-:func:`_path_of`. Records with equal sets share one frozenset. Loading
-builds the index; after that, each write replaces its record's one entry in
-a copy and swaps the copy in, so readers always see a consistent pre- or
-post-write snapshot.
+Each record is one object, its :class:`IndexEntry`, which both the record
+map (canonical id -> entry) and the sorted index hold. Beside its four index
+fields the entry keeps the record's metadata once parsed, its abs path and
+its deletion reason. The path is kept only when the file is not where the
+store names it (:func:`_rel_path`), as when another tool named it; every use
+of a path goes through :func:`_path_of`. Records with equal sets share one
+frozenset. Loading builds the index; after that, each write builds a new
+entry, puts it in the map and in a copy of the index, and swaps the copy in,
+so readers always see a consistent pre- or post-write snapshot.
+:meth:`Store.scan` reads a window of that snapshot, or a page of it from a
+``(datestamp, identifier)`` cursor.
 
 The store may also run purely in memory (``data_dir=None``), which the
 test suites use for large synthetic corpora.
@@ -155,19 +158,57 @@ class StoredRecord:
     deletion_reason: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
 class IndexEntry:
-    datestamp: date
-    identifier: str  # canonical internal id, no version suffix
-    sets: frozenset[str] = frozenset()  # the taxonomy's group tokens
-    deleted: bool = False
+    """One record of the store, the object that both the record map and the
+    sorted index hold. Its four index fields (datestamp, identifier, sets,
+    deleted) alone decide equality, hashing and repr; beside them it keeps
+    the record's abs path relative to the data dir when that is not
+    :func:`_rel_path` of its id, else "" (as when a deleted record has no
+    file), its deletion reason or None, and its metadata, None until first
+    use and whenever deleted. A write replaces the whole entry; after a
+    load, only the metadata is ever set on one, once, by the first-use
+    parse. Not frozen: a frozen class's ``__init__`` sets each field through
+    ``object.__setattr__``, a cost that a load pays for every record."""
+
+    __slots__ = ("datestamp", "identifier", "sets", "deleted", "path", "reason", "meta")
+
+    def __init__(
+        self,
+        datestamp: date,
+        identifier: str,  # canonical internal id, no version suffix
+        sets: frozenset[str] = frozenset(),  # the taxonomy's group tokens
+        deleted: bool = False,
+        path: str = "",
+        reason: str | None = None,
+        meta: InternalMetadata | None = None,
+    ):
+        self.datestamp = datestamp
+        self.identifier = identifier
+        self.sets = sets
+        self.deleted = deleted
+        self.path = path
+        self.reason = reason
+        self.meta = meta
+
+    def _fields(self) -> tuple:
+        return (self.datestamp, self.identifier, self.sets, self.deleted)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"IndexEntry(datestamp={self.datestamp!r}, "
+            f"identifier={self.identifier!r}, sets={self.sets!r}, "
+            f"deleted={self.deleted!r})"
+        )
 
 
-# (the record's index entry, its metadata or None until first use and
-# whenever deleted, its abs path relative to the data dir when that is not
-# _rel_path(id), else "" (as when a deleted record has no file), its
-# deletion reason or None); replaced whole, never mutated
-_Record = tuple[IndexEntry, InternalMetadata | None, str, str | None]
 # (inode, size, mtime_ns, ctime_ns) of an abs file
 _Stat = tuple[int, int, int, int]
 
@@ -191,9 +232,9 @@ def _rel_path(key: str) -> str:
     return f"{head.partition('.')[0]}/{serial[:4]}/{head}.{serial}.abs"
 
 
-def _path_of(record: _Record) -> str:
-    """The abs path of ``record``'s file, relative to the data dir."""
-    return record[2] or _rel_path(record[0].identifier)
+def _path_of(entry: IndexEntry) -> str:
+    """The abs path of ``entry``'s file, relative to the data dir."""
+    return entry.path or _rel_path(entry.identifier)
 
 
 def _read(path: str) -> bytes:
@@ -283,8 +324,8 @@ class Store:
         self.taxonomy = taxonomy
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self._lock = threading.Lock()
-        # canonical id -> record, deleted ones included
-        self._records: dict[str, _Record] = {}
+        # canonical id -> its record's entry, deleted ones included
+        self._records: dict[str, IndexEntry] = {}
         # (archive, comma-separated cross-lists) -> sets
         self._set_memo: dict[tuple[str, str], frozenset[str]] = {}
         # each distinct sets value, so that equal sets share one frozenset
@@ -353,24 +394,24 @@ class Store:
             for ident, day, gone, reason in self._db.execute(
                 "SELECT id, datestamp, deleted, reason FROM record"
             ):
-                record = self._records.get(ident)
-                if record is not None:
-                    # the walk's key, not the row's: one string per id is kept
-                    entry, _, rel, _ = record
-                    ident, sets = entry.identifier, entry.sets
+                entry = self._records.get(ident)
+                if entry is not None:
+                    # the walk's entry, set from the row before the store is
+                    # shared; it keeps the walk's key, one string per id
+                    entry.datestamp = _parse_day(day)
+                    entry.deleted = bool(gone)
+                    entry.reason = reason
                 elif gone:
-                    sets, rel = self._sets(ident, ""), ""
+                    self._records[ident] = IndexEntry(
+                        _parse_day(day), ident, self._sets(ident, ""), True, "", reason
+                    )
                 else:
                     continue  # a live record whose file is gone
                 deleted += gone
-                self._records[ident] = (
-                    IndexEntry(_parse_day(day), ident, sets, bool(gone)),
-                    None, rel, reason,
-                )
         except BaseException:
             self._db.close()
             raise
-        entries = [record[0] for record in self._records.values()]
+        entries = list(self._records.values())
         # two stable sorts give (datestamp, identifier) order with no key
         # tuple per entry
         entries.sort(key=_identifier)
@@ -429,10 +470,11 @@ class Store:
                 row = next(rows, None)
             if key in self._records:
                 raise AbsParseError(f"{self.data_dir / rel}: duplicate record {key}")
-            entry = IndexEntry(last, key, self._sets(key, crosslists))
             # a file where the store names it keeps no path of its own
             kept = "" if rel == _rel_path(key) else rel
-            self._records[key] = (entry, None, kept, None)
+            self._records[key] = IndexEntry(
+                last, key, self._sets(key, crosslists), False, kept
+            )
         if row is not None:
             gone += [row[:3], *(r[:3] for r in rows)]
         if put or gone:
@@ -489,7 +531,7 @@ class Store:
         text = format_abs(meta)
         key = meta.id.local()
         known = self._records.get(key)
-        if known is not None and known[1] is None and not known[0].deleted:
+        if known is not None and known.meta is None and not known.deleted:
             try:
                 self._parsed(known)
             except StoreError:
@@ -500,19 +542,19 @@ class Store:
             if old is None:
                 rel = ""  # at _rel_path(key)
             else:
-                if old[0].deleted:
+                if old.deleted:
                     raise ValueError(
                         f"record {key} is deleted; it cannot be ingested again"
                     )
-                if old[1] is not None and format_abs(old[1]) == text:
+                if old.meta is not None and format_abs(old.meta) == text:
                     raise DuplicateRecord(f"record {key} already stored unchanged")
                 # a record's datestamp never moves backward
-                day = max(day, old[0].datestamp)
+                day = max(day, old.datestamp)
                 # an update replaces the file the record came from, whatever
                 # its name, so that no second file holds the same record
-                rel = old[2]
-            entry = IndexEntry(day, key, self._sets(key, ",".join(meta.crosslists)))
-            self._write((entry, meta, rel, None), old, text)
+                rel = old.path
+            sets = self._sets(key, ",".join(meta.crosslists))
+            self._write(IndexEntry(day, key, sets, False, rel, None, meta), old, text)
         return StoredRecord(id=meta.id, datestamp=day, meta=meta)
 
     def mark_deleted(self, eid: EprintId, reason: str, now: datetime) -> None:
@@ -526,22 +568,23 @@ class Store:
             old = self._records.get(key)
             if old is None:
                 raise NotFound(key)
-            entry = old[0]
-            day = max(now.date(), entry.datestamp)
-            entry = IndexEntry(day, entry.identifier, entry.sets, deleted=True)
-            self._write((entry, None, old[2], reason), old)
+            day = max(now.date(), old.datestamp)
+            entry = IndexEntry(day, old.identifier, old.sets, True, old.path, reason)
+            self._write(entry, old)
 
     def _write(
-        self, record: _Record, old: _Record | None, text: str | None = None
+        self, entry: IndexEntry, old: IndexEntry | None, text: str | None = None
     ) -> None:
-        """Make ``record`` its id's current record in place of ``old``.
+        """Make ``entry`` its id's current record in place of ``old``.
         Commits its ``record`` row (on disk once this returns), then, when
         ``text`` is given, replaces its abs file with it (tmp + fsync +
         rename), then swaps in a copy of the index with its entry in place
         of the old one. Called under the lock."""
-        entry, _, _, reason = record
         if self.data_dir is not None:
-            row = (entry.identifier, entry.datestamp.isoformat(), entry.deleted, reason)
+            row = (
+                entry.identifier, entry.datestamp.isoformat(), entry.deleted,
+                entry.reason,
+            )
             try:
                 self._db.execute(_PUT_RECORD, row)
             except sqlite3.Error as exc:
@@ -549,16 +592,16 @@ class Store:
                     f"cannot write {self.data_dir / STORE_DB}: {exc}"
                 ) from exc
             if text is not None:
-                path = self.data_dir / _path_of(record)
+                path = self.data_dir / _path_of(entry)
                 path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_name(path.name + ".tmp")
                 write_durably(tmp, [text])
                 os.replace(tmp, path)
         entries = list(self._snapshot)
         if old is not None:
-            del entries[bisect_left(entries, _sort_key(old[0]), key=_sort_key)]
+            del entries[bisect_left(entries, _sort_key(old), key=_sort_key)]
         insort(entries, entry, key=_sort_key)
-        self._records[entry.identifier] = record
+        self._records[entry.identifier] = entry
         self._snapshot = entries
 
     # --- read paths ------------------------------------------------------
@@ -567,28 +610,30 @@ class Store:
         """Latest record, a deleted marker, or None for a never-assigned id.
         Deleted ids never yield metadata. Raises :class:`StoreError` when
         the record's abs file, parsed on first use, is gone or malformed."""
-        record = self._records.get(eid.without_version().local())
-        if record is None:
+        entry = self._records.get(eid.without_version().local())
+        if entry is None:
             return None
-        if record[1] is None and not record[0].deleted:
-            record = self._parsed(record)
-        entry, meta = record[0], record[1]
+        meta = entry.meta
+        if meta is None and not entry.deleted:
+            entry = self._parsed(entry)
+            meta = entry.meta
         if entry.deleted:
             return StoredRecord(
                 id=eid.without_version(),
                 datestamp=entry.datestamp,
                 deleted=True,
-                deletion_reason=record[3],
+                deletion_reason=entry.reason,
             )
         return StoredRecord(id=meta.id, datestamp=entry.datestamp, meta=meta)
 
-    def _parsed(self, record: _Record) -> _Record:
-        """``record`` with its metadata, parsed from its abs file. The parse
-        is kept only if no write replaced the record meanwhile; otherwise
-        the newer record is returned."""
+    def _parsed(self, entry: IndexEntry) -> IndexEntry:
+        """``entry`` with its metadata, parsed from its abs file. The parse
+        is kept only while the record map still holds ``entry``, that is,
+        if no write replaced it meanwhile; otherwise the newer entry is
+        returned."""
         assert self.data_dir is not None
-        key = record[0].identifier
-        path = os.path.join(self.data_dir, _path_of(record))
+        key = entry.identifier
+        path = os.path.join(self.data_dir, _path_of(entry))
         try:
             meta = parse_abs(_read(path))
         except (OSError, ValueError) as exc:
@@ -597,8 +642,8 @@ class Store:
             raise StoreError(path, f"holds {meta.id.local()}, indexed as {key}")
         with self._lock:
             current = self._records[key]
-            if current is record:
-                current = self._records[key] = (record[0], meta, *record[2:])
+            if current is entry:
+                entry.meta = meta
         return current
 
     def scan(
@@ -606,20 +651,34 @@ class Store:
         from_: date | None = None,
         until: date | None = None,
         set_: str | None = None,
+        *,
+        after: tuple[date, str] | None = None,
+        limit: int | None = None,
     ) -> list[IndexEntry]:
         """Index entries with from <= datestamp <= until (both inclusive),
         optionally filtered by set, in (datestamp, identifier) order.
-        Deleted records are included."""
+        Deleted records are included. ``after``, a ``(datestamp,
+        identifier)`` cursor, starts them past that key, and ``limit`` stops
+        them at that many: the walk bisects to its start and tests set
+        membership only until the limit is reached, so a page costs about
+        its own size over the set's share, not the window's size."""
         if from_ is not None and until is not None and from_ > until:
             raise ValueError(f"bad range: from {from_} > until {until}")
         entries = self._snapshot
         lo = 0 if from_ is None else bisect_left(entries, from_, key=_datestamp)
+        if after is not None:
+            lo = max(lo, bisect_right(entries, after, key=_sort_key))
         hi = (
             len(entries)
             if until is None
             else bisect_right(entries, until, key=_datestamp)
         )
-        window = entries[lo:hi]
         if set_ is None:
-            return window
-        return [e for e in window if set_ in e.sets]
+            return entries[lo:hi if limit is None else min(hi, lo + limit)]
+        found = []
+        for i in range(lo, hi):
+            if set_ in entries[i].sets:
+                found.append(entries[i])
+                if len(found) == limit:
+                    break
+        return found

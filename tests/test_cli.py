@@ -545,6 +545,60 @@ def test_idle_and_half_sent_connections_are_closed(
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_a_client_that_trickles_its_request_is_cut_off_at_the_deadline(
+    live_server, monkeypatch, caplog
+):
+    """The read timeout bounds the whole request, not each recv: a client
+    that sends one byte every 0.1 s loses its connection within the 0.5 s
+    timeout plus a 0.5 s margin, and its thread ends."""
+    monkeypatch.setattr(_QuietHandler, "timeout", 0.5)
+    parts = urlsplit(live_server)
+    before = threading.active_count()
+    with caplog.at_level(logging.INFO, logger="eprint_oai.server"):
+        with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+            sock.settimeout(0.1)
+            started = time.monotonic()
+            closed = False
+            for byte in b"GET /?verb=Identify HTTP/1.0\r\nX-Slow: " + b"a" * 50:
+                try:
+                    sock.sendall(bytes([byte]))
+                    closed = sock.recv(1) == b""
+                except TimeoutError:
+                    continue  # still open, nothing sent back
+                except (ConnectionResetError, BrokenPipeError):
+                    closed = True
+                if closed:
+                    break
+            elapsed = time.monotonic() - started
+        assert closed, "still connected after its last byte"
+        assert elapsed < 0.5 + 0.5, elapsed
+        deadline = time.monotonic() + 5
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert threading.active_count() <= before
+    assert [r.getMessage() for r in caplog.records] == ["client=127.0.0.1 timeout"]
+
+
+def test_head_gets_the_gets_headers_and_no_body(live_server):
+    """RFC 1945: a HEAD answer is the GET's status line and headers,
+    ``Content-Length`` included, with no body."""
+    request = b"%s /?verb=Identify HTTP/1.0\r\n\r\n"
+    answers = []
+    for method in (b"GET", b"HEAD"):
+        head, _, body = _raw_exchange(live_server, request % method).partition(
+            b"\r\n\r\n"
+        )
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        del headers["Date"]
+        answers.append((lines[0], headers, body))
+    (get_status, get_headers, get_body), (status, headers, body) = answers
+    assert status == get_status == "HTTP/1.0 200 OK"
+    assert headers == get_headers
+    assert int(headers["Content-Length"]) == len(get_body) > 0
+    assert body == b""
+
+
 def test_oversized_post_is_refused_at_once(live_server):
     """ROADMAP item 12's request: a long body announced, 13 bytes sent."""
     request = (

@@ -218,6 +218,30 @@ def test_retry_budget_exhausted_raises_transport_failure():
     assert str(info.value) == "too many 503 replies"
 
 
+def test_a_repeated_token_fails_the_run_at_its_first_repeat():
+    """A provider that answers every request with one identifier and the
+    token ``same`` would keep the harvest going forever."""
+
+    class Looping:
+        calls = 0
+
+        def request(self, params):
+            self.calls += 1
+            if self.calls > 50:  # a run that never refuses the token ends here
+                return TransportResponse(400, {}, b"")
+            return TransportResponse(200, {}, (
+                b'<?xml version="1.0" encoding="UTF-8"?>\n<ListIdentifiers '
+                b'xmlns="http://www.openarchives.org/OAI/1.0/OAI_ListIdentifiers">'
+                b"<identifier>oai:arXiv:cs.DL/0101027</identifier>"
+                b"<resumptionToken>same</resumptionToken></ListIdentifiers>\n"
+            ))
+
+    transport = Looping()
+    with pytest.raises(ProtocolError, match="resumptionToken 'same' repeated"):
+        run(HarvestJob("ListIdentifiers"), transport, sleep=lambda s: None)
+    assert transport.calls == 2
+
+
 @pytest.mark.parametrize("name", ["retry-after", "RETRY-AFTER", "Retry-After"])
 def test_retry_after_name_in_any_case_is_obeyed(name):
     class Busy:

@@ -5,7 +5,7 @@ import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,7 +26,7 @@ from eprint_oai.protocol import (
     ResumptionToken,
     parse_request,
 )
-from eprint_oai.store import Store
+from eprint_oai.store import DATESTAMP_TABLE, DELETED_TABLE, Store
 
 NS = "{http://www.openarchives.org/OAI/1.0/OAI_%s}"
 
@@ -132,6 +132,26 @@ def test_bad_tokens_rejected():
     for bad in ("", "x", "1992-05-01__", "1992-5-1___", "not-a-date___dc"):
         with pytest.raises(MalformedRequest):
             ResumptionToken.decode(bad)
+
+
+def test_token_with_a_cursor():
+    token = ResumptionToken(date(1992, 5, 1), None, "cs", "dc", "cs.DL/0101027")
+    assert token.encode() == "1992-05-01__cs_dc_cs.DL/0101027"
+    assert ResumptionToken.decode(token.encode()) == token
+
+
+@pytest.mark.parametrize("cursor", [
+    "", "x", "cs.DL/0101027v1", "cs.DL/0101027 ", "cs.DL/0101027_cs.DL/0101028",
+])
+def test_a_fifth_field_that_is_not_a_canonical_id_is_400(demo_handler, cursor):
+    resp = call(
+        demo_handler, verb="ListIdentifiers", resumptionToken=f"1992-05-01____{cursor}"
+    )
+    assert resp.http_status == 400
+    ok = call(
+        demo_handler, verb="ListIdentifiers", resumptionToken="1992-05-01____cs.DL/0101027"
+    )
+    assert ok.http_status == 200
 
 
 # --- verb behaviour on the demo corpus -------------------------------------
@@ -640,12 +660,124 @@ def test_pagination_sound_and_complete(seed, page_size):
         token = root.findtext(f"{ns}resumptionToken")
         if token is None:
             break
-        # tokens resume on a datestamp boundary, never splitting a day
         next_from = parse_datestamp(token.split("_")[0])
         assert collected, "token on an empty page"
         resp = call(handler, verb="ListIdentifiers", resumptionToken=token)
     full = [f"oai:arXiv:{e.identifier}" for e in store.scan()]
     assert collected == full
+
+
+# a store on disk whose day 1995-03-01 holds 200 records, more than three
+# pages of the largest page_size drawn below, beside 12 smaller days
+CURSOR_DAYS = [date(1995, 3, 1)] * 200 + [date(1995, 3, 2 + i % 12) for i in range(160)]
+_CURSOR_ARCHIVES = [("hep-th", None), ("math", "DS"), ("cs", "DL"), ("nlin", "CD")]
+
+
+@pytest.fixture(scope="module")
+def cursor_stores(tmp_path_factory):
+    """The same on-disk store loaded twice: tokens of the first must
+    resume the same on the second."""
+    data_dir = tmp_path_factory.mktemp("cursor-store")
+    rng = random.Random(23)
+    stamps, deleted = [], []
+    for i, day in enumerate(CURSOR_DAYS):
+        archive, sc = _CURSOR_ARCHIVES[rng.randrange(len(_CURSOR_ARCHIVES))]
+        eid = EprintId(archive, 9501 + i // 90, i % 90 + 1, subject_class=sc)
+        crosslists = ["math.LO"] if rng.random() < 0.2 else []
+        head = archive if sc is None else f"{archive}.{sc}"
+        month = data_dir / archive / f"{eid.yymm:04d}"
+        month.mkdir(parents=True, exist_ok=True)
+        (month / f"{head}.{eid.yymm:04d}{eid.number:03d}.abs").write_text(
+            format_abs(make_meta(eid, day, crosslists)), encoding="utf-8"
+        )
+        stamps.append(f"{eid.local()}\t{day}\n")
+        if i % 37 == 5:
+            deleted.append(f"{eid.local()}\t{day + timedelta(days=20)}\tgone\n")
+    (data_dir / DATESTAMP_TABLE).write_text("".join(stamps), encoding="utf-8")
+    (data_dir / DELETED_TABLE).write_text("".join(deleted), encoding="utf-8")
+    taxonomy = load_taxonomy()
+    stores = Store(taxonomy, data_dir), Store(taxonomy, data_dir)
+    yield stores
+    for store in stores:
+        store.close()
+
+
+def _follow(handler, params):
+    """Every page of a ListIdentifiers harvest: (identifiers, token) each,
+    the last token None."""
+    ns = NS % "ListIdentifiers"
+    pages = []
+    resp = handler.handle(params)
+    while True:
+        assert len(pages) < 1000
+        root = body_root(resp)
+        token = root.findtext(f"{ns}resumptionToken")
+        pages.append(([e.text for e in root.findall(f"{ns}identifier")], token))
+        if token is None:
+            return pages
+        resp = call(handler, verb="ListIdentifiers", resumptionToken=token)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    page_size=st.sampled_from([1, 3, 7, 50]),
+    set_spec=st.one_of(st.none(), st.sampled_from(["math", "cs", "physics", "nlin"])),
+    from_=st.one_of(st.none(), st.dates(date(1995, 2, 25), date(1995, 3, 20))),
+    until=st.one_of(st.none(), st.dates(date(1995, 2, 25), date(1995, 3, 30))),
+)
+def test_cursor_pages_are_bounded_and_complete(
+    cursor_stores, page_size, set_spec, from_, until
+):
+    """No page holds more than ``page_size`` records, and the pages together
+    are the store's window. A page whose next record starts a new day ends
+    with a four-field token from that day; any other adds the page's last
+    identifier. Each token resumes the same on the store loaded again from
+    disk, and the four-field token of a cursor's day resumes that whole
+    day, as tokens without a cursor always did."""
+    assume(from_ is None or until is None or from_ <= until)
+    store, reloaded = cursor_stores
+    config = RepositoryConfig(page_size=page_size)
+    handler = ProtocolHandler(store, config, clock=lambda: FIXED_CLOCK)
+    again = ProtocolHandler(reloaded, config, clock=lambda: FIXED_CLOCK)
+    params = [("verb", "ListIdentifiers")]
+    for name, value in (("from", from_), ("until", until), ("set", set_spec)):
+        if value is not None:
+            params.append((name, str(value)))
+    window = store.scan(from_, until, set_spec)
+    assert window == reloaded.scan(from_, until, set_spec)
+    pages = _follow(handler, params)
+    assert [i for ids, _ in pages for i in ids] == [
+        f"oai:arXiv:{e.identifier}" for e in window
+    ]
+    returned = 0
+    day_resumed = False
+    for ids, token in pages:
+        assert 0 < len(ids) <= page_size or (not window and not ids)
+        returned += len(ids)
+        if token is None:
+            continue
+        last, following = window[returned - 1], window[returned]
+        fields = token.split("_")
+        if following.datestamp > last.datestamp:
+            assert fields == ResumptionToken(
+                following.datestamp, until, set_spec
+            ).encode().split("_")
+        else:
+            assert fields[:4] == ResumptionToken(
+                last.datestamp, until, set_spec
+            ).encode().split("_")
+            assert fields[4] == last.identifier
+            if not day_resumed:  # one such harvest an example is enough
+                day_resumed = True
+                day_token = "_".join(fields[:4])
+                assert [i for ids, _ in _follow(handler, [
+                    ("verb", "ListIdentifiers"), ("resumptionToken", day_token)
+                ]) for i in ids] == [
+                    f"oai:arXiv:{e.identifier}"
+                    for e in window if e.datestamp >= last.datestamp
+                ]
+        resumed = [("verb", "ListIdentifiers"), ("resumptionToken", token)]
+        assert again.handle(resumed).body == handler.handle(resumed).body
 
 
 # --- response assembly --------------------------------------------------------

@@ -764,8 +764,9 @@ def test_load_of_a_consistent_store_holds_little_beyond_the_store(taxonomy, tmp_
 
 # the heap a loaded store keeps per record of _write_tree's 2,000, measured
 # in process: 322-330 B when every record kept its abs path and its own
-# frozenset of sets, 239-247 B with neither
-KEPT_PER_RECORD = 285
+# frozenset of sets, 239-247 B with neither, and 191-199 B once a record is
+# one object, its index entry, with no tuple beside it
+KEPT_PER_RECORD = 220
 
 
 def test_a_loaded_record_keeps_no_path_and_shares_its_sets(taxonomy, tmp_path):
@@ -791,7 +792,7 @@ def test_a_loaded_record_keeps_no_path_and_shares_its_sets(taxonomy, tmp_path):
             tracemalloc.stop()
     try:
         assert kept / 2000 <= KEPT_PER_RECORD, kept / 2000
-        paths = {key: r[2] for key, r in store._records.items() if r[2]}
+        paths = {key: e.path for key, e in store._records.items() if e.path}
         assert paths == {"hep-th/9201001": "hep-th/9201/9201001.abs"}
         entries = store.scan()
         assert len({id(e.sets) for e in entries}) == len({e.sets for e in entries}) == 3
