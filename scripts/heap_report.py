@@ -42,13 +42,17 @@ _TOKEN_RE = re.compile(rb"<resumptionToken>([^<]+)</resumptionToken>")
 
 
 def _pages(handler: ProtocolHandler, prefix: str):
-    """Every ``ListRecords`` page of ``prefix``, as its encoded parts."""
+    """Render every ``ListRecords`` page of ``prefix``, each part dropped
+    as a server drops it once sent; yields once a page."""
     params = [("verb", "ListRecords"), ("metadataPrefix", prefix)]
     while True:
         response = handler.handle(params)
         assert response.http_status == 200, (prefix, response.http_status)
-        yield response.parts
-        token = _TOKEN_RE.search(response.parts[-1])
+        tail = b""
+        for tail in response.parts:  # the last part holds the resumptionToken
+            pass
+        yield
+        token = _TOKEN_RE.search(tail)
         if token is None:
             return
         params = [("verb", "ListRecords"), ("resumptionToken", token.group(1).decode())]

@@ -2,12 +2,12 @@
 
 Follows resumptionTokens verbatim until a token-free page arrives, sleeps
 the advertised Retry-After on 503 replies, waits 1, 2, 4, 8 and 16 s
-after transport failures (a page is retried :data:`MAX_RETRIES` times),
-and keeps the newest entry per identifier in one SQLite database,
-``harvest.sqlite``, where each upsert is one atomic, durable transaction
-(:class:`HarvestStore`). The same database holds the day each incremental
-harvest last completed (:class:`HarvestState`), so a harvest directory
-holds no other file. Incremental runs overlap the previous harvest by
+after transport failures and after pages cut short (a page is retried
+:data:`MAX_RETRIES` times), and keeps the newest entry per identifier in
+one SQLite database, ``harvest.sqlite``, where each upsert is one atomic,
+durable transaction (:class:`HarvestStore`). The same database holds the
+day each incremental harvest last completed (:class:`HarvestState`), so a
+harvest directory holds no other file. Incremental runs overlap the previous harvest by
 one day, so updates made later on the day of the last harvest are
 re-fetched rather than missed; double-harvested records simply overwrite
 identically.
@@ -27,7 +27,7 @@ opens and closes. The count falls to zero when the element's own bindings
 go out of scope, at its end tag (or, for an empty-element tag, at its
 start), and expat reports the byte offset of that tag. An element that
 declares no binding has its inner elements counted instead. Each HTTP body
-is read in one call.
+is read in one call, of at most :data:`MAX_PAGE_BYTES` bytes.
 
 The transport is injected: a real HTTP client or an in-process loopback
 onto a WSGI app, so end-to-end runs need no network.
@@ -56,6 +56,29 @@ MAX_RETRIES = 5
 # of an incremental harvest. A longer wait, a negative one or one that is not
 # finite is a ProtocolError rather than a sleep.
 RETRY_AFTER_MAX_S = 86400.0
+# consecutive pages without a record after which a run that keeps getting
+# tokens fails: this provider never sends one (a page with a token holds
+# page_size records), and a provider that filters each page of its index
+# after cutting it may send a few; twenty in a row is a provider that makes
+# no progress
+MAX_EMPTY_PAGES = 20
+# longest body HttpTransport reads, in bytes: about seven times this
+# provider's largest page (500 arXiv-format records, 1.18 MB on the bench
+# corpus), so pages of far longer records, or of page_size 2000 (4.68 MB
+# there), still fit
+MAX_PAGE_BYTES = 8 * 2**20
+
+# expat's errors for a document that is well-formed as far as it goes and
+# ends too soon, as a body does when its connection closes mid-page
+_CUT_SHORT = frozenset(
+    expat.errors.codes[message]
+    for message in (
+        expat.errors.XML_ERROR_NO_ELEMENTS,
+        expat.errors.XML_ERROR_UNCLOSED_TOKEN,
+        expat.errors.XML_ERROR_PARTIAL_CHAR,
+        expat.errors.XML_ERROR_UNCLOSED_CDATA_SECTION,
+    )
+)
 
 
 class TransportFailure(RuntimeError):
@@ -64,6 +87,11 @@ class TransportFailure(RuntimeError):
 
 class ProtocolError(RuntimeError):
     """The provider answered with something that does not parse."""
+
+
+class PageCutShort(ProtocolError):
+    """A page's XML ends before its root element does: the connection
+    closed mid-page. Retried like a :class:`TransportFailure`."""
 
 
 @dataclass(frozen=True)
@@ -95,9 +123,16 @@ class HttpTransport:
         self.session = session or requests.Session()
 
     def request(self, params: list[tuple[str, str]]) -> TransportResponse:
-        """One GET, its body read in one call rather than in the 10 KB
-        chunks of ``Response.content``; a body cut short, like any other
-        failure of the connection, is a :class:`TransportFailure`."""
+        """One GET, its body read in one call of at most
+        :data:`MAX_PAGE_BYTES` plus one bytes rather than in the 10 KB
+        chunks of ``Response.content``; a longer body is a
+        :class:`ProtocolError`. A body shorter than its ``Content-Length``,
+        like any other failure of the connection, is a
+        :class:`TransportFailure`. A body sent without ``Content-Length``, as
+        this provider sends a ListRecords page, ends where the connection
+        closes, so one cut short shows only when its XML ends too soon:
+        :func:`_parse_page` raises :class:`PageCutShort`, which :func:`run`
+        retries."""
         import requests
         from urllib3.exceptions import HTTPError
 
@@ -105,7 +140,18 @@ class HttpTransport:
             resp = self.session.get(
                 self.base_url, params=params, timeout=60, stream=True
             )
-            body = resp.raw.read(decode_content=True)
+            # a body sent as it is goes into one buffer; urllib3 copies a
+            # decoded one once more
+            encoded = bool(resp.headers.get("content-encoding"))
+            body = resp.raw.read(MAX_PAGE_BYTES + 1, decode_content=encoded)
+            if len(body) > MAX_PAGE_BYTES:
+                resp.close()
+                raise ProtocolError(f"response body over {MAX_PAGE_BYTES} bytes")
+            if resp.raw.length_remaining:
+                raise TransportFailure(
+                    f"connection closed {resp.raw.length_remaining} bytes "
+                    "short of the body's Content-Length"
+                )
         except (requests.RequestException, HTTPError) as exc:
             raise TransportFailure(str(exc)) from exc
         return TransportResponse(resp.status_code, resp.headers, body)
@@ -363,7 +409,8 @@ def _parse_page(body: bytes, verb: str) -> tuple[list[HarvestedRecord], str | No
     try:
         parser.Parse(body, True)
     except expat.ExpatError as exc:
-        raise ProtocolError(f"response body does not parse as XML: {exc}") from exc
+        error = PageCutShort if exc.code in _CUT_SHORT else ProtocolError
+        raise error(f"response body does not parse as XML: {exc}") from exc
     except (LookupError, ValueError) as exc:
         # expat asks Python for an encoding it does not know itself while it
         # reads the XML declaration; no codec, or not a one-byte text codec
@@ -423,12 +470,15 @@ def run(
     503 replies are obeyed by sleeping the advertised Retry-After and
     retrying the same logical request; each page is retried
     :data:`MAX_RETRIES` times before the run fails with
-    :class:`TransportFailure`. A token that repeats within the run would
-    make it loop, so it fails with :class:`ProtocolError` instead.
+    :class:`TransportFailure`, or with :class:`PageCutShort` when the last
+    try was cut short. A token that repeats within the run would make it
+    loop, so it fails with :class:`ProtocolError` instead, as does a run
+    whose last :data:`MAX_EMPTY_PAGES` pages held no record.
     """
     report = HarvestReport()
     records: list[HarvestedRecord] = []
     seen: set[str] = set()
+    empty = 0  # consecutive pages without a record
     started = time.monotonic()
     params = job.initial_params()
     while True:
@@ -441,6 +491,12 @@ def run(
             break
         if token in seen:
             raise ProtocolError(f"resumptionToken {token!r} repeated")
+        empty = 0 if page else empty + 1
+        if empty == MAX_EMPTY_PAGES:
+            raise ProtocolError(
+                f"{empty} pages in a row held no record; the last "
+                f"resumptionToken was {token!r}"
+            )
         seen.add(token)
         params = [("verb", job.verb), ("resumptionToken", token)]
     report.elapsed = time.monotonic() - started
@@ -452,23 +508,22 @@ def _fetch_page(job, transport, params, sleep, report):
     while True:
         try:
             resp = transport.request(params)
-        except TransportFailure as exc:
+            if resp.status == 200:
+                return _parse_page(resp.body, job.verb)
+        except (TransportFailure, PageCutShort):
             attempts += 1
             if attempts > MAX_RETRIES:
                 raise
             sleep(2.0**failures)
             failures += 1
             continue
-        if resp.status == 503:
-            report.retries_503 += 1
-            attempts += 1
-            if attempts > MAX_RETRIES:
-                raise TransportFailure("too many 503 replies")
-            sleep(_retry_after_seconds(resp.headers.get("retry-after", "1")))
-            continue
-        if resp.status != 200:
+        if resp.status != 503:
             raise ProtocolError(f"unexpected HTTP status {resp.status}")
-        return _parse_page(resp.body, job.verb)
+        report.retries_503 += 1
+        attempts += 1
+        if attempts > MAX_RETRIES:
+            raise TransportFailure("too many 503 replies")
+        sleep(_retry_after_seconds(resp.headers.get("retry-after", "1")))
 
 
 def _retry_after_seconds(value: str, now: datetime | None = None) -> float:

@@ -7,16 +7,21 @@ sequence of encoded parts: a head (XML declaration, root tag,
 ``responseDate``, ``requestURL``), the payload, and a tail (the
 resumptionToken, if any, and the closing tag). A ListRecords page's
 payload is its records' text, gathered into parts of about
-:data:`PART_CHARS` characters and encoded one part at a time, so a page
-never exists as one ``str`` and its bytes exist once. Every record is
-fetched and rendered before :meth:`ProtocolHandler.handle` returns.
+:data:`PART_CHARS` characters and encoded one part at a time. Its parts are
+a one-shot iterator that renders each part as it is asked for, so a page
+is never held whole, only a few of its parts at a time. Every record of the page
+is fetched (its abs file parsed on first use) before
+:meth:`ProtocolHandler.handle` returns, so a record the store cannot read
+makes the whole page a :class:`~eprint_oai.store.StoreError`, raised by
+``handle``, and rendering it raises none. Every other response is a list of
+parts, rendered before ``handle`` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import RepositoryConfig
 from .crosswalk import DEFAULT_FORMATS, FormatDescriptor, find_format, to_format
@@ -38,7 +43,7 @@ PROTOCOL_VERSION = "1.0"
 
 # characters of payload text gathered before they are encoded as one part
 # of a response: large enough that a 1 MB page goes out in about 16 sends,
-# small enough that the text awaiting encoding stays small beside the page
+# small enough that a page streamed part by part holds little at a time
 PART_CHARS = 64 * 1024
 
 # each verb: the ProtocolHandler method that answers it, its required
@@ -139,15 +144,17 @@ def _format_for_tag(tag: str | None) -> FormatDescriptor | None:
 
 @dataclass(frozen=True)
 class VerbResponse:
-    """A response as the encoded parts that are sent in order."""
+    """A response as the encoded parts that are sent in order: a list, or
+    for a ListRecords page a one-shot iterator that renders them."""
 
     http_status: int
     content_type: str
-    parts: Sequence[bytes]
+    parts: Iterable[bytes]
     retry_after: float | None = None
 
     @property
     def body(self) -> bytes:
+        """The parts joined; a ListRecords page's body can be read once."""
         return b"".join(self.parts)
 
 
@@ -188,6 +195,28 @@ def parse_request(params: Sequence[tuple[str, str]]) -> OaiRequest:
 def _text(lines: list[str]) -> str:
     """Lines as they stand in a response, each ended by a newline."""
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def _parts(head: bytes, payload: Iterable[str], tail: bytes) -> Iterator[bytes]:
+    """``head``, the texts of ``payload`` gathered into parts of about
+    :data:`PART_CHARS` characters and encoded, then ``tail``. The texts of a
+    part are dropped before it is encoded, so that making a part holds at
+    most two copies of it."""
+    yield head
+    pending: list[str] = []
+    size = 0
+    for text in payload:
+        pending.append(text)
+        size += len(text)
+        if size >= PART_CHARS:
+            part = "".join(pending)
+            pending.clear()
+            size = 0
+            part = part.encode("utf-8")  # the text is not held while it is sent
+            yield part
+    if size:
+        yield "".join(pending).encode("utf-8")
+    yield tail
 
 
 def _utc_now() -> datetime:
@@ -401,6 +430,8 @@ class ProtocolHandler:
     def list_records(self, request: OaiRequest) -> VerbResponse:
         page, token, fmt = self._list_window(request)
         prefix = oai_prefix(self.config.repository_identifier)
+        # every record is read here, so that rendering the page cannot fail
+        self.store.fetch(page)
         records = (self._record_text(prefix + e.identifier, fmt, prefix) for e in page)
         return self._render("ListRecords", request, records, token)
 
@@ -455,7 +486,9 @@ class ProtocolHandler:
     ) -> VerbResponse:
         """The response to ``verb`` as encoded parts: the head, ``payload``
         (texts of whole lines) gathered into parts of about
-        :data:`PART_CHARS` characters, and the tail."""
+        :data:`PART_CHARS` characters, and the tail. The head and tail are
+        made now; a ListRecords page's payload is gathered and encoded only
+        as its parts are iterated, every other verb's at once."""
         ns = f"http://www.openarchives.org/OAI/{PROTOCOL_VERSION}/OAI_{verb}"
         head = [
             '<?xml version="1.0" encoding="UTF-8"?>',
@@ -463,22 +496,12 @@ class ProtocolHandler:
             element("responseDate", self._response_date(), "  "),
             element("requestURL", self._request_url(request.params), "  "),
         ]
-        parts = [_text(head).encode("utf-8")]
-        pending: list[str] = []
-        size = 0
-        for text in payload:
-            pending.append(text)
-            size += len(text)
-            if size >= PART_CHARS:
-                parts.append("".join(pending).encode("utf-8"))
-                pending.clear()
-                size = 0
-        if size:
-            parts.append("".join(pending).encode("utf-8"))
         tail = f" </{verb}>\n"
         if token is not None:
             tail = element("resumptionToken", token.encode(), "  ") + "\n" + tail
-        parts.append(tail.encode("utf-8"))
+        parts = _parts(_text(head).encode("utf-8"), payload, tail.encode("utf-8"))
+        if verb != "ListRecords":
+            parts = list(parts)
         return VerbResponse(200, "text/xml; charset=utf-8", parts)
 
     def bad_request(

@@ -10,9 +10,17 @@ harvester tests.
 
 The server reads one HTTP/1.x request a connection, within fixed caps and
 by one deadline for the whole request, and answers it as HTTP/1.0 through
-``wsgiref.handlers``; any request it cannot read is answered 400. A
-``HEAD`` request gets the status line and headers of the matching ``GET``,
-``Content-Length`` included, and no body.
+``wsgiref.handlers``; any request it cannot read is answered 400.
+
+A response carries ``Content-Length`` when its parts are a list, as every
+answer but a ListRecords 200 is. A ListRecords page is sent as it is
+rendered, one part at a time, with no ``Content-Length``: HTTP/1.0 ends its
+body where the server closes the connection, and the closing root tag ends
+the XML, so a client can tell a page cut short. Every record of the page is
+read before the status line goes out, so a store failure still turns the
+whole page into a 503. Each request's log line is written once its body has
+been sent. A ``HEAD`` request gets the status line and headers of the
+matching ``GET`` and no body; a ListRecords page is then not rendered.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import socket
 import socketserver
 import sys
 import time
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator, Sized
 from urllib.parse import parse_qsl, unquote
 from wsgiref.handlers import SimpleHandler
 
@@ -91,23 +99,21 @@ def make_app(
                         [b"The record store is unavailable; retry later.\n"],
                         retry_after=STORE_RETRY_AFTER_S,
                     )
-        headers = [
-            ("Content-Type", response.content_type),
-            ("Content-Length", str(sum(map(len, response.parts)))),
-        ]
+        parts = response.parts
+        headers = [("Content-Type", response.content_type)]
+        if isinstance(parts, Sized):
+            headers.append(("Content-Length", str(sum(map(len, parts)))))
         if response.retry_after is not None:
             headers.append(("Retry-After", str(math.ceil(response.retry_after))))
         start_response(_STATUS_LINE[response.http_status], headers)
-        log.info(
-            "client=%s verb=%s status=%d duration_ms=%.1f",
-            remote_addr_key(environ),
-            verb or "-",
-            response.http_status,
-            (time.perf_counter() - started) * 1000,
-        )
         if environ.get("REQUEST_METHOD", "GET").upper() == "HEAD":
-            return []  # the GET's headers, Content-Length included, no body
-        return response.parts
+            # the GET's headers and no body. One empty part sends the headers
+            # as they are: an empty body would make wsgiref add
+            # "Content-Length: 0" where the GET has none
+            parts = (b"",)
+        return _logged(
+            parts, remote_addr_key(environ), verb, response.http_status, started
+        )
 
     def _admit(environ: dict, verb: str) -> VerbResponse | None:
         if policy is None:
@@ -124,6 +130,20 @@ def make_app(
         )
 
     return app
+
+
+def _logged(
+    parts: Iterable[bytes], client: str, verb: str, status: int, started: float
+) -> Iterator[bytes]:
+    """``parts``, then the request's log line once they are sent, or once the
+    server gives up on sending them."""
+    try:
+        yield from parts
+    finally:
+        log.info(
+            "client=%s verb=%s status=%d duration_ms=%.1f",
+            client, verb or "-", status, (time.perf_counter() - started) * 1000,
+        )
 
 
 def _content_length(environ: dict) -> int:

@@ -55,8 +55,9 @@ and dicts up front took 3.2x. SQLite's own memory, which tracemalloc does
 not see, is bounded by the page cache.
 
 A load keeps no parsed metadata, even of the files it parsed: each record's
-abs file is parsed when :meth:`Store.get` first needs it and then kept; a
-file that has vanished or no longer parses by then raises :class:`StoreError`.
+abs file is parsed when :meth:`Store.get` or :meth:`Store.fetch` (a page's
+records at once) first needs it and then kept; a file that has vanished or
+no longer parses by then raises :class:`StoreError`.
 
 Every write, an ingest or a deletion, commits the record's row first, then
 replaces the abs file when it has new content (tmp + fsync + rename), then
@@ -625,6 +626,14 @@ class Store:
                 deletion_reason=entry.reason,
             )
         return StoredRecord(id=meta.id, datestamp=entry.datestamp, meta=meta)
+
+    def fetch(self, entries: Iterable[IndexEntry]) -> None:
+        """Parse, on first use, the abs file of every live record among
+        ``entries``, so that :meth:`get` then raises no :class:`StoreError`
+        for them. Raises :class:`StoreError` as :meth:`get` does."""
+        for entry in entries:
+            if entry.meta is None and not entry.deleted:
+                self._parsed(entry)
 
     def _parsed(self, entry: IndexEntry) -> IndexEntry:
         """``entry`` with its metadata, parsed from its abs file. The parse

@@ -21,7 +21,7 @@ from wsgiref.simple_server import make_server
 import pytest
 
 from conftest import DEMO_CORPUS, FIXED_CLOCK, GOLDEN, ROOT, synth_corpus
-from eprint_oai import cli, harvester
+from eprint_oai import cli, harvester, protocol
 from eprint_oai.config import RepositoryConfig
 from eprint_oai.protocol import PART_CHARS, ProtocolHandler
 from eprint_oai.server import MAX_BODY, ThreadingWSGIServer, _QuietHandler, make_app
@@ -599,6 +599,39 @@ def test_head_gets_the_gets_headers_and_no_body(live_server):
     assert body == b""
 
 
+def test_head_of_a_page_gets_the_gets_headers_and_renders_nothing(
+    live_server, monkeypatch
+):
+    """A ListRecords page has no ``Content-Length``, and its ``HEAD`` adds
+    none: the same headers, no body, and no record put into a format."""
+    calls = []
+    to_format = protocol.to_format
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return to_format(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "to_format", counted)
+    request = b"%s /?verb=ListRecords&metadataPrefix=oai_dc HTTP/1.0\r\n\r\n"
+    answers = {}
+    for method in (b"GET", b"HEAD"):
+        calls.clear()
+        head, _, body = _raw_exchange(live_server, request % method).partition(
+            b"\r\n\r\n"
+        )
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        del headers["Date"]
+        answers[method] = (lines[0], headers, body, len(calls))
+    status, headers, body, rendered = answers[b"HEAD"]
+    get_status, get_headers, get_body, get_rendered = answers[b"GET"]
+    assert status == get_status == "HTTP/1.0 200 OK"
+    assert headers == get_headers
+    assert "Content-Length" not in headers
+    assert b"</ListRecords>" in get_body and get_rendered > 0
+    assert body == b"" and rendered == 0
+
+
 def test_oversized_post_is_refused_at_once(live_server):
     """ROADMAP item 12's request: a long body announced, 13 bytes sent."""
     request = (
@@ -623,16 +656,21 @@ class TestPageOfManyParts:
         )
 
     def test_wire_bytes_are_the_handlers_page(self, live_server, served_handler):
+        """The page is sent as it is rendered, with no ``Content-Length``,
+        and ends where the server closes the connection (``_http_get`` reads
+        until it does); Identify keeps its exact ``Content-Length``."""
         params = [("verb", "ListRecords"), ("metadataPrefix", "oai_dc")]
         headers, body = _http_get(live_server, params)
-        response = served_handler.handle(params)
-        assert len(response.parts) > 3  # head, two or more payload parts, tail
+        parts = list(served_handler.handle(params).parts)
+        assert len(parts) > 3  # head, two or more payload parts, tail
         assert len(body) > PART_CHARS
-        assert int(headers["Content-Length"]) == len(body)
-        assert body == response.body
+        assert "Content-Length" not in headers
+        assert body == b"".join(parts)
         records, token = harvester._parse_page(body, "ListRecords")
         assert token is None
         assert len(records) == len(served_handler.store.scan())
+        headers, body = _http_get(live_server, [("verb", "Identify")])
+        assert int(headers["Content-Length"]) == len(body) > 0
 
 
 def test_harvest_command_over_http(tmp_path, capsys, live_server):
@@ -731,11 +769,15 @@ def test_serve_command_over_a_socket(tmp_path, demo_dir, demo_handler):
                 assert time.monotonic() < deadline, "serve did not listen"
                 time.sleep(0.02)
         url = f"http://127.0.0.1:{port}/"
-        for params in ([("verb", "Identify")],
-                       [("verb", "ListRecords"), ("metadataPrefix", "oai_dc")]):
-            headers, body = _http_get(url, params)
-            assert body == demo_handler.handle(params).body
-            assert int(headers["Content-Length"]) == len(body)
+        # _http_get returns once the server has closed the connection
+        params = [("verb", "Identify")]
+        headers, body = _http_get(url, params)
+        assert body == demo_handler.handle(params).body
+        assert int(headers["Content-Length"]) == len(body)
+        params = [("verb", "ListRecords"), ("metadataPrefix", "oai_dc")]
+        headers, body = _http_get(url, params)
+        assert body == demo_handler.handle(params).body
+        assert "Content-Length" not in headers
         proc.send_signal(signal.SIGINT)
         proc.wait(timeout=5)
     finally:

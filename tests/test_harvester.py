@@ -25,12 +25,15 @@ from eprint_oai.absfile import format_abs
 from eprint_oai.config import RepositoryConfig
 from eprint_oai.flowcontrol import FlowPolicy
 from eprint_oai.harvester import (
+    MAX_EMPTY_PAGES,
+    MAX_PAGE_BYTES,
     HarvestedRecord,
     HarvestJob,
     HarvestState,
     HarvestStore,
     HarvestStoreError,
     HttpTransport,
+    PageCutShort,
     ProtocolError,
     TransportFailure,
     TransportResponse,
@@ -339,6 +342,129 @@ def test_http_transport_short_body_is_transport_failure(canned_http):
         run(HarvestJob("ListIdentifiers"), HttpTransport(server.url),
             sleep=naps.append)
     assert naps == [1.0, 2.0, 4.0, 8.0, 16.0] and server.connections == 6
+
+
+# the head of a reply whose body ends where the connection closes, as this
+# provider sends a ListRecords page
+_STREAMED = b"HTTP/1.0 200 OK\r\nContent-Type: text/xml; charset=utf-8\r\n\r\n"
+
+
+def test_page_cut_short_by_a_closed_connection_is_retried(canned_http):
+    """A page with no Content-Length whose connection closes mid-page is
+    read whole as far as it goes; its XML ends too soon, so it is fetched
+    again after the first transport back-off, and the harvest completes."""
+    page = _page(_record("<a/>")).encode("utf-8")
+    server = canned_http([_STREAMED + page[: len(page) // 2], _STREAMED + page])
+    naps: list[float] = []
+    records, report = run(
+        HarvestJob("ListRecords", metadata_prefix="oai_dc"),
+        HttpTransport(server.url),
+        sleep=naps.append,
+    )
+    assert naps == [1.0] and server.connections == 2
+    assert [r.identifier for r in records] == ["oai:arXiv:cs.DL/0101027"]
+    assert report.pages == 1
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'<?xml version="1.0" encoding="UTF-8"?>\n<ListRecords>\n',
+        b'<?xml version="1.0" encoding="UTF-8"?>\n<ListRecords>\n<rec',
+        '<?xml version="1.0" encoding="UTF-8"?>\n<ListRecords>\u00e9'.encode()[:-1],
+        b'<?xml version="1.0" encoding="UTF-8"?>\n<ListRecords><![CDATA[ab',
+    ],
+    ids=["no-element-found", "unclosed-token", "partial-character", "unclosed-cdata"],
+)
+def test_xml_that_ends_too_soon_is_a_page_cut_short(body):
+    with pytest.raises(PageCutShort):
+        _parse_page(body, "ListRecords")
+
+
+def test_xml_broken_before_its_end_is_not_a_page_cut_short():
+    body = b'<?xml version="1.0" encoding="UTF-8"?>\n<ListRecords><a></b>'
+    with pytest.raises(ProtocolError) as info:
+        _parse_page(body, "ListRecords")
+    assert not isinstance(info.value, PageCutShort)
+
+
+def test_a_page_cut_short_every_time_spends_the_retry_budget():
+    class CutShort:
+        calls = 0
+
+        def request(self, params):
+            self.calls += 1
+            return TransportResponse(200, {}, EMPTY_LIST_IDENTIFIERS[:-20])
+
+    transport = CutShort()
+    naps: list[float] = []
+    with pytest.raises(PageCutShort):
+        run(HarvestJob("ListIdentifiers"), transport, sleep=naps.append)
+    assert naps == [1, 2, 4, 8, 16] and transport.calls == 6
+
+
+def test_http_transport_reads_a_body_of_the_cap(canned_http):
+    server = canned_http([_STREAMED + b"x" * MAX_PAGE_BYTES])
+    body = HttpTransport(server.url).request([("verb", "ListRecords")]).body
+    assert len(body) == MAX_PAGE_BYTES
+
+
+def test_http_transport_refuses_a_body_over_the_cap(canned_http):
+    """One byte over MAX_PAGE_BYTES is a ProtocolError, not retried."""
+    server = canned_http([_STREAMED + b"x" * (MAX_PAGE_BYTES + 1)])
+    naps: list[float] = []
+    with pytest.raises(ProtocolError, match=f"body over {MAX_PAGE_BYTES} bytes"):
+        run(HarvestJob("ListIdentifiers"), HttpTransport(server.url),
+            sleep=naps.append)
+    assert naps == [] and server.connections == 1
+
+
+def _identifiers_page(identifiers: list[str], token: str | None) -> bytes:
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n<ListIdentifiers '
+        'xmlns="http://www.openarchives.org/OAI/1.0/OAI_ListIdentifiers">'
+        + "".join(f"<identifier>{i}</identifier>" for i in identifiers)
+        + (f"<resumptionToken>{token}</resumptionToken>" if token else "")
+        + "</ListIdentifiers>\n"
+    ).encode("utf-8")
+
+
+def test_a_run_of_empty_pages_fails_at_the_bound():
+    """A provider that answers empty pages with ever-new tokens makes no
+    progress: the run fails at the MAX_EMPTY_PAGES-th, naming its token."""
+
+    class Empty:
+        calls = 0
+
+        def request(self, params):
+            self.calls += 1
+            if self.calls > 10 * MAX_EMPTY_PAGES:  # an unbounded run ends here
+                return TransportResponse(400, {}, b"")
+            return TransportResponse(200, {}, _identifiers_page([], f"t{self.calls}"))
+
+    transport = Empty()
+    with pytest.raises(ProtocolError, match=f"'t{MAX_EMPTY_PAGES}'"):
+        run(HarvestJob("ListIdentifiers"), transport, sleep=lambda s: None)
+    assert transport.calls == MAX_EMPTY_PAGES
+
+
+def test_a_page_with_a_record_restarts_the_empty_page_count():
+    class MostlyEmpty:
+        calls = 0
+
+        def request(self, params):
+            self.calls += 1
+            if self.calls == 2 * MAX_EMPTY_PAGES:
+                return TransportResponse(200, {}, _identifiers_page([], None))
+            held = ["oai:arXiv:cs.DL/0101027"] if self.calls == MAX_EMPTY_PAGES else []
+            return TransportResponse(
+                200, {}, _identifiers_page(held, f"t{self.calls}")
+            )
+
+    records, report = run(
+        HarvestJob("ListIdentifiers"), MostlyEmpty(), sleep=lambda s: None
+    )
+    assert len(records) == 1 and report.pages == 2 * MAX_EMPTY_PAGES
 
 
 def test_garbage_body_is_protocol_error():

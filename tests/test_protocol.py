@@ -21,6 +21,7 @@ from eprint_oai.config import (
 from eprint_oai.crosswalk import DEFAULT_FORMATS
 from eprint_oai.ids import EprintId, load_taxonomy, parse_datestamp
 from eprint_oai.protocol import (
+    PART_CHARS,
     MalformedRequest,
     ProtocolHandler,
     ResumptionToken,
@@ -785,26 +786,29 @@ def test_cursor_pages_are_bounded_and_complete(
 
 @pytest.mark.parametrize("prefix", ["oai_dc", "arXiv"])
 def test_page_render_peak_is_bounded_by_its_size(taxonomy, prefix):
-    """A ListRecords page is built as encoded parts: rendering it never
-    holds its lines, a page-sized str or a second copy of its bytes, so
-    the traced peak of a warm render stays within 1.6x of the body."""
+    """A ListRecords page is rendered one part at a time as its parts are
+    iterated: sending a warm page, each part dropped once sent, holds a few
+    parts at a time, the same at page_size 500 and 2000, never the page."""
     store = Store(taxonomy)
-    synth_corpus(store, 1200, random.Random(5))
-    handler = ProtocolHandler(
-        store, RepositoryConfig(page_size=500), clock=lambda: FIXED_CLOCK
-    )
+    synth_corpus(store, 2100, random.Random(5))
     params = [("verb", "ListRecords"), ("metadataPrefix", prefix)]
-    handler.handle(params)  # the page's records are parsed on first use
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        resp = handler.handle(params)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
-    body = resp.body  # joined only now, outside the measured render
-    assert b"<resumptionToken>" in body
-    assert peak <= 1.6 * len(body), (peak, len(body), peak / len(body))
+    for page_size in (500, 2000):
+        handler = ProtocolHandler(
+            store, RepositoryConfig(page_size=page_size), clock=lambda: FIXED_CLOCK
+        )
+        handler.handle(params).body  # the page's records are parsed on first use
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sent, tail = 0, b""
+            for part in handler.handle(params).parts:
+                sent += len(part)
+                tail = part
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert b"<resumptionToken>" in tail
+        assert peak <= 6 * PART_CHARS, (page_size, peak, sent, peak / PART_CHARS)

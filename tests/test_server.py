@@ -4,17 +4,20 @@ import io
 import logging
 import time
 import xml.etree.ElementTree as ET
+from datetime import date, timedelta
 from urllib.parse import quote
 
 import pytest
 
-from conftest import FIXED_CLOCK
+from conftest import FIXED_CLOCK, make_meta
+from eprint_oai.absfile import format_abs
 from eprint_oai.config import RepositoryConfig
 from eprint_oai.flowcontrol import FlowPolicy
 from eprint_oai.harvester import WsgiTransport
+from eprint_oai.ids import EprintId
 from eprint_oai.protocol import ProtocolHandler
 from eprint_oai.server import make_app
-from eprint_oai.store import Store
+from eprint_oai.store import Store, _rel_path
 
 
 def get(app, query, addr="1.2.3.4"):
@@ -252,3 +255,42 @@ def test_store_failure_is_503_with_retry_after(taxonomy, demo_dir, caplog):
     # records whose files are whole still answer
     status, _, body = get(app, "verb=ListRecords&metadataPrefix=oai_dc&until=1998-12-31")
     assert status == 200 and b"math.DS/9204240" in body
+
+
+def test_a_page_with_one_broken_record_is_all_503(taxonomy, tmp_path):
+    """Every record of a page is read before its first byte is sent: a page
+    whose 300th record's abs file vanished after load is a 503 with
+    Retry-After, not 299 records and a broken connection."""
+    for serial in range(1, 401):
+        eid = EprintId("hep-th", 9901, serial)
+        meta = make_meta(eid, date(1999, 1, 1) + timedelta(days=serial % 28))
+        path = tmp_path / _rel_path(eid.local())
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(format_abs(meta), encoding="utf-8")
+    store = Store(taxonomy, tmp_path)  # parses every file, keeps none
+    app = make_app(ProtocolHandler(store, RepositoryConfig(page_size=500)))
+    page = store.scan()
+    (tmp_path / _rel_path(page[299].identifier)).unlink()
+    status, headers, body = get(app, "verb=ListRecords&metadataPrefix=oai_dc")
+    assert status == 503
+    assert int(headers["Retry-After"]) > 0
+    assert body == b"The record store is unavailable; retry later.\n"
+
+
+def test_the_log_line_is_written_once_the_body_is_sent(demo_handler, caplog):
+    """Its duration_ms covers rendering and sending the page, not only
+    reading its records."""
+    app = make_app(demo_handler)
+    environ = {
+        "REQUEST_METHOD": "GET",
+        "QUERY_STRING": "verb=ListRecords&metadataPrefix=oai_dc",
+        "REMOTE_ADDR": "1.2.3.4",
+    }
+    with caplog.at_level(logging.INFO, logger="eprint_oai.server"):
+        parts = app(environ, lambda status, headers: None)
+        assert caplog.records == []
+        assert b"</ListRecords>" in b"".join(parts)
+    [record] = caplog.records
+    assert record.getMessage().startswith(
+        "client=1.2.3.4 verb=ListRecords status=200 duration_ms="
+    )
