@@ -9,8 +9,8 @@ resumptionToken, if any, and the closing tag). A ListRecords page's
 payload is its records' text, gathered into parts of about
 :data:`PART_CHARS` characters and encoded one part at a time. Its parts are
 a one-shot iterator that renders each part as it is asked for, so a page
-is never held whole, only a few of its parts at a time. Every record of the page
-is fetched (its abs file parsed on first use) before
+is never held whole, only a few of its parts at a time. Every record of the
+page is fetched (its abs file parsed on first use) before
 :meth:`ProtocolHandler.handle` returns, so a record the store cannot read
 makes the whole page a :class:`~eprint_oai.store.StoreError`, raised by
 ``handle``, and rendering it raises none. Every other response is a list of
