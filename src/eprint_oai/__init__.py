@@ -14,7 +14,7 @@ from .ids import (
     sets_for,
 )
 from .protocol import ProtocolHandler, ResumptionToken, VerbResponse
-from .store import Store, StoredRecord
+from .store import IndexEntry, Store
 
 __version__ = "0.1.0"
 
@@ -24,12 +24,12 @@ __all__ = [
     "EprintId",
     "FlowPolicy",
     "FormatDescriptor",
+    "IndexEntry",
     "InternalMetadata",
     "ProtocolHandler",
     "RepositoryConfig",
     "ResumptionToken",
     "Store",
-    "StoredRecord",
     "TaxonomyConfig",
     "VerbResponse",
     "format_abs",

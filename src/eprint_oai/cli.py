@@ -216,12 +216,12 @@ def cmd_crosswalk(args: argparse.Namespace, config: CliConfig) -> int:
             eid = parse_internal_id(args.id)
         except ValueError as exc:
             raise CommandFailed(str(exc)) from None
-        record = store.get(eid)
-        if record is None or record.deleted:
+        entry = store.get(eid)
+        if entry is None or entry.deleted:
             raise CommandFailed(f"not found: {args.id}")
         try:
             lines = to_format(
-                record.meta, record.datestamp, args.prefix, store.taxonomy,
+                entry.meta, entry.datestamp, args.prefix, store.taxonomy,
                 config.repository.abs_url_prefix,
             )
         except UnsupportedFormat:

@@ -7,9 +7,10 @@
 - ``arXiv``       structured XML rendering of the native metadata
 - ``arXivOld``    verbatim XML encoding of the native fields
 
-Each :class:`FormatDescriptor` carries its renderer, which emits the XML
-fragment as lines at the indentation a response gives them inside its
-``<metadata>`` element. Every record converts to every registered format.
+Each :class:`FormatDescriptor` carries the function that gives its format's
+elements, at the indentation a response gives them inside ``<metadata>``;
+:func:`to_format` frames them in the fragment's root, one way for every
+format. Every record converts to every registered format.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from .absfile import InternalMetadata
 from .authors import AuthorName, display_name, parse_authors
 from .ids import TaxonomyConfig, format_datestamp, table_rows
 from .texmap import tex_to_utf8
 from .xmlwriter import MARGIN, element, open_tag
+
 
 class UnsupportedFormat(ValueError):
     """Requested metadataPrefix is not registered."""
@@ -40,10 +42,9 @@ class FormatDescriptor:
     prefix: str
     schema: str
     namespace: str
-    # render(meta, datestamp, descriptor, taxonomy, abs_url_prefix) -> lines
-    render: Callable[
-        [InternalMetadata, date, "FormatDescriptor", TaxonomyConfig, str], list[str]
-    ] = field(compare=False, repr=False)
+    # elements(meta, datestamp, taxonomy, abs_url_prefix): the lines inside
+    # the root, each element at the _IN1 margin
+    elements: Callable[..., Iterator[str]] = field(compare=False, repr=False)
     # the fragment's first line: the start tag of its root, which is named
     # after the prefix, with the namespace and schema location
     start_tag: str = field(init=False, compare=False, repr=False)
@@ -53,7 +54,7 @@ class FormatDescriptor:
         object.__setattr__(self, "start_tag", tag)
 
 
-# --- XML rendering -----------------------------------------------------------
+# --- elements of each format -------------------------------------------------
 
 
 def _authors(meta: InternalMetadata) -> tuple[AuthorName, ...]:
@@ -68,139 +69,102 @@ def _authors(meta: InternalMetadata) -> tuple[AuthorName, ...]:
     return memo[1]
 
 
-def _render_dc(
-    meta: InternalMetadata,
-    datestamp: date,
-    fmt: FormatDescriptor,
-    taxonomy: TaxonomyConfig,
-    abs_url_prefix: str,
-) -> list[str]:
-    lines = [
-        fmt.start_tag,
-        element("title", tex_to_utf8(meta.title), _IN1),
-    ]
-    lines += [element("creator", display_name(a), _IN1) for a in _authors(meta)]
+def _dc(
+    meta: InternalMetadata, datestamp: date, taxonomy: TaxonomyConfig, url_prefix: str
+) -> Iterator[str]:
+    yield element("title", tex_to_utf8(meta.title), _IN1)
+    for a in _authors(meta):
+        yield element("creator", display_name(a), _IN1)
     subject = taxonomy.subject_name(meta.id.archive, meta.id.subject_class)
-    lines.append(element("subject", subject, _IN1))
-    lines.append(element("description", tex_to_utf8(meta.abstract), _IN1))
+    yield element("subject", subject, _IN1)
+    yield element("description", tex_to_utf8(meta.abstract), _IN1)
     if meta.comments:
-        comment = "Comment: " + tex_to_utf8(meta.comments)
-        lines.append(element("description", comment, _IN1))
-    lines += [
-        element("date", format_datestamp(datestamp), _IN1),
-        element("type", "e-print", _IN1),
-        element("identifier", abs_url_prefix + meta.id.local(), _IN1),
-        MARGIN + "</oai_dc>",
-    ]
-    return lines
+        yield element("description", "Comment: " + tex_to_utf8(meta.comments), _IN1)
+    yield element("date", format_datestamp(datestamp), _IN1)
+    yield element("type", "e-print", _IN1)
+    yield element("identifier", url_prefix + meta.id.local(), _IN1)
 
 
-def _render_rfc1807(
-    meta: InternalMetadata,
-    datestamp: date,
-    fmt: FormatDescriptor,
-    taxonomy: TaxonomyConfig,
-    abs_url_prefix: str,
-) -> list[str]:
-    lines = [
-        fmt.start_tag,
-        element("bib-version", "CS-TR-v2.1", _IN1),
-        element("id", meta.id.local(), _IN1),
-        element("entry", format_datestamp(datestamp), _IN1),
-        element("title", tex_to_utf8(meta.title), _IN1),
-    ]
-    lines += [element("author", display_name(a), _IN1) for a in _authors(meta)]
-    lines.append(element("date", format_datestamp(meta.submission_dates[0][1]), _IN1))
-    lines.append(element("abstract", tex_to_utf8(meta.abstract), _IN1))
+def _rfc1807(
+    meta: InternalMetadata, datestamp: date, taxonomy: TaxonomyConfig, url_prefix: str
+) -> Iterator[str]:
+    yield element("bib-version", "CS-TR-v2.1", _IN1)
+    yield element("id", meta.id.local(), _IN1)
+    yield element("entry", format_datestamp(datestamp), _IN1)
+    yield element("title", tex_to_utf8(meta.title), _IN1)
+    for a in _authors(meta):
+        yield element("author", display_name(a), _IN1)
+    yield element("date", format_datestamp(meta.submission_dates[0][1]), _IN1)
+    yield element("abstract", tex_to_utf8(meta.abstract), _IN1)
     language = detect_language(meta.comments)
     if language:
-        lines.append(element("language", language, _IN1))
+        yield element("language", language, _IN1)
     if meta.journal_ref:
-        lines.append(element("other_access", tex_to_utf8(meta.journal_ref), _IN1))
+        yield element("other_access", tex_to_utf8(meta.journal_ref), _IN1)
     if meta.report_no:
-        lines.append(element("report", tex_to_utf8(meta.report_no), _IN1))
-    lines.append(MARGIN + "</oai_rfc1807>")
-    return lines
+        yield element("report", tex_to_utf8(meta.report_no), _IN1)
 
 
-def _render_arxiv(
-    meta: InternalMetadata,
-    datestamp: date,
-    fmt: FormatDescriptor,
-    taxonomy: TaxonomyConfig,
-    abs_url_prefix: str,
-) -> list[str]:
+def _arxiv(
+    meta: InternalMetadata, datestamp: date, taxonomy: TaxonomyConfig, url_prefix: str
+) -> Iterator[str]:
     """Structured test-bed format: parsed authors and per-version dates."""
     local = meta.id.local()
-    lines = [
-        fmt.start_tag,
-        element("id", local, _IN1),
-        element("title", tex_to_utf8(meta.title), _IN1),
-        _IN1 + "<authors>",
-    ]
+    yield element("id", local, _IN1)
+    yield element("title", tex_to_utf8(meta.title), _IN1)
+    yield _IN1 + "<authors>"
     for a in _authors(meta):
-        lines.append(_IN2 + "<author>")
-        lines.append(element("keyname", a.keyname, _IN3))
+        yield _IN2 + "<author>"
+        yield element("keyname", a.keyname, _IN3)
         if a.forenames:
-            lines.append(element("forenames", a.forenames, _IN3))
+            yield element("forenames", a.forenames, _IN3)
         if a.prefix:
-            lines.append(element("prefix", a.prefix, _IN3))
+            yield element("prefix", a.prefix, _IN3)
         if a.suffix:
-            lines.append(element("suffix", a.suffix, _IN3))
+            yield element("suffix", a.suffix, _IN3)
         if a.affiliation:
-            lines.append(element("affiliation", a.affiliation, _IN3))
-        lines.append(_IN2 + "</author>")
-    lines.append(_IN1 + "</authors>")
-    lines.append(element("primary-category", local.split("/")[0], _IN1))
-    lines += [element("cross-list", ref, _IN1) for ref in meta.crosslists]
+            yield element("affiliation", a.affiliation, _IN3)
+        yield _IN2 + "</author>"
+    yield _IN1 + "</authors>"
+    yield element("primary-category", local.split("/")[0], _IN1)
+    for ref in meta.crosslists:
+        yield element("cross-list", ref, _IN1)
     if meta.comments:
-        lines.append(element("comments", tex_to_utf8(meta.comments), _IN1))
+        yield element("comments", tex_to_utf8(meta.comments), _IN1)
     if meta.journal_ref:
-        lines.append(element("journal-ref", tex_to_utf8(meta.journal_ref), _IN1))
+        yield element("journal-ref", tex_to_utf8(meta.journal_ref), _IN1)
     if meta.report_no:
-        lines.append(element("report-no", tex_to_utf8(meta.report_no), _IN1))
+        yield element("report-no", tex_to_utf8(meta.report_no), _IN1)
     if meta.license:
-        lines.append(element("license", meta.license, _IN1))
-    lines.append(element("abstract", tex_to_utf8(meta.abstract), _IN1))
-    lines += [
-        f'{_IN1}<version number="{ver}"><date>{format_datestamp(d)}</date></version>'
-        for ver, d in meta.submission_dates
-    ]
-    lines.append(element("datestamp", format_datestamp(datestamp), _IN1))
-    lines.append(MARGIN + "</arXiv>")
-    return lines
+        yield element("license", meta.license, _IN1)
+    yield element("abstract", tex_to_utf8(meta.abstract), _IN1)
+    for ver, d in meta.submission_dates:
+        day = format_datestamp(d)
+        yield f'{_IN1}<version number="{ver}"><date>{day}</date></version>'
+    yield element("datestamp", format_datestamp(datestamp), _IN1)
 
 
-def _render_arxiv_old(
-    meta: InternalMetadata,
-    datestamp: date,
-    fmt: FormatDescriptor,
-    taxonomy: TaxonomyConfig,
-    abs_url_prefix: str,
-) -> list[str]:
+def _arxiv_old(
+    meta: InternalMetadata, datestamp: date, taxonomy: TaxonomyConfig, url_prefix: str
+) -> Iterator[str]:
     """Verbatim rendering: native field values untouched, TeX included."""
-    lines = [
-        fmt.start_tag,
-        element("paper", meta.id.local(), _IN1),
-    ]
+    yield element("paper", meta.id.local(), _IN1)
     for ver, d in meta.submission_dates:
         key = "date" if ver == 1 else f"date-v{ver}"
-        lines.append(element(key, format_datestamp(d), _IN1))
-    lines.append(element("title", meta.title, _IN1))
-    lines.append(element("authors", meta.authors_raw, _IN1))
+        yield element(key, format_datestamp(d), _IN1)
+    yield element("title", meta.title, _IN1)
+    yield element("authors", meta.authors_raw, _IN1)
     if meta.comments:
-        lines.append(element("comments", meta.comments, _IN1))
+        yield element("comments", meta.comments, _IN1)
     if meta.report_no:
-        lines.append(element("report-no", meta.report_no, _IN1))
+        yield element("report-no", meta.report_no, _IN1)
     if meta.journal_ref:
-        lines.append(element("journal-ref", meta.journal_ref, _IN1))
+        yield element("journal-ref", meta.journal_ref, _IN1)
     if meta.crosslists:
-        lines.append(element("subj-class", ", ".join(meta.crosslists), _IN1))
+        yield element("subj-class", ", ".join(meta.crosslists), _IN1)
     if meta.license:
-        lines.append(element("license", meta.license, _IN1))
-    lines.append(element("abstract", meta.abstract, _IN1))
-    lines.append(MARGIN + "</arXivOld>")
-    return lines
+        yield element("license", meta.license, _IN1)
+    yield element("abstract", meta.abstract, _IN1)
 
 
 # registration order is the order ListMetadataFormats reports
@@ -209,22 +173,22 @@ DEFAULT_FORMATS: tuple[FormatDescriptor, ...] = (
         "arXivOld",
         "http://arXiv.org/OAI/arXivOld.xsd",
         "http://arXiv.org/OAI/",
-        _render_arxiv_old,
+        _arxiv_old,
     ),
     FormatDescriptor(
-        "arXiv", "http://arXiv.org/OAI/arXiv.xsd", "http://arXiv.org/OAI/", _render_arxiv
+        "arXiv", "http://arXiv.org/OAI/arXiv.xsd", "http://arXiv.org/OAI/", _arxiv
     ),
     FormatDescriptor(
         "oai_rfc1807",
         "http://www.openarchives.org/OAI/rfc1807.xsd",
         "http://info.internet.isi.edu:80/in-notes/rfc/files/rfc1807.txt",
-        _render_rfc1807,
+        _rfc1807,
     ),
     FormatDescriptor(
         "oai_dc",
         "http://www.openarchives.org/OAI/dc.xsd",
         "http://purl.org/dc/elements/1.1/",
-        _render_dc,
+        _dc,
     ),
 )
 
@@ -270,10 +234,14 @@ def to_format(
     """Render one record's metadata payload in the requested format.
 
     Returns the XML fragment's lines exactly as GetRecord embeds them inside
-    ``<metadata>``. Raises :class:`UnsupportedFormat` for unregistered
+    ``<metadata>``: the root's start tag, the format's elements and the
+    root's end tag. Raises :class:`UnsupportedFormat` for unregistered
     prefixes.
     """
     fmt = find_format(prefix)
     if fmt is None:
         raise UnsupportedFormat(prefix)
-    return fmt.render(meta, datestamp, fmt, taxonomy, abs_url_prefix)
+    lines = [fmt.start_tag]
+    lines += fmt.elements(meta, datestamp, taxonomy, abs_url_prefix)
+    lines.append(f"{MARGIN}</{prefix}>")
+    return lines

@@ -560,8 +560,6 @@ class HarvestStoreError(RuntimeError):
     """The harvest directory cannot be used."""
 
 
-# files of the journal + latest-state format this store replaced
-_OLD_FORMAT = ("journal.jsonl", "latest.json")
 # an upsert that rewrites a known identifier's row in place; SQLite writes no
 # page for a row rewritten with the bytes it already holds, so re-fetching an
 # unchanged record writes nothing
@@ -605,32 +603,10 @@ class HarvestStore:
     leaves every entry as it was. Upserts are idempotent: re-fetching an
     identical record changes nothing observable. Text must be valid
     Unicode; the page parser only yields decoded text.
-
-    A directory that holds files of the older journal format
-    (``journal.jsonl``, ``latest.json``) but no database is refused rather
-    than opened empty: the saved completed dates would then make the next
-    incremental run skip every record harvested before. So is one that
-    holds an older harvester's ``harvest_state.json``, whose dates would be
-    dropped unseen.
     """
 
     def __init__(self, directory: str | Path):
-        directory = Path(directory)
-        self.path = directory / "harvest.sqlite"
-        old = [name for name in _OLD_FORMAT if (directory / name).exists()]
-        if old and not self.path.exists():
-            raise HarvestStoreError(
-                f"{directory} holds {' and '.join(old)} from an older harvest "
-                "store format and no harvest.sqlite; harvest into a new "
-                "directory"
-            )
-        old_state = directory / "harvest_state.json"
-        if old_state.exists():
-            raise HarvestStoreError(
-                f"{old_state} is an older harvester's state file, "
-                "which is not imported; remove it to make the next "
-                "incremental harvest a full one"
-            )
+        self.path = Path(directory) / "harvest.sqlite"
         self._db = _connect(
             self.path,
             "CREATE TABLE IF NOT EXISTS entry (identifier TEXT PRIMARY KEY, "

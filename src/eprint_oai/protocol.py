@@ -348,29 +348,24 @@ class ProtocolHandler:
             eid = parse_oai_identifier(ident, self.config.repository_identifier)
         except MalformedIdentifier:
             return ""  # outcome 1: no such item, no <record> container
-        record = self.store.get(eid)
-        if record is None:
+        entry = self.store.get(eid)
+        if entry is None:
             return ""
         metadata = ""
-        if record.deleted:
+        if entry.deleted:
             start = '  <record status="deleted">'
         else:
             start = "  <record>"
             if fmt is not None:
-                fragment = "\n".join(
-                    to_format(
-                        record.meta,
-                        record.datestamp,
-                        fmt.prefix,
-                        self.taxonomy,
-                        self.config.abs_url_prefix,
-                    )
+                lines = to_format(
+                    entry.meta, entry.datestamp, fmt.prefix, self.taxonomy,
+                    self.config.abs_url_prefix,
                 )
-                metadata = f"   <metadata>\n{fragment}\n   </metadata>\n"
+                metadata = f"   <metadata>\n{_text(lines)}   </metadata>\n"
         return (
             f"{start}\n   <header>\n"
-            f"    <identifier>{escape(prefix + eid.local())}</identifier>\n"
-            f"    <datestamp>{format_datestamp(record.datestamp)}</datestamp>\n"
+            f"    <identifier>{escape(prefix + entry.identifier)}</identifier>\n"
+            f"    <datestamp>{format_datestamp(entry.datestamp)}</datestamp>\n"
             f"   </header>\n{metadata}  </record>\n"
         )
 

@@ -10,7 +10,10 @@ harvester tests.
 
 The server reads one HTTP/1.x request a connection, within fixed caps and
 by one deadline for the whole request, and answers it as HTTP/1.0 through
-``wsgiref.handlers``; any request it cannot read is answered 400.
+``wsgiref.handlers``; any request it cannot read is answered 400. Each send
+of the answer has the same deadline. An answer to a request not read to its
+end is followed by a short drain, so that closing does not reset the
+connection before the client reads the answer.
 
 A response carries ``Content-Length`` when its parts are a list, as every
 answer but a ListRecords 200 is. A ListRecords page is sent as it is
@@ -54,11 +57,12 @@ _STATUS_LINE = {200: "200 OK", 400: "400 Bad Request", 503: "503 Service Unavail
 MAX_LINE = 8192  # bytes in the request line or in one header line
 MAX_HEADERS = 100  # header lines, http.client's own limit
 MAX_BODY = 65536  # bytes in a POST body
-READ_TIMEOUT_S = 10.0  # the time a client has to send its whole request
-# bytes one recv may take: a request refused early is drained in large
-# pieces, since bytes left unread at close make the kernel reset the
-# connection, which can discard the 400 before the client reads it
-RECV_BYTES = 65536
+READ_TIMEOUT_S = 10.0  # to send a request, and to take each send of the answer
+RECV_BYTES = 65536  # bytes one recv may take
+# Bytes left unread at close make the kernel reset the connection, which can
+# discard the answer unread; so the server drains the rest before it closes
+DRAIN_BYTES = 65536  # for at most this many bytes
+DRAIN_S = 1.0  # or this many seconds
 
 _TOKEN = r"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
 _REQUEST_LINE_RE = re.compile(rf"({_TOKEN}) ([^\x00-\x20\x7f]+) (HTTP/1\.[0-9])")
@@ -227,11 +231,21 @@ class _Deadline:
         return self._take(n)
 
 
+class _Answer(SimpleHandler):
+    """wsgiref's handler, except that a send that times out is raised."""
+
+    def handle_error(self) -> None:
+        exc = sys.exc_info()[1]
+        if isinstance(exc, TimeoutError):
+            raise exc  # run() closes the app's iterable and raises it on
+        super().handle_error()
+
+
 class _QuietHandler(socketserver.StreamRequestHandler):
     """One request a connection: the request line, the header and a POST
     body are read by a deadline ``timeout`` seconds after the connection
-    is taken up, then the app's answer is written as HTTP/1.0 and the
-    connection closes."""
+    is taken up, then the app's answer is written as HTTP/1.0, each send
+    within ``timeout`` seconds, and the connection closes."""
 
     timeout = READ_TIMEOUT_S
     rbufsize = 0  # the request is read through _Deadline, never rfile
@@ -251,14 +265,30 @@ class _QuietHandler(socketserver.StreamRequestHandler):
                 b"Content-Type: text/plain; charset=utf-8\r\n"
                 b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
             )
+            self._drain()
             return
         if request is None:  # closed without sending a request
             return
         environ, body = request
-        self.connection.settimeout(None)
-        SimpleHandler(io.BytesIO(body), self.wfile, sys.stderr, environ).run(
-            self.server.get_app()
-        )
+        self.connection.settimeout(self.timeout)  # for each send
+        try:
+            _Answer(io.BytesIO(body), self.wfile, sys.stderr, environ).run(
+                self.server.get_app()
+            )
+        except TimeoutError:
+            log.info("client=%s write timeout", client)
+            return
+        if _content_length(environ) > len(body):  # a body left unread
+            self._drain()
+
+    def _drain(self) -> None:
+        """Shut down the write side, then read and drop what the client
+        still sends, up to its end, ``DRAIN_BYTES`` or ``DRAIN_S``."""
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            _Deadline(self.connection, DRAIN_S).read(DRAIN_BYTES)
+        except OSError:  # a timeout or a reset: close all the same
+            pass
 
     def _read_request(self, source: _Deadline) -> tuple[dict, bytes] | None:
         """The WSGI environ, without its ``wsgi.*`` keys, and the body."""

@@ -56,8 +56,9 @@ not see, is bounded by the page cache.
 
 A load keeps no parsed metadata, even of the files it parsed: each record's
 abs file is parsed when :meth:`Store.get` or :meth:`Store.fetch` (a page's
-records at once) first needs it and then kept; a file that has vanished or
-no longer parses by then raises :class:`StoreError`.
+records at once) first needs it, and then kept on the record's entry, the
+one object that :meth:`Store.get` returns and :meth:`Store.scan` holds. A
+file that has vanished or no longer parses by then raises :class:`StoreError`.
 
 Every write, an ingest or a deletion, commits the record's row first, then
 replaces the abs file when it has new content (tmp + fsync + rename), then
@@ -92,7 +93,6 @@ import sqlite3
 import threading
 import time
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from datetime import date, datetime
 from functools import lru_cache
 from operator import attrgetter
@@ -146,17 +146,6 @@ class StoreError(RuntimeError):
     def __init__(self, path: str, reason: str):
         super().__init__(f"{path}: {reason}")
         self.path = path
-
-
-@dataclass(frozen=True)
-class StoredRecord:
-    """A record as held by the store; deleted records carry no metadata."""
-
-    id: EprintId
-    datestamp: date
-    deleted: bool = False
-    meta: InternalMetadata | None = None
-    deletion_reason: str | None = None
 
 
 class IndexEntry:
@@ -518,9 +507,9 @@ class Store:
 
     # --- mutation ------------------------------------------------------
 
-    def ingest(self, data: bytes | str, received_at: datetime) -> StoredRecord:
+    def ingest(self, data: bytes | str, received_at: datetime) -> IndexEntry:
         """Parse and persist one abs file; the record's datestamp is the
-        calendar date of ``received_at``.
+        calendar date of ``received_at``. Returns the record's new entry.
 
         Raises :class:`AbsParseError` (or an identifier error) on bad input,
         :class:`DuplicateRecord` when the same id is re-ingested with
@@ -555,8 +544,9 @@ class Store:
                 # its name, so that no second file holds the same record
                 rel = old.path
             sets = self._sets(key, ",".join(meta.crosslists))
-            self._write(IndexEntry(day, key, sets, False, rel, None, meta), old, text)
-        return StoredRecord(id=meta.id, datestamp=day, meta=meta)
+            entry = IndexEntry(day, key, sets, False, rel, None, meta)
+            self._write(entry, old, text)
+        return entry
 
     def mark_deleted(self, eid: EprintId, reason: str, now: datetime) -> None:
         """Mark a record deleted. Its datestamp advances to today, and never
@@ -607,25 +597,15 @@ class Store:
 
     # --- read paths ------------------------------------------------------
 
-    def get(self, eid: EprintId) -> StoredRecord | None:
-        """Latest record, a deleted marker, or None for a never-assigned id.
-        Deleted ids never yield metadata. Raises :class:`StoreError` when
-        the record's abs file, parsed on first use, is gone or malformed."""
+    def get(self, eid: EprintId) -> IndexEntry | None:
+        """The record's entry, the object :meth:`scan` holds, with its
+        metadata parsed when it is live; None for a never-assigned id. A
+        deleted entry has no metadata. Raises :class:`StoreError` when the
+        record's abs file, parsed on first use, is gone or malformed."""
         entry = self._records.get(eid.without_version().local())
-        if entry is None:
-            return None
-        meta = entry.meta
-        if meta is None and not entry.deleted:
+        if entry is not None and entry.meta is None and not entry.deleted:
             entry = self._parsed(entry)
-            meta = entry.meta
-        if entry.deleted:
-            return StoredRecord(
-                id=eid.without_version(),
-                datestamp=entry.datestamp,
-                deleted=True,
-                deletion_reason=entry.reason,
-            )
-        return StoredRecord(id=meta.id, datestamp=entry.datestamp, meta=meta)
+        return entry
 
     def fetch(self, entries: Iterable[IndexEntry]) -> None:
         """Parse, on first use, the abs file of every live record among

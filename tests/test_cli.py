@@ -21,7 +21,7 @@ from wsgiref.simple_server import make_server
 import pytest
 
 from conftest import DEMO_CORPUS, FIXED_CLOCK, GOLDEN, ROOT, synth_corpus
-from eprint_oai import cli, harvester, protocol
+from eprint_oai import cli, harvester, protocol, server
 from eprint_oai.config import RepositoryConfig
 from eprint_oai.protocol import PART_CHARS, ProtocolHandler
 from eprint_oai.server import MAX_BODY, ThreadingWSGIServer, _QuietHandler, make_app
@@ -475,6 +475,72 @@ def test_malformed_request_gets_a_400_with_a_status_line(live_server, request_by
     assert int(headers["Content-Length"]) == len(body) > 0
 
 
+def test_a_400_reaches_its_client_before_the_unread_request_is_dropped(
+    live_server, monkeypatch
+):
+    """The server reads 16 KiB of a 70 KB request line in 8 KiB recvs before
+    it answers 400, so the client is still sending when the answer comes.
+    Closing with bytes unread would reset the connection under the client's
+    next send; the server drains the rest instead, and the status line
+    arrives in 20 of 20 runs."""
+    monkeypatch.setattr(server, "RECV_BYTES", 8192)
+    request = b"GET /?verb=Identify&x=" + b"a" * 70_000 + b" HTTP/1.0\r\n\r\n"
+    parts = urlsplit(live_server)
+    for _ in range(20):
+        with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+            sock.sendall(request[:20_000])
+            sock.recv(1, socket.MSG_PEEK)  # the answer has come
+            time.sleep(0.02)  # and the server is past writing it
+            sock.sendall(request[20_000:])
+            sock.shutdown(socket.SHUT_WR)
+            received = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert received.startswith(b"HTTP/1.0 400 Bad Request\r\n")
+
+
+def test_a_client_that_stops_reading_is_cut_off_at_the_send_deadline(
+    monkeypatch, caplog, capsys
+):
+    """Each send of the answer has the timeout to go through: a client with
+    a small receive buffer that reads 100 bytes of a 16 MB answer and stops
+    loses its connection within the 0.5 s timeout plus a margin. Its thread
+    ends, the app's iterable is closed, so the render stops, and one line
+    is logged, with no traceback."""
+    monkeypatch.setattr(_QuietHandler, "timeout", 0.5)
+    sent = []
+    closed = threading.Event()
+
+    def app(environ, start_response):
+        start_response("200 OK", [("Content-Type", "text/plain")])
+        try:
+            for _ in range(256):
+                sent.append(65536)
+                yield b"x" * 65536
+        finally:
+            closed.set()
+
+    with serving(app) as url, caplog.at_level(logging.INFO, "eprint_oai.server"):
+        before = threading.active_count()
+        parts = urlsplit(url)
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(5)
+            sock.connect((parts.hostname, parts.port))
+            sock.sendall(b"GET / HTTP/1.0\r\n\r\n")
+            assert len(sock.recv(100)) > 0
+            started = time.monotonic()
+            assert closed.wait(0.5 + 2), "still sending after the deadline"
+            elapsed = time.monotonic() - started
+            deadline = time.monotonic() + 5
+            while threading.active_count() > before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert threading.active_count() <= before
+    assert elapsed < 0.5 + 2, elapsed
+    assert sum(sent) < 16 * 2**20
+    logged = [r.getMessage() for r in caplog.records]
+    assert logged == ["client=127.0.0.1 write timeout"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_well_formed_get_and_post_get_the_handlers_page(live_server, served_handler):
     """Bare line breaks, repeated headers and many of them are answered
     as ``http.server`` answered them."""
@@ -688,11 +754,8 @@ def test_harvest_command_over_http(tmp_path, capsys, live_server):
 
 @pytest.mark.parametrize(
     "name, content, message",
-    [
-        ("latest.json", b"{}", "older harvest store format"),
-        ("harvest.sqlite", b"not a database\n" * 100, "not a database"),
-    ],
-    ids=["old-format", "not-a-database"],
+    [("harvest.sqlite", b"not a database\n" * 100, "not a database")],
+    ids=["not-a-database"],
 )
 def test_harvest_into_unusable_directory_fails_cleanly(
     tmp_path, capsys, name, content, message
@@ -843,26 +906,32 @@ def _record_requests(monkeypatch) -> list[list[tuple[str, str]]]:
     return requests
 
 
-def test_harvest_with_an_unusable_state_file_fails_cleanly(
-    tmp_path, capsys, monkeypatch
+@pytest.mark.parametrize(
+    "name",
+    ["latest.json", "harvest_state.json"],
+    ids=["old-format", "old-state-file"],
+)
+def test_incremental_harvest_beside_older_files_is_a_full_harvest(
+    tmp_path, capsys, monkeypatch, live_server, name
 ):
-    """An older harvester's state file is refused before any request,
-    whether or not the harvest is incremental."""
+    """No date is read from an older store format's files or an older
+    harvester's state file, so the directory opens with no completed day,
+    and its first incremental run fetches every record. The file is left as
+    it was."""
     requests = _record_requests(monkeypatch)
-    state_file = tmp_path / "h" / "harvest_state.json"
-    state_file.parent.mkdir()
-    state_file.write_text('{"k": "2001-01-20"}', encoding="utf-8")
-    for incremental in ([], ["--incremental"]):
-        rc = cli.main(
-            ["harvest", "--data-dir", str(tmp_path / "h"), "http://127.0.0.1:1/",
-             "--prefix", "oai_dc", *incremental]
-        )
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("harvest failed: ") and str(state_file) in err
-        assert "Traceback" not in err
-    assert requests == []
-    assert [p.name for p in state_file.parent.iterdir()] == [state_file.name]
+    old = tmp_path / "h" / name
+    old.parent.mkdir()
+    old.write_text('{"k": "2001-01-20"}', encoding="utf-8")
+    rc = cli.main(
+        ["harvest", "--data-dir", str(tmp_path / "h"), live_server,
+         "--prefix", "oai_dc", "--incremental"]
+    )
+    assert rc == 0
+    assert "fetched=13 " in capsys.readouterr().out
+    assert not any(k == "from" for k, _ in requests[0])
+    assert len(harvester.HarvestStore(tmp_path / "h").latest()) == 13
+    assert sorted(p.name for p in old.parent.iterdir()) == ["harvest.sqlite", name]
+    assert old.read_text(encoding="utf-8") == '{"k": "2001-01-20"}'
 
 
 @pytest.mark.parametrize("flag", ["--from", "--until"])
@@ -900,6 +969,34 @@ def test_harvest_malformed_datestamp_fails_cleanly(tmp_path, capsys, stamp):
     assert rc == 1
     assert "harvest failed" in err and stamp in err
     assert "Traceback" not in err
+
+
+def _tree(root):
+    """Each file under ``root``: its bytes and its stat times."""
+    return {
+        p: (p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ctime_ns)
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+def test_page_digest_script_is_stable_and_leaves_the_corpus_as_it_was(demo_dir):
+    """``scripts/page_digest.py`` prints a page count and a digest for each
+    of the bench's six harvests, then a total, the same on a second run, and
+    leaves the directory it reads as it found it."""
+    before = _tree(demo_dir)
+    outputs = [
+        subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "page_digest.py"), str(demo_dir)],
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 7 and lines[-1].startswith("total: sha256=")
+    for line in lines[:6]:
+        assert re.search(r": pages=[1-9]\d* sha256=[0-9a-f]{64}$", line), line
+    assert _tree(demo_dir) == before
 
 
 def test_harvest_demo_script_runs(demo_store):

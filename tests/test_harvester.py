@@ -1221,14 +1221,25 @@ def test_killed_upsert_reopens_before_or_after(tmp_path, pause, delay_s):
     [["latest.json"], ["journal.jsonl"], ["journal.jsonl", "latest.json"]],
     ids=["latest", "journal", "both"],
 )
-def test_directory_in_the_old_format_is_refused(tmp_path, old):
-    """Opened empty, it would let a saved HarvestState skip every record
-    harvested before."""
+def test_directory_in_the_old_format_opens_and_harvests_in_full(
+    tmp_path, transport, old
+):
+    """No date is read from the older journal format's files, so such a
+    directory opens with no completed day, and its next incremental run is a
+    full harvest, which skips nothing. The old files are left as they were."""
     for name in old:
-        (tmp_path / name).write_text("{}\n", encoding="utf-8")
-    with pytest.raises(HarvestStoreError, match=old[0]):
-        HarvestStore(tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)
+        (tmp_path / name).write_text('{"k": "2001-01-20"}\n', encoding="utf-8")
+    key = HarvestState.key("loopback", None, "oai_dc")
+    job = HarvestJob("ListRecords", metadata_prefix="oai_dc")
+    with closing(HarvestStore(tmp_path)) as store:
+        with closing(HarvestState(store.path)) as state:
+            today = date(2001, 2, 1)
+            records, _ = incremental(state, key, job, today, transport, store)
+        assert len(records) == len(store.latest()) == 13
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted([*old, "harvest.sqlite"])
+    for name in old:
+        assert (tmp_path / name).read_text(encoding="utf-8") == '{"k": "2001-01-20"}\n'
 
 
 def test_file_that_is_not_a_database_is_refused(tmp_path):

@@ -54,6 +54,22 @@ def test_ingest_and_get(store):
     assert got.meta == meta and not got.deleted
 
 
+def test_get_returns_the_entry_that_scan_holds(taxonomy, tmp_path):
+    """``get`` and ``ingest`` give the store's own entry, not a copy; a live
+    one comes back with its metadata, on disk parsed on first use."""
+    store = Store(taxonomy, tmp_path)
+    metas = [make_meta(EprintId("hep-th", 9901, n), date(1999, 1, 1)) for n in (1, 2)]
+    ingested = [store.ingest(format_abs(m), dt(date(1999, 1, 2))) for m in metas]
+    store.mark_deleted(metas[1].id, "withdrawn", dt(date(1999, 1, 3)))
+    assert store.scan()[0] is ingested[0]
+    reloaded = Store(taxonomy, tmp_path)
+    live, deleted = reloaded.scan()
+    assert live.meta is None  # a load keeps no metadata
+    assert reloaded.get(metas[0].id) is live and live.meta == metas[0]
+    got = reloaded.get(metas[1].id)
+    assert got is deleted and got.meta is None and got.reason == "withdrawn"
+
+
 def test_get_never_assigned(store):
     assert store.get(parse_internal_id("hep-th/9901001")) is None
 
@@ -234,7 +250,7 @@ def test_deletion_reason_roundtrips(taxonomy, tmp_path, reason):
     meta = make_meta(EprintId("hep-th", 9901, 1), date(1999, 1, 1))
     store.ingest(format_abs(meta), dt(date(1999, 1, 2)))
     store.mark_deleted(meta.id, reason, dt(date(1999, 2, 1)))
-    assert Store(taxonomy, tmp_path).get(meta.id).deletion_reason == reason
+    assert Store(taxonomy, tmp_path).get(meta.id).reason == reason
 
 
 # --- database writes -------------------------------------------------------------
@@ -278,6 +294,12 @@ def test_each_write_changes_one_record_row(taxonomy, tmp_path):
     assert Store(taxonomy, tmp_path).scan() == store.scan()
 
 
+def _whole(entry: IndexEntry) -> tuple:
+    """A record as ``get`` gives it, compared whole: an entry's ``==`` looks
+    only at its four index fields, not at its metadata or deletion reason."""
+    return entry, entry.meta, entry.reason
+
+
 @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
 def test_deleting_again_never_moves_the_datestamp_back(taxonomy, tmp_path, on_disk):
     store = Store(taxonomy, tmp_path if on_disk else None)
@@ -286,9 +308,9 @@ def test_deleting_again_never_moves_the_datestamp_back(taxonomy, tmp_path, on_di
     store.mark_deleted(eid, "withdrawn", dt(date(1999, 3, 1)))
     store.mark_deleted(eid, "duplicate", dt(date(1999, 2, 1)))  # an early clock
     assert store.get(eid).datestamp == date(1999, 3, 1)
-    assert store.get(eid).deletion_reason == "duplicate"
+    assert store.get(eid).reason == "duplicate"
     if on_disk:
-        assert Store(taxonomy, tmp_path).get(eid) == store.get(eid)
+        assert _whole(Store(taxonomy, tmp_path).get(eid)) == _whole(store.get(eid))
 
 
 def _older_store(data_dir: Path, stamps: str, deleted: str = "") -> EprintId:
@@ -361,7 +383,7 @@ def test_database_made_meanwhile_is_not_made_again(taxonomy, tmp_path, monkeypat
     monkeypatch.setattr(store_module, "_made", made_after_the_first_check)
     second = Store(taxonomy, tmp_path)
     assert len(checks) == 2
-    assert second.get(eid) == first.get(eid)
+    assert _whole(second.get(eid)) == _whole(first.get(eid))
 
 
 def test_unusable_database_is_refused(taxonomy, tmp_path):
@@ -607,7 +629,8 @@ def demo_copy(demo_dir):
 def _contents(store: Store):
     """What readers see: the index, and the record ``get`` gives each entry."""
     entries = store.scan()
-    return entries, [store.get(parse_internal_id(e.identifier)) for e in entries]
+    gets = [store.get(parse_internal_id(e.identifier)) for e in entries]
+    return entries, [_whole(got) for got in gets]
 
 
 def _full_parse(taxonomy, data_dir: Path) -> Store:
@@ -737,7 +760,7 @@ def test_first_load_keeps_no_parsed_record(taxonomy, tmp_path, parsed):
     entries, records = _contents(store)
     live = sorted(e.identifier for e in entries if not e.deleted)
     assert sorted(parsed) == live and len(live) == 196
-    assert all(r.meta is not None for r in records if not r.deleted)
+    assert all(meta is not None for r, meta, _ in records if not r.deleted)
 
 
 def test_load_of_a_consistent_store_holds_little_beyond_the_store(taxonomy, tmp_path):
@@ -1036,7 +1059,7 @@ def test_first_use_parse_never_overwrites_a_newer_ingest(
     monkeypatch.setattr(store_module, "parse_abs", parse_beside_an_ingest)
     got = store.get(newer.id)
     assert got.meta == newer and got.datestamp == date(2001, 2, 1)
-    assert store.get(newer.id) == got
+    assert store.get(newer.id) is got
 
 
 def test_update_replaces_a_differently_named_abs_file(taxonomy, demo_copy):
@@ -1092,7 +1115,7 @@ def _assert_holds(store: Store, model: dict[str, _Modelled]) -> None:
     )
     for ident, m in model.items():
         rec = store.get(parse_internal_id(ident))
-        assert (rec.datestamp, rec.deleted, rec.deletion_reason) == (
+        assert (rec.datestamp, rec.deleted, rec.reason) == (
             m.datestamp, m.reason is not None, m.reason
         )
         text = None if rec.meta is None else format_abs(rec.meta)
