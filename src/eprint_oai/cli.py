@@ -188,10 +188,9 @@ def cmd_harvest(args: argparse.Namespace, config: CliConfig) -> int:
         with closing(harvester.HarvestStore(config.data_dir)) as store:
             if args.incremental:
                 key = harvester.HarvestState.key(args.target, args.set, args.prefix)
-                with closing(harvester.HarvestState(store.path)) as state:
-                    records, report = harvester.incremental(
-                        state, key, job, now().date(), transport, store
-                    )
+                records, report = harvester.incremental(
+                    store, key, job, now().date(), transport, store
+                )
             else:
                 records, report = harvester.run(job, transport)
                 store.upsert(records)

@@ -6,11 +6,11 @@ after transport failures and after pages cut short (a page is retried
 :data:`MAX_RETRIES` times), and keeps the newest entry per identifier in
 one SQLite database, ``harvest.sqlite``, where each upsert is one atomic,
 durable transaction (:class:`HarvestStore`). The same database holds the
-day each incremental harvest last completed (:class:`HarvestState`), so a
-harvest directory holds no other file. Incremental runs overlap the previous harvest by
-one day, so updates made later on the day of the last harvest are
-re-fetched rather than missed; double-harvested records simply overwrite
-identically.
+day each incremental harvest last completed (:class:`HarvestState`, which
+a :class:`HarvestStore` is), so a harvest directory holds no other file and
+is opened once. Incremental runs overlap the previous harvest by one day,
+so updates made later on the day of the last harvest are re-fetched rather
+than missed; double-harvested records simply overwrite identically.
 
 Each page is read in one expat pass, with no tree built. A record's
 metadata is kept as the provider sent it: the bytes of the element inside
@@ -424,7 +424,8 @@ def _declare_inherited(fragment: str, inherited: dict[str, str]) -> str:
     """``fragment`` with the bindings of ``inherited`` (prefix to URI, ""
     for the default namespace) that it uses without declaring them itself
     added to its root's start tag, so that it means on its own what it meant
-    in the page."""
+    in the page. A prefix is used when it names an element or an attribute,
+    or begins an attribute value, which may be a QName."""
     root = ""  # the qualified name of the fragment's root
     used: set[str] = set()
     scopes: list[set[str]] = []  # the prefixes each open element declares
@@ -439,9 +440,12 @@ def _declare_inherited(fragment: str, inherited: dict[str, str]) -> str:
         prefix = name.rpartition(":")[0]
         if undeclared(prefix):
             used.add(prefix)
-        for attr in attrs:
+        for attr, value in attrs.items():
             prefix, colon, _ = attr.partition(":")
             if colon and prefix != "xmlns" and undeclared(prefix):
+                used.add(prefix)
+            prefix, colon, _ = value.partition(":")
+            if colon and undeclared(prefix):
                 used.add(prefix)
 
     parser = expat.ParserCreate()
@@ -573,45 +577,88 @@ _ADVANCE = (
     "INSERT INTO state VALUES (?, ?) ON CONFLICT (key) DO UPDATE "
     "SET day = max(day, excluded.day)"
 )
+# the tables of harvest.sqlite, made in one transaction: the newest entry per
+# identifier, and the day each incremental harvest last completed
+_SCHEMA = """
+BEGIN;
+CREATE TABLE IF NOT EXISTS entry (identifier TEXT PRIMARY KEY,
+    datestamp TEXT, deleted INTEGER NOT NULL, metadata TEXT);
+CREATE TABLE IF NOT EXISTS state (key TEXT PRIMARY KEY, day TEXT NOT NULL);
+COMMIT;
+"""
 
 
-def _connect(path: Path, schema: str) -> sqlite3.Connection:
-    """The database at ``path``, its directory and the table of ``schema``
-    made if missing, under a rollback journal with ``synchronous=EXTRA``: a
-    commit fsyncs the file, then the directory once the journal is deleted,
-    so it survives a power loss once it returns. Raises
-    :class:`HarvestStoreError` naming the file."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        db = sqlite3.connect(path)
-        db.execute("PRAGMA synchronous=EXTRA")
-        db.execute(schema)
-    except (OSError, sqlite3.Error) as exc:
-        raise HarvestStoreError(f"cannot use {path}: {exc}") from exc
-    return db
+class HarvestState:
+    """Per (baseURL, set, prefix) date of the last completed harvest, in
+    table ``state`` of the database at ``path`` (in memory when None), each
+    :meth:`advance` one durable transaction. Dates never move backward. A
+    day that is not ``YYYY-MM-DD`` is refused on open, since a guessed date
+    could skip records or fetch them all.
+
+    Opening makes the database, its directory and both its tables if missing
+    (:class:`HarvestStore` uses the other), under a rollback journal with
+    ``synchronous=EXTRA``: a commit fsyncs the file, then the directory once
+    the journal is deleted, so it survives a power loss once it returns.
+    Raises :class:`HarvestStoreError` naming the file."""
+
+    def __init__(self, path: str | Path | None = None):
+        self.path = Path(path if path is not None else ":memory:")
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._db = sqlite3.connect(self.path)
+            self._db.execute("PRAGMA synchronous=EXTRA")
+            self._db.executescript(_SCHEMA)
+            days = self._db.execute("SELECT key, day FROM state").fetchall()
+        except (OSError, sqlite3.Error) as exc:
+            raise HarvestStoreError(f"cannot use {self.path}: {exc}") from exc
+        for key, day in days:
+            try:
+                parse_datestamp(day)
+            except (TypeError, ValueError):
+                raise HarvestStoreError(
+                    f"harvest state in {self.path}: {key!r} is not a "
+                    f"YYYY-MM-DD date: {day!r}"
+                ) from None
+
+    @staticmethod
+    def key(base_url: str, set_spec: str | None, prefix: str | None) -> str:
+        return "\t".join([base_url, set_spec or "", prefix or ""])
+
+    def last_completed(self, key: str) -> date | None:
+        row = self._db.execute(
+            "SELECT day FROM state WHERE key = ?", (key,)
+        ).fetchone()
+        return parse_datestamp(row[0]) if row else None
+
+    def advance(self, key: str, day: date) -> None:
+        try:
+            with self._db:  # commits, or rolls back on any exception
+                self._db.execute(_ADVANCE, (key, format_datestamp(day)))
+        except sqlite3.Error as exc:
+            raise HarvestStoreError(f"cannot write {self.path}: {exc}") from exc
+
+    def close(self) -> None:
+        self._db.close()
 
 
-class HarvestStore:
-    """The newest entry per identifier, in one SQLite database.
+class HarvestStore(HarvestState):
+    """The newest entry per identifier, beside the harvest state, in one
+    SQLite database.
 
-    ``harvest.sqlite`` in the harvest directory holds one table keyed by
-    identifier, with the record's datestamp (``YYYY-MM-DD`` or NULL), its
-    deletion flag and its metadata (the provider's XML fragment or NULL).
-    Each :meth:`upsert` is one durable transaction of inserts that replace a
-    known identifier's entry (see :func:`_connect`): once it returns the
-    records are on disk, and a process killed or an error raised partway
-    leaves every entry as it was. Upserts are idempotent: re-fetching an
-    identical record changes nothing observable. Text must be valid
-    Unicode; the page parser only yields decoded text.
+    ``harvest.sqlite`` in the harvest directory holds table ``entry``, keyed
+    by identifier, with the record's datestamp (``YYYY-MM-DD`` or NULL), its
+    deletion flag and its metadata (the provider's XML fragment or NULL),
+    and the ``state`` table of :class:`HarvestState`, on the same
+    connection. Each :meth:`upsert` is one durable transaction of inserts
+    that replace a known identifier's entry: once it returns the records are
+    on disk, and a process killed or an error raised partway leaves every
+    entry as it was. Upserts are idempotent: re-fetching an identical record
+    changes nothing observable. Text must be valid Unicode; the page parser
+    only yields decoded text.
     """
 
     def __init__(self, directory: str | Path):
-        self.path = Path(directory) / "harvest.sqlite"
-        self._db = _connect(
-            self.path,
-            "CREATE TABLE IF NOT EXISTS entry (identifier TEXT PRIMARY KEY, "
-            "datestamp TEXT, deleted INTEGER NOT NULL, metadata TEXT)",
-        )
+        super().__init__(Path(directory) / "harvest.sqlite")
 
     def upsert(self, records: list[HarvestedRecord]) -> None:
         rows = (
@@ -648,56 +695,6 @@ class HarvestStore:
             )
         }
 
-    def close(self) -> None:
-        self._db.close()
-
-
-class HarvestState:
-    """Per (baseURL, set, prefix) date of the last completed harvest, in
-    table ``state`` of the database at ``path`` (in memory when None), each
-    :meth:`advance` one durable transaction. Dates never move backward. A
-    day that is not ``YYYY-MM-DD`` is refused on open, since a guessed date
-    could skip records or fetch them all."""
-
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path if path is not None else ":memory:")
-        self._db = _connect(
-            self.path,
-            "CREATE TABLE IF NOT EXISTS state (key TEXT PRIMARY KEY, "
-            "day TEXT NOT NULL)",
-        )
-        try:
-            for key, day in self._db.execute("SELECT key, day FROM state"):
-                try:
-                    parse_datestamp(day)
-                except (TypeError, ValueError):
-                    raise HarvestStoreError(
-                        f"harvest state in {self.path}: {key!r} is not a "
-                        f"YYYY-MM-DD date: {day!r}"
-                    ) from None
-        except sqlite3.Error as exc:
-            raise HarvestStoreError(f"cannot use {self.path}: {exc}") from exc
-
-    @staticmethod
-    def key(base_url: str, set_spec: str | None, prefix: str | None) -> str:
-        return "\t".join([base_url, set_spec or "", prefix or ""])
-
-    def last_completed(self, key: str) -> date | None:
-        row = self._db.execute(
-            "SELECT day FROM state WHERE key = ?", (key,)
-        ).fetchone()
-        return parse_datestamp(row[0]) if row else None
-
-    def advance(self, key: str, day: date) -> None:
-        try:
-            with self._db:  # commits, or rolls back on any exception
-                self._db.execute(_ADVANCE, (key, format_datestamp(day)))
-        except sqlite3.Error as exc:
-            raise HarvestStoreError(f"cannot write {self.path}: {exc}") from exc
-
-    def close(self) -> None:
-        self._db.close()
-
 
 def incremental(
     state: HarvestState,
@@ -714,7 +711,8 @@ def incremental(
     or to the job's ``until`` when that is earlier, only when the run
     completes; failures leave it untouched. A job whose ``until`` is before
     that ``from`` asks for nothing newer than what was harvested: it sends
-    no request, returns no records and leaves the state as it is.
+    no request, returns no records and leaves the state as it is. A
+    :class:`HarvestStore` may be passed as both ``state`` and ``store``.
 
     ``overlap_days=1`` is the safe default; ``overlap_days=-1`` starts the
     day after the last harvest, which loses same-day late updates (kept

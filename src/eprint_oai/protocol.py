@@ -239,11 +239,7 @@ class ProtocolHandler:
 
     def handle(self, params: Sequence[tuple[str, str]]) -> VerbResponse:
         try:
-            request = parse_request(params)
-        except MalformedRequest as exc:
-            return self.bad_request(str(exc), params)
-        try:
-            return self.dispatch(request)
+            return self.dispatch(parse_request(params))
         except MalformedRequest as exc:
             return self.bad_request(str(exc), params)
 

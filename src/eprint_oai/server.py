@@ -273,7 +273,7 @@ class _QuietHandler(socketserver.StreamRequestHandler):
         self.connection.settimeout(self.timeout)  # for each send
         try:
             _Answer(io.BytesIO(body), self.wfile, sys.stderr, environ).run(
-                self.server.get_app()
+                self.server.application
             )
         except TimeoutError:
             log.info("client=%s write timeout", client)
@@ -348,9 +348,6 @@ class ThreadingWSGIServer(socketserver.ThreadingTCPServer):
 
     def set_app(self, app) -> None:
         self.application = app
-
-    def get_app(self):
-        return self.application
 
 
 def serve(app, host: str = "127.0.0.1", port: int = 8080) -> None:

@@ -69,11 +69,12 @@ a power loss soon after an ingest returns can undo the rename while the row
 keeps the new datestamp (README, "Store layout").
 
 Each record is one object, its :class:`IndexEntry`, which both the record
-map (canonical id -> entry) and the sorted index hold. Beside its four index
-fields the entry keeps the record's metadata once parsed, its abs path and
-its deletion reason. The path is kept only when the file is not where the
-store names it (:func:`_rel_path`), as when another tool named it; every use
-of a path goes through :func:`_path_of`. Records with equal sets share one
+map (canonical id -> entry) and the sorted index hold: a slotted dataclass,
+compared and hashed by its four index fields. Beside those the entry keeps
+the record's metadata once parsed, its abs path and its deletion reason.
+The path is kept only when the file is not where the store names it
+(:func:`_rel_path`), as when another tool named it; every use of a path
+goes through :func:`_path_of`. Records with equal sets share one
 frozenset. Loading builds the index; after that, each write builds a new
 entry, puts it in the map and in a copy of the index, and swaps the copy in,
 so readers always see a consistent pre- or post-write snapshot.
@@ -93,6 +94,7 @@ import sqlite3
 import threading
 import time
 from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import lru_cache
 from operator import attrgetter
@@ -148,6 +150,7 @@ class StoreError(RuntimeError):
         self.path = path
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class IndexEntry:
     """One record of the store, the object that both the record map and the
     sorted index hold. Its four index fields (datestamp, identifier, sets,
@@ -160,43 +163,13 @@ class IndexEntry:
     parse. Not frozen: a frozen class's ``__init__`` sets each field through
     ``object.__setattr__``, a cost that a load pays for every record."""
 
-    __slots__ = ("datestamp", "identifier", "sets", "deleted", "path", "reason", "meta")
-
-    def __init__(
-        self,
-        datestamp: date,
-        identifier: str,  # canonical internal id, no version suffix
-        sets: frozenset[str] = frozenset(),  # the taxonomy's group tokens
-        deleted: bool = False,
-        path: str = "",
-        reason: str | None = None,
-        meta: InternalMetadata | None = None,
-    ):
-        self.datestamp = datestamp
-        self.identifier = identifier
-        self.sets = sets
-        self.deleted = deleted
-        self.path = path
-        self.reason = reason
-        self.meta = meta
-
-    def _fields(self) -> tuple:
-        return (self.datestamp, self.identifier, self.sets, self.deleted)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"IndexEntry(datestamp={self.datestamp!r}, "
-            f"identifier={self.identifier!r}, sets={self.sets!r}, "
-            f"deleted={self.deleted!r})"
-        )
+    datestamp: date
+    identifier: str  # canonical internal id, no version suffix
+    sets: frozenset[str] = frozenset()  # the taxonomy's group tokens
+    deleted: bool = False
+    path: str = field(default="", compare=False, repr=False)
+    reason: str | None = field(default=None, compare=False, repr=False)
+    meta: InternalMetadata | None = field(default=None, compare=False, repr=False)
 
 
 # (inode, size, mtime_ns, ctime_ns) of an abs file
@@ -264,12 +237,10 @@ def _fs_now(path: Path) -> int:
     return os.stat(path).st_ctime_ns
 
 
-def write_durably(path: Path, parts: Iterable[str]) -> None:
-    """Write the UTF-8 text of ``parts`` to ``path`` as they come, so a large
-    file needs no copy of itself in memory, and fsync it."""
+def write_durably(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, and fsync it."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for part in parts:
-            fh.write(part)
+        fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
 
@@ -586,7 +557,7 @@ class Store:
                 path = self.data_dir / _path_of(entry)
                 path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_name(path.name + ".tmp")
-                write_durably(tmp, [text])
+                write_durably(tmp, text)
                 os.replace(tmp, path)
         entries = list(self._snapshot)
         if old is not None:

@@ -866,6 +866,27 @@ def test_harvest_incremental_state(tmp_path, capsys, live_server, monkeypatch):
     assert [p.name for p in (tmp_path / "h").iterdir()] == ["harvest.sqlite"]
 
 
+def test_incremental_harvest_opens_its_database_once(
+    tmp_path, capsys, live_server, monkeypatch
+):
+    """Entries and completed days share one connection to harvest.sqlite."""
+    monkeypatch.setenv(cli.CLOCK_ENV, "2001-02-01T12:00:00+00:00")
+    opened: list[str] = []
+    connect = sqlite3.connect
+
+    def counting(database, *args, **kwargs):
+        opened.append(str(database))
+        return connect(database, *args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", counting)
+    args = ["harvest", "--data-dir", str(tmp_path / "h"), live_server,
+            "--prefix", "oai_dc", "--incremental"]
+    assert cli.main(args) == 0
+    assert [p for p in opened if p.endswith("harvest.sqlite")] == [
+        str(tmp_path / "h" / "harvest.sqlite")
+    ]
+
+
 def test_incremental_harvests_into_two_directories_each_get_every_record(
     tmp_path, capsys, live_server, monkeypatch, demo_store
 ):

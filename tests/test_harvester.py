@@ -641,6 +641,24 @@ def test_fragment_gets_the_bindings_it_inherits():
     ]
 
 
+def test_fragment_keeps_a_binding_it_uses_only_in_an_attribute_value():
+    """A prefix that the fragment names only inside a QName value, as in
+    ``xsi:type="dcterms:W3CDTF"``, is declared again on its root, so that
+    the QName still resolves on its own."""
+    body = _page(
+        _record('<dc xmlns="urn:dc"><date xsi:type="dcterms:W3CDTF">2001</date></dc>'),
+        ' xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"'
+        ' xmlns:dcterms="http://purl.org/dc/terms/"',
+    ).encode("utf-8")
+    [record] = assert_same_as_reference(body, "ListRecords")
+    canonical = ET.canonicalize(
+        record.metadata,
+        qname_aware_attrs=["{http://www.w3.org/2001/XMLSchema-instance}type"],
+    )
+    assert 'xmlns:dcterms="http://purl.org/dc/terms/"' in canonical
+    assert 'xsi:type="dcterms:W3CDTF"' in canonical
+
+
 def test_page_in_iso_8859_1():
     body = _page(
         _record('<dc xmlns="urn:dc"><title>Caf\u00e9 \u00e0 Orsay</title></dc>',
@@ -1232,9 +1250,8 @@ def test_directory_in_the_old_format_opens_and_harvests_in_full(
     key = HarvestState.key("loopback", None, "oai_dc")
     job = HarvestJob("ListRecords", metadata_prefix="oai_dc")
     with closing(HarvestStore(tmp_path)) as store:
-        with closing(HarvestState(store.path)) as state:
-            today = date(2001, 2, 1)
-            records, _ = incremental(state, key, job, today, transport, store)
+        today = date(2001, 2, 1)
+        records, _ = incremental(store, key, job, today, transport, store)
         assert len(records) == len(store.latest()) == 13
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == sorted([*old, "harvest.sqlite"])

@@ -70,6 +70,26 @@ def test_get_returns_the_entry_that_scan_holds(taxonomy, tmp_path):
     assert got is deleted and got.meta is None and got.reason == "withdrawn"
 
 
+def test_entry_is_its_four_index_fields():
+    """Two entries that differ only in path, reason or metadata are equal
+    and hash the same, and repr shows exactly the four index fields."""
+    meta = make_meta(EprintId("hep-th", 9901, 1), date(1999, 1, 1))
+    day, sets = date(1999, 1, 2), frozenset({"physics:hep-th"})
+    bare = IndexEntry(day, "hep-th/9901001", sets, False)
+    for other in (
+        IndexEntry(day, "hep-th/9901001", sets, False, path="hep-th/x.abs"),
+        IndexEntry(day, "hep-th/9901001", sets, False, reason="withdrawn"),
+        IndexEntry(day, "hep-th/9901001", sets, False, meta=meta),
+    ):
+        assert other == bare and hash(other) == hash(bare)
+    assert IndexEntry(day, "hep-th/9901001", sets, True) != bare
+    assert repr(IndexEntry(day, "hep-th/9901001", sets, False, "p", "r", meta)) == (
+        "IndexEntry(datestamp=datetime.date(1999, 1, 2), "
+        "identifier='hep-th/9901001', sets=frozenset({'physics:hep-th'}), "
+        "deleted=False)"
+    )
+
+
 def test_get_never_assigned(store):
     assert store.get(parse_internal_id("hep-th/9901001")) is None
 
